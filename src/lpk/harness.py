@@ -34,8 +34,9 @@ from .core import (
 from .lp import (
     fit_interpolation_filters,
     interpolate_missing,
+    missing_patterns,
     nullspace_filter_bank,
-    pattern_signature,
+    pattern_signature,  # noqa: F401  bench/layers.py wraps lpk.harness:pattern_signature
 )
 from .multi import MultiScene, scene_from_json, scene_samples
 from .phantom import Phantom, Primitive, make_sensitivities
@@ -260,14 +261,12 @@ def _engine_interp(measured, mask, params):
             if sig in fitted and quality[sig][1] <= gain_ratio * max(anchor, 1e-3)
         }
         if not useful:
+            done -= 1
             break
         cur = interpolate_missing(cur, eff_mask, useful, strict=False)
-        new_eff = eff.copy()
-        for pos in eff_mask.missing_positions():
-            n = tuple(int(p + lo) for p, lo in zip(pos, grid.n_min))
-            if pattern_signature(eff_mask, n, L, P) in useful:
-                new_eff[tuple(pos)] = True
-        eff = new_eff
+        for sig, pos in missing_patterns(eff_mask, L, P).items():
+            if sig in useful:
+                eff[tuple(pos.T)] = True
     covered = bool(np.all(eff))
     notes = () if covered else ("uncovered indices left at zero-fill",)
     return cur, ReconReport(
@@ -450,6 +449,7 @@ def run_experiment(config: dict, out_dir=None) -> dict:
                     "seed": seed,
                     "nrmse": float("nan"),
                     "iterations": 0,
+                    "converged": False,
                     "wall_ms": 0.0,
                 }
                 detail = {"error": None, "report": None}
@@ -461,6 +461,7 @@ def run_experiment(config: dict, out_dir=None) -> dict:
                     elapsed = (time.perf_counter() - t0) * 1000.0
                     row["nrmse"] = nrmse(est, truth)
                     row["iterations"] = report.iterations
+                    row["converged"] = report.converged
                     if timing:
                         row["wall_ms"] = elapsed
                     detail["report"] = report_to_json(report)
@@ -496,14 +497,16 @@ def run_experiment(config: dict, out_dir=None) -> dict:
         with open(f"{out_dir}/report.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
-                ["scene", "mask", "method", "sigma", "seed", "nrmse", "iterations", "wall_ms"]
+                ["scene", "mask", "method", "sigma", "seed", "nrmse", "iterations",
+                 "converged", "wall_ms"]
             )
             for row in rows:
                 writer.writerow(
                     [
                         row["scene"], row["mask"], row["method"],
                         f"{row['sigma']:g}", row["seed"],
-                        repr(row["nrmse"]), row["iterations"], f"{row['wall_ms']:g}",
+                        repr(row["nrmse"]), row["iterations"], row["converged"],
+                        f"{row['wall_ms']:g}",
                     ]
                 )
     return doc

@@ -313,6 +313,35 @@ def pattern_signature(mask: SamplingMask, n, L: int, P: int) -> str:
     return "".join(bits)
 
 
+def missing_patterns(mask: SamplingMask, L: int, P: int) -> dict[str, np.ndarray]:
+    """Missing samples grouped by local pattern, in sorted signature order.
+
+    Maps each :func:`pattern_signature` to the ``(count, dims)`` array
+    positions of the missing samples whose window has it.
+    """
+    missing = mask.missing_positions()
+    if missing.size == 0:
+        return {}
+    dims = mask.grid.dims
+    padded = np.pad(mask.acquired, [(P, L)] * dims)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (L + P + 1,) * dims)
+    bits = windows[tuple(missing.T)].reshape(len(missing), -1)
+    # Rows of 0/1 sort like the strings they spell, so groups come out sorted.
+    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    groups = {}
+    for g, i in enumerate(first):
+        n = tuple(int(p + lo) for p, lo in zip(missing[i], mask.grid.n_min))
+        groups[pattern_signature(mask, n, L, P)] = missing[inverse == g]
+    return groups
+
+
+def _source_taps(sig: str) -> np.ndarray:
+    """Flat boolean tap mask: tap ``k`` reads window offset ``-k``, so the
+    reversed signature marks the taps that land on acquired samples."""
+    return np.array(list(sig[::-1])) == "1"
+
+
 def fit_interpolation_filters(
     data,
     mask: SamplingMask,
@@ -323,7 +352,9 @@ def fit_interpolation_filters(
 ):
     """Fit one anchored filter per channel for each missing-sample pattern.
 
-    All fits share one calibration Gram matrix, so each pattern costs one
+    Missing samples are grouped by the signature of their local window
+    (:func:`missing_patterns`); each distinct pattern gets one fit.  All
+    fits share one calibration Gram matrix, so each pattern costs one
     small dense solve on the columns its acquired offsets allow.
     Requires ``mask.calib``.
 
@@ -341,23 +372,13 @@ def fit_interpolation_filters(
     gram = cm.matrix.conj().T @ cm.matrix
     if ridge is None:
         ridge = 1e-9 * float(np.max(gram.diagonal().real))
-    width = L + P + 1
     dims = cm.dims
-    ks = np.stack(
-        np.meshgrid(*[np.arange(-L, P + 1)] * dims, indexing="ij"), -1
-    ).reshape(-1, dims)
-
-    signatures = set()
-    for pos in mask.missing_positions():
-        n = tuple(int(p + lo) for p, lo in zip(pos, mask.grid.n_min))
-        signatures.add(pattern_signature(mask, n, L, P))
 
     out: dict[str, tuple[MultiFilter, ...]] = {}
     quality: dict[str, tuple[float, float]] = {}
-    for sig in sorted(signatures):
-        # Tap k fills window offset -k, so tap j reads the reversed signature.
-        src_flat = [j for j in range(len(ks)) if sig[::-1][j] == "1"]
-        if not src_flat:
+    for sig in missing_patterns(mask, L, P):
+        src_flat = np.flatnonzero(_source_taps(sig))
+        if not src_flat.size:
             continue  # fully missing neighborhood admits no filter
         per_channel = []
         worst_resid = 0.0
@@ -397,10 +418,11 @@ def interpolate_missing(
 ) -> MultiKSignal:
     """Impute every missing sample from acquired neighbors in one pass.
 
-    Each missing index is keyed by its local pattern signature; the
-    matching filter anchored at the sample's channel supplies
-    ``x_m[n] = sum_{(q,k) != (m,0)} h_q[k] x_q[n-k]``.  Acquired samples
-    pass through untouched.  With ``strict=False`` missing samples whose
+    Missing samples are grouped by local pattern signature
+    (:func:`missing_patterns`); each group's filters, one anchored at
+    each channel, supply ``x_m[n] = sum_{(q,k) != (m,0)} h_q[k]
+    x_q[n-k]`` for the whole group at once.  Acquired samples pass
+    through untouched.  With ``strict=False`` missing samples whose
     signature has no filter keep their input values instead of raising.
 
     Raises:
@@ -413,71 +435,63 @@ def interpolate_missing(
         raise GridMismatchError("data and mask grids differ")
     stacked = ms.stack()
     out = stacked.copy()
-    missing = mask.missing_positions()
-    if missing.size == 0:
+    if mask.acquired.all():
         return MultiKSignal.from_array(ms.grid, out)
 
-    groups: dict[str, list] = {}
-    first_lp: tuple[int, int] | None = None
-    for mf_list in filters.values():
-        for mf in mf_list:
-            first_lp = (mf.L, mf.P)
-            break
-        if first_lp:
-            break
-    if first_lp is None:
+    first = next((mf for mfs in filters.values() for mf in mfs), None)
+    if first is None:
         if strict:
             raise UncoveredPatternError(["<empty filter map>"])
         return MultiKSignal.from_array(ms.grid, out)
-    L, P = first_lp
+    L, P = first.L, first.P
 
-    uncovered = set()
-    for pos in missing:
-        n = tuple(int(p + lo) for p, lo in zip(pos, mask.grid.n_min))
-        sig = pattern_signature(mask, n, L, P)
-        if sig not in filters:
-            uncovered.add(sig)
-        else:
-            groups.setdefault(sig, []).append(pos)
+    groups = missing_patterns(mask, L, P)
+    uncovered = [sig for sig in groups if sig not in filters]
     if uncovered and strict:
         raise UncoveredPatternError(uncovered)
 
     dims = ms.grid.dims
-    for sig, positions in groups.items():
-        pos_arr = np.asarray(positions)
+    q_count = ms.q_count
+    # Window j of the padded data at position p holds x[p - P + j], which
+    # tap k = L + P - j (the flipped tap array) multiplies.
+    padded = np.pad(stacked, [(0, 0)] + [(P, L)] * dims)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (L + P + 1,) * dims, axis=tuple(range(1, dims + 1))
+    )
+    anchors = (np.arange(q_count), np.arange(q_count)) + (L,) * dims
+    for sig, pos in groups.items():
+        if sig not in filters:
+            continue
         by_anchor = {}
         for mf in filters[sig]:
             if mf.anchor_channel is None:
                 raise ValueError("interpolation filters must carry an anchor channel")
             by_anchor[mf.anchor_channel] = mf
-        for m in range(ms.q_count):
+        for m in range(q_count):
             if m not in by_anchor:
                 raise UncoveredPatternError([f"{sig} (channel {m})"])
-            mf = by_anchor[m]
-            _check_sources(sig, mf, L, P)
-            acc = np.zeros(len(pos_arr), dtype=np.complex128)
-            for q, filt in enumerate(mf.filters):
-                nz = np.argwhere(filt.taps != 0)
-                for tap_pos in nz:
-                    k = tuple(int(t) - L for t in tap_pos)
-                    if q == m and all(ki == 0 for ki in k):
-                        continue
-                    src = pos_arr - np.asarray(k)
-                    acc += filt.taps[tuple(tap_pos)] * stacked[q][tuple(src.T)]
-            out[(m,) + tuple(pos_arr.T)] = acc
+            _check_sources(sig, by_anchor[m], L, P)
+        taps = np.stack(
+            [np.stack([f.taps for f in by_anchor[m].filters]) for m in range(q_count)]
+        )
+        taps[anchors] = 0.0
+        taps = np.flip(taps, axis=tuple(range(2, dims + 2))).reshape(q_count, q_count, -1)
+        at = (slice(None),) + tuple(pos.T)
+        win = windows[at].reshape(q_count, len(pos), -1)
+        out[at] = np.einsum("mqj,qcj->mc", taps, win)
     return MultiKSignal.from_array(ms.grid, out)
 
 
 def _check_sources(sig: str, mf: MultiFilter, L: int, P: int) -> None:
     width = L + P + 1
     anchor_flat = int(np.ravel_multi_index((L,) * mf.dims, (width,) * mf.dims))
+    source = _source_taps(sig)
     for q, filt in enumerate(mf.filters):
-        flat = filt.taps.reshape(-1)
-        for j in np.flatnonzero(flat):
-            if q == mf.anchor_channel and j == anchor_flat:
-                continue
-            if sig[::-1][j] != "1":
-                raise UncoveredPatternError([f"{sig} (tap on unacquired offset)"])
+        off = (filt.taps.reshape(-1) != 0) & ~source
+        if q == mf.anchor_channel:
+            off[anchor_flat] = False
+        if off.any():
+            raise UncoveredPatternError([f"{sig} (tap on unacquired offset)"])
 
 
 def extrapolate(seed: KSignal, coeffs: Filter, steps: int, direction: str = "+") -> KSignal:

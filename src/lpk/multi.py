@@ -196,49 +196,11 @@ def sms_fit_separator(
     mu: float = 1.0,
     ridge: float | None = None,
 ) -> tuple[Filter, SeparatorReport]:
-    """Fit a separator reproducing one slice from the superposed sum.
-
-    Least squares over calibration windows: the filter applied to the
-    sum should return the target slice's samples (reproduction rows),
-    and applied to each other slice alone should return zero (leakage
-    rows, weighted by ``sqrt(mu)``).
-
-    Returns:
-        ``(filter, report)`` with RMS reproduction residual and RMS
-        unweighted leakage.
-    """
-    slices = tuple(slices)
-    if len(slices) < 2:
-        raise ValueError("need at least two slices")
-    if not 0 <= target < len(slices):
-        raise ValueError("target slice out of range")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    summed = sms_superpose(slices)
-    cm_sum = build_calib_matrix(summed, calib, L, P)
-    rows = cm_sum.rows
-    row_n = cm_sum.row_index()[:, 0]
-    tgt_sl = slices[target]
-    y = tgt_sl.values[row_n - tgt_sl.grid.n_min[0]]
-    blocks_a = [cm_sum.matrix]
-    blocks_y = [y]
-    leak_mats = []
-    for r, s in enumerate(slices):
-        if r == target:
-            continue
-        cm_r = build_calib_matrix(s, calib, L, P)
-        leak_mats.append(cm_r.matrix)
-        if mu > 0:
-            blocks_a.append(np.sqrt(mu) * cm_r.matrix)
-            blocks_y.append(np.zeros(rows, dtype=np.complex128))
-    A = np.concatenate(blocks_a, axis=0)
-    yy = np.concatenate(blocks_y)
-    coef, _ = _ridge_solve(A, yy, ridge)
-    repro = float(np.linalg.norm(cm_sum.matrix @ coef - y)) / np.sqrt(rows)
-    leak_sq = sum(float(np.sum(np.abs(m @ coef) ** 2)) for m in leak_mats)
-    leakage = np.sqrt(leak_sq / (rows * max(len(leak_mats), 1)))
-    filt = Filter(coef, L, P)
-    return filt, SeparatorReport(repro, float(leakage), mu, rows)
+    """Single-coil separator: the one-coil case of :func:`sms_fit_separator_coils`."""
+    mf, report = sms_fit_separator_coils(
+        [MultiKSignal((s,)) for s in slices], target, 0, L, P, calib, mu, ridge
+    )
+    return mf.filters[0], report
 
 
 def sms_fit_separator_coils(
@@ -251,7 +213,17 @@ def sms_fit_separator_coils(
     mu: float = 1.0,
     ridge: float | None = None,
 ) -> tuple[MultiFilter, SeparatorReport]:
-    """Coil-aware separator: all coils' sums feed one slice/coil target."""
+    """Fit a separator reproducing one slice/coil from all coils' sums.
+
+    Least squares over calibration windows: the filter applied to the
+    sum should return the target slice's samples on the target coil
+    (reproduction rows), and applied to each other slice alone should
+    return zero (leakage rows, weighted by ``sqrt(mu)``).
+
+    Returns:
+        ``(filter, report)`` with RMS reproduction residual and RMS
+        unweighted leakage.
+    """
     slices = tuple(slices)
     if len(slices) < 2:
         raise ValueError("need at least two slices")
@@ -260,6 +232,8 @@ def sms_fit_separator_coils(
         raise ValueError("target slice out of range")
     if not 0 <= target_coil < q:
         raise ValueError("target coil out of range")
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
     summed = sms_superpose(slices)
     cm_sum = build_calib_matrix(summed, calib, L, P)
     rows = cm_sum.rows

@@ -8,6 +8,7 @@ quadrature route for spatial energies.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpk.core import Filter, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask, centered_grid
 from lpk.lp import (
@@ -23,6 +24,7 @@ from lpk.lp import (
     highpass_weight,
     interpolate_missing,
     load_bank,
+    missing_patterns,
     nullspace_filter_bank,
     pattern_signature,
     save_bank,
@@ -261,6 +263,70 @@ class TestInterpolateMissing:
         assert pattern_signature(mask, (0,), 1, 1) == "010"
         # Off-grid offsets read as 0.
         assert pattern_signature(mask, (-4,), 1, 1) == "000"
+
+
+def per_tap_gather(stacked, mask, filters, L, P):
+    """Per-sample, per-tap imputation: the oracle for the batched gather."""
+    out = stacked.copy()
+    for pos in mask.missing_positions():
+        n = tuple(int(p + lo) for p, lo in zip(pos, mask.grid.n_min))
+        sig = pattern_signature(mask, n, L, P)
+        for mf in filters.get(sig, ()):
+            m = mf.anchor_channel
+            acc = 0.0
+            for q, filt in enumerate(mf.filters):
+                for tap_pos in np.argwhere(filt.taps != 0):
+                    k = tap_pos - L
+                    if q == m and not k.any():
+                        continue
+                    acc += filt.taps[tuple(tap_pos)] * stacked[q][tuple(pos - k)]
+            out[(m,) + tuple(pos)] = acc
+    return out
+
+
+class TestMissingPatterns:
+    @pytest.mark.parametrize("L,P", [(0, 2), (2, 0), (1, 1), (1, 3)])
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_groups_match_per_index_signatures(self, L, P, data):
+        dims = data.draw(st.sampled_from([1, 2]))
+        shape = tuple(data.draw(st.integers(2, 12 if dims == 1 else 7)) for _ in range(dims))
+        bits = data.draw(
+            st.lists(st.booleans(), min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
+        )
+        mask = SamplingMask(centered_grid(shape, 1.0), np.reshape(bits, shape))
+        groups = missing_patterns(mask, L, P)
+        assert list(groups) == sorted(groups)
+        seen = []
+        for sig, positions in groups.items():
+            assert positions.shape[1:] == (dims,)
+            for pos in positions:
+                n = tuple(int(p + lo) for p, lo in zip(pos, mask.grid.n_min))
+                assert pattern_signature(mask, n, L, P) == sig
+                seen.append(tuple(int(p) for p in pos))
+        assert len(seen) == len(set(seen))
+        assert sorted(seen) == sorted(map(tuple, mask.missing_positions().tolist()))
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_batched_imputation_matches_per_tap_gather(self, seed):
+        from lpk.harness import MaskSpec, gen_mask
+
+        L, P = 1, 2
+        grid = centered_grid((14, 12), 1.0)
+        mask = gen_mask(MaskSpec("random", 2, 10, seed=seed), grid)
+        rng = np.random.default_rng(seed)
+        stacked = rng.normal(size=(2,) + grid.shape) + 1j * rng.normal(size=(2,) + grid.shape)
+        data = MultiKSignal.from_array(grid, stacked)
+        fmap = fit_interpolation_filters(data, mask, L, P)
+        # Leave one pattern uncovered; its samples must keep their input.
+        fmap.pop(sorted(fmap)[-1])
+        # Junk at the missing entries shows any read of an unacquired sample.
+        stacked[:, ~mask.acquired] = 1e3 * (1 + 2j)
+        data = MultiKSignal.from_array(grid, stacked)
+        got = interpolate_missing(data, mask, fmap, strict=False).stack()
+        want = per_tap_gather(stacked, mask, fmap, L, P)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestHighpass:
