@@ -373,6 +373,7 @@ def fit_interpolation_filters(
     if ridge is None:
         ridge = 1e-9 * float(np.max(gram.diagonal().real))
     dims = cm.dims
+    per = cm.taps_per_channel
 
     out: dict[str, tuple[MultiFilter, ...]] = {}
     quality: dict[str, tuple[float, float]] = {}
@@ -380,14 +381,14 @@ def fit_interpolation_filters(
         src_flat = np.flatnonzero(_source_taps(sig))
         if not src_flat.size:
             continue  # fully missing neighborhood admits no filter
+        src_cols = (np.arange(cm.q_count)[:, None] * per + src_flat).ravel()
         per_channel = []
         worst_resid = 0.0
         worst_energy = 0.0
         for m in range(cm.q_count):
             tgt = cm.col_index(m, tuple((0,) * dims))
-            cols = [q * cm.taps_per_channel + j for q in range(cm.q_count) for j in src_flat]
-            cols = [c for c in cols if c != tgt]
-            if cols:
+            cols = src_cols[src_cols != tgt]
+            if cols.size:
                 sub = gram[np.ix_(cols, cols)] + ridge * np.eye(len(cols))
                 rhs = gram[cols, tgt]
                 coef = np.linalg.solve(sub, rhs)

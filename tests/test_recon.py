@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings, strategies as st
 
-from lpk.core import Filter, KSignal, MultiFilter, MultiKSignal, SamplingMask, centered_grid
-from lpk.harness import MaskSpec, gen_mask
+import lpk.recon
+from lpk.core import Filter, KSignal, MultiFilter, MultiKSignal, SamplingMask, centered_grid, zero_fill
+from lpk.harness import MaskSpec, demo_scene_2d, gen_mask
 from lpk.lp import FilterBank, nullspace_filter_bank
+from lpk.multi import scene_samples
 from lpk.phantom import Phantom, Primitive, fourier_samples
 from lpk.recon import (
     StructuredMatrix,
+    _BankOperator,
     annihilation_recon,
     lift,
     lowrank_complete,
@@ -217,6 +222,134 @@ class TestAnnihilationRecon:
         anni, _ = annihilation_recon(masked, mask, bank, tol=1e-12, max_iters=500)
         lowr, _ = lowrank_complete(masked, mask, L=3, P=3, rank=2, tol=1e-12, max_iters=500)
         assert rel_err(lowr.channels[0].values, anni.channels[0].values) <= 1e-6
+
+
+def direct_forward(x, bank):
+    """Per-(filter, channel) valid-mode convolutions, summed over channels."""
+    return np.array([
+        sum(
+            scipy.signal.convolve(x[q], f.taps, mode="valid", method="direct")
+            for q, f in enumerate(mf.filters)
+        )
+        for mf in bank.filters
+    ])
+
+
+def direct_adjoint(resps, bank, shape):
+    """Full-mode convolutions with the conjugate-reversed taps."""
+    grad = np.zeros(shape, dtype=np.complex128)
+    for mf, r in zip(bank.filters, resps):
+        for q, f in enumerate(mf.filters):
+            rev = np.conj(f.taps[(slice(None, None, -1),) * f.taps.ndim])
+            grad[q] += scipy.signal.convolve(r, rev, mode="full", method="direct")
+    return grad
+
+
+class DirectBank:
+    """Drop-in for ``_BankOperator`` that runs the direct loops."""
+
+    def __init__(self, bank, shape):
+        self.bank, self.shape = bank, tuple(shape)
+
+    def forward(self, x):
+        return direct_forward(x, self.bank)
+
+    def adjoint(self, resp):
+        return direct_adjoint(resp, self.bank, self.shape)
+
+
+def random_bank(rng, F, Q, L, P, dims):
+    shape = (L + P + 1,) * dims
+    return FilterBank(
+        tuple(
+            MultiFilter(tuple(
+                Filter(rng.normal(size=shape) + 1j * rng.normal(size=shape), L, P)
+                for _ in range(Q)
+            ))
+            for _ in range(F)
+        ),
+        (0.0,) * F,
+    )
+
+
+def cplx(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@st.composite
+def bank_cases(draw):
+    """A random bank and data shape: 1D or 2D, F and Q in 1..4, L != P,
+    grids from the tap width up."""
+    dims = draw(st.sampled_from([1, 2]))
+    F = draw(st.integers(1, 4))
+    Q = draw(st.integers(1, 4))
+    L = draw(st.integers(0, 3))
+    P = draw(st.integers(0, 3).filter(lambda p: p != L))
+    width = L + P + 1
+    grid = tuple(draw(st.integers(width, width + 6)) for _ in range(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return rng, random_bank(rng, F, Q, L, P, dims), (Q,) + grid
+
+
+class TestBankOperator:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=bank_cases())
+    def test_matches_direct_loops(self, case):
+        rng, bank, shape = case
+        op = _BankOperator(bank, shape)
+        x = cplx(rng, shape)
+        got = op.forward(x)
+        want = direct_forward(x, bank)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        r = cplx(rng, want.shape)
+        got = op.adjoint(r)
+        want = direct_adjoint(r, bank, shape)
+        assert got.shape == shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=bank_cases())
+    def test_adjointness(self, case):
+        rng, bank, shape = case
+        op = _BankOperator(bank, shape)
+        x = cplx(rng, shape)
+        ax = op.forward(x)
+        y = cplx(rng, ax.shape)
+        lhs = np.vdot(y, ax)
+        rhs = np.vdot(op.adjoint(y), x)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+
+    def test_mismatches_rejected(self):
+        rng = np.random.default_rng(0)
+        bank2d = random_bank(rng, 2, 3, 1, 2, 2)
+        with pytest.raises(ValueError, match="2D"):
+            _BankOperator(bank2d, (3, 16))
+        with pytest.raises(ValueError, match="channels"):
+            _BankOperator(bank2d, (2, 8, 8))
+        with pytest.raises(ValueError, match="width"):
+            _BankOperator(bank2d, (3, 8, 3))
+        g = centered_grid(16, 1.0)
+        data = MultiKSignal.from_array(g, cplx(rng, (3, 16)))
+        mask = SamplingMask(g, np.arange(16) % 2 == 0)
+        with pytest.raises(ValueError, match="2D"):
+            annihilation_recon(data, mask, bank2d)
+        with pytest.raises(ValueError, match="channels"):
+            annihilation_recon(data, mask, random_bank(rng, 2, 2, 1, 2, 1))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_recon_matches_direct_oracle(self, lam, monkeypatch):
+        grid = centered_grid((20, 18), 1.0)
+        truth = scene_samples(demo_scene_2d(), grid)
+        mask = gen_mask(MaskSpec("random", 2, 8, seed=4), grid)
+        measured = zero_fill(truth, mask)
+        bank = nullspace_filter_bank(measured, mask.calib, 1, 2, limit=4)
+        got, rep = annihilation_recon(measured, mask, bank, lam=lam, tol=1e-30, max_iters=25)
+        monkeypatch.setattr(lpk.recon, "_BankOperator", DirectBank)
+        want, ref = annihilation_recon(measured, mask, bank, lam=lam, tol=1e-30, max_iters=25)
+        assert rep.iterations == ref.iterations == 25
+        got, want = got.stack(), want.stack()
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestVirtualConjugate:
