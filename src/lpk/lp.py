@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .core import (
     MultiFilter,
     MultiKSignal,
     SamplingMask,
+    _axes_int,
     _normalize_calib,
 )
 from .phantom import Phantom, samples_at
@@ -304,13 +306,15 @@ def pattern_signature(mask: SamplingMask, n, L: int, P: int) -> str:
     One character per window offset in ascending index order (row-major
     across axes in 2D); offsets outside the grid read as ``0``.
     """
-    n = (n,) if np.isscalar(n) else tuple(n)
-    axes = [range(ni - P, ni + L + 1) for ni in n]
-    bits = []
-    for idx in np.stack(np.meshgrid(*[list(a) for a in axes], indexing="ij"), -1).reshape(-1, len(n)):
-        inside = mask.grid.contains(tuple(idx))
-        bits.append("1" if inside and bool(mask.acquired[mask.grid.pos(tuple(idx))]) else "0")
-    return "".join(bits)
+    n = _axes_int(n, "n")
+    if len(n) != mask.grid.dims:
+        raise ValueError(f"index {n} does not match a {mask.grid.dims}D grid")
+    offsets = np.arange(-P, L + 1)
+    pos = [ni - lo + offsets for ni, lo in zip(n, mask.grid.n_min)]
+    inside = [(p >= 0) & (p < size) for p, size in zip(pos, mask.grid.shape)]
+    clipped = [np.clip(p, 0, size - 1) for p, size in zip(pos, mask.grid.shape)]
+    bits = mask.acquired[np.ix_(*clipped)] & reduce(np.logical_and.outer, inside)
+    return "".join("1" if b else "0" for b in bits.flat)
 
 
 def missing_patterns(mask: SamplingMask, L: int, P: int) -> dict[str, np.ndarray]:
@@ -354,9 +358,13 @@ def fit_interpolation_filters(
 
     Missing samples are grouped by the signature of their local window
     (:func:`missing_patterns`); each distinct pattern gets one fit.  All
-    fits share one calibration Gram matrix, so each pattern costs one
-    small dense solve on the columns its acquired offsets allow.
-    Requires ``mask.calib``.
+    fits share one calibration Gram matrix.  A missing sample's own
+    ``k = 0`` tap reads the sample itself, so it is never a source, and
+    every channel's fit uses the same source columns: the pattern's
+    acquired offsets in every channel.  Each pattern therefore costs one
+    factorization of that Gram block, shared by every channel, with one
+    right-hand side per channel's ``k = 0`` column.  Requires
+    ``mask.calib``.
 
     With ``return_quality`` also returns a per-signature ``(rel_resid,
     coef_energy)`` map: the worst channel's relative calibration residual
@@ -372,8 +380,11 @@ def fit_interpolation_filters(
     gram = cm.matrix.conj().T @ cm.matrix
     if ridge is None:
         ridge = 1e-9 * float(np.max(gram.diagonal().real))
-    dims = cm.dims
+    channels = np.arange(cm.q_count)
     per = cm.taps_per_channel
+    tgts = channels * per + cm.col_index(0, (0,) * cm.dims)
+    tt = gram[tgts, tgts].real
+    live = tt > 0
 
     out: dict[str, tuple[MultiFilter, ...]] = {}
     quality: dict[str, tuple[float, float]] = {}
@@ -381,31 +392,19 @@ def fit_interpolation_filters(
         src_flat = np.flatnonzero(_source_taps(sig))
         if not src_flat.size:
             continue  # fully missing neighborhood admits no filter
-        src_cols = (np.arange(cm.q_count)[:, None] * per + src_flat).ravel()
-        per_channel = []
-        worst_resid = 0.0
-        worst_energy = 0.0
-        for m in range(cm.q_count):
-            tgt = cm.col_index(m, tuple((0,) * dims))
-            cols = src_cols[src_cols != tgt]
-            if cols.size:
-                sub = gram[np.ix_(cols, cols)] + ridge * np.eye(len(cols))
-                rhs = gram[cols, tgt]
-                coef = np.linalg.solve(sub, rhs)
-            else:
-                coef = np.zeros(0, dtype=np.complex128)
-            if return_quality:
-                # ||A_free c - a_tgt||^2 expanded through the shared Gram.
-                tt = float(gram[tgt, tgt].real)
-                rsq = tt - 2 * float((coef.conj() @ gram[cols, tgt]).real) + float(
-                    (coef.conj() @ (gram[np.ix_(cols, cols)] @ coef)).real
-                )
-                rel = np.sqrt(max(rsq, 0.0) / tt) if tt > 0 else 0.0
-                worst_resid = max(worst_resid, rel)
-                worst_energy = max(worst_energy, float(np.sum(np.abs(coef) ** 2)))
-            per_channel.append(_coeffs_to_multifilter(cm, m, cols, coef))
-        out[sig] = tuple(per_channel)
-        quality[sig] = (worst_resid, worst_energy)
+        src_cols = (channels[:, None] * per + src_flat).ravel()
+        sub = gram[np.ix_(src_cols, src_cols)]
+        rhs = gram[np.ix_(src_cols, tgts)]
+        coef = np.linalg.solve(sub + ridge * np.eye(len(src_cols)), rhs)
+        out[sig] = tuple(
+            _coeffs_to_multifilter(cm, m, src_cols, coef[:, m]) for m in channels
+        )
+        if return_quality:
+            # ||A_src c_m - a_m||^2 per channel m, expanded through the Gram.
+            rsq = tt + np.einsum("im,im->m", coef.conj(), sub @ coef - 2 * rhs).real
+            rel = np.sqrt(np.maximum(rsq[live], 0.0) / tt[live])
+            energy = np.sum(np.abs(coef) ** 2, axis=0)
+            quality[sig] = (float(np.max(rel, initial=0.0)), float(np.max(energy)))
     if return_quality:
         return out, quality
     return out
@@ -471,28 +470,19 @@ def interpolate_missing(
         for m in range(q_count):
             if m not in by_anchor:
                 raise UncoveredPatternError([f"{sig} (channel {m})"])
-            _check_sources(sig, by_anchor[m], L, P)
         taps = np.stack(
             [np.stack([f.taps for f in by_anchor[m].filters]) for m in range(q_count)]
         )
+        # taps[m, q] is channel q of the filter anchored at m; only the
+        # anchor's own k = 0 tap may sit on an unacquired offset.
         taps[anchors] = 0.0
+        if np.any((taps != 0) & ~_source_taps(sig).reshape(taps.shape[2:])):
+            raise UncoveredPatternError([f"{sig} (tap on unacquired offset)"])
         taps = np.flip(taps, axis=tuple(range(2, dims + 2))).reshape(q_count, q_count, -1)
         at = (slice(None),) + tuple(pos.T)
         win = windows[at].reshape(q_count, len(pos), -1)
         out[at] = np.einsum("mqj,qcj->mc", taps, win)
     return MultiKSignal.from_array(ms.grid, out)
-
-
-def _check_sources(sig: str, mf: MultiFilter, L: int, P: int) -> None:
-    width = L + P + 1
-    anchor_flat = int(np.ravel_multi_index((L,) * mf.dims, (width,) * mf.dims))
-    source = _source_taps(sig)
-    for q, filt in enumerate(mf.filters):
-        off = (filt.taps.reshape(-1) != 0) & ~source
-        if q == mf.anchor_channel:
-            off[anchor_flat] = False
-        if off.any():
-            raise UncoveredPatternError([f"{sig} (tap on unacquired offset)"])
 
 
 def extrapolate(seed: KSignal, coeffs: Filter, steps: int, direction: str = "+") -> KSignal:

@@ -264,13 +264,162 @@ class TestInterpolateMissing:
         # Off-grid offsets read as 0.
         assert pattern_signature(mask, (-4,), 1, 1) == "000"
 
+    def wide_fit(self):
+        """Fitted L = P = 2 map for uniform R = 2 outside a calibration block."""
+        g = centered_grid(33, 1.0)
+        ms = self.harmonic_pair(g)
+        n = np.arange(-16, 17)
+        acq = (n % 2 == 0) | (np.abs(n) <= 4)
+        mask = SamplingMask(g, acq, ((-4, 4),))
+        masked = MultiKSignal.from_array(g, np.where(acq, ms.stack(), 0.0))
+        return masked, mask, fit_interpolation_filters(masked, mask, L=2, P=2)
+
+    # "01010": taps k = -2, 0, 2 read unacquired offsets.
+    @pytest.mark.parametrize(
+        "anchor,channel,k",
+        [(0, 1, 2), (1, 0, -2), (0, 1, 0), (1, 0, 0), (0, 0, 2)],
+    )
+    def test_tap_on_unacquired_offset_raises(self, anchor, channel, k):
+        masked, mask, fmap = self.wide_fit()
+        mfs = list(fmap["01010"])
+        mf = mfs[anchor]
+        filters = list(mf.filters)
+        taps = filters[channel].taps.copy()
+        taps[k + mf.L] = 0.25
+        filters[channel] = Filter(taps, mf.L, mf.P, anchor_fixed=filters[channel].anchor_fixed)
+        mfs[anchor] = MultiFilter(tuple(filters))
+        fmap["01010"] = tuple(mfs)
+        with pytest.raises(UncoveredPatternError) as err:
+            interpolate_missing(masked, mask, fmap)
+        assert str(err.value) == "no filter covers local pattern(s): 01010 (tap on unacquired offset)"
+
+    def test_anchor_tap_on_missing_sample_is_allowed(self):
+        masked, mask, fmap = self.wide_fit()
+        for m, mf in enumerate(fmap["01010"]):
+            assert mf.anchor_channel == m
+            assert mf.filters[m].tap((0,)) == -1.0
+        out = interpolate_missing(masked, mask, fmap).stack()
+        truth = self.harmonic_pair(mask.grid).stack()
+        # The default ridge biases the fit slightly (measured 3.4e-6).
+        assert np.max(np.abs(out - truth)) <= 1e-4 * np.max(np.abs(truth))
+
+
+def loop_signature(mask, n, L, P):
+    """Per-offset ``contains``/``pos`` signature: the oracle for the gather."""
+    n = (n,) if np.isscalar(n) else tuple(n)
+    axes = [range(ni - P, ni + L + 1) for ni in n]
+    bits = []
+    for idx in np.stack(np.meshgrid(*[list(a) for a in axes], indexing="ij"), -1).reshape(-1, len(n)):
+        inside = mask.grid.contains(tuple(idx))
+        bits.append("1" if inside and bool(mask.acquired[mask.grid.pos(tuple(idx))]) else "0")
+    return "".join(bits)
+
+
+def per_channel_fit(data, mask, L, P, ridge):
+    """One solve per pattern per channel: the oracle for the shared solve.
+
+    Returns per signature the ``[anchor, channel, *taps]`` stack and the
+    worst channel's ``(rel_resid, coef_energy)``.
+    """
+    cm = build_calib_matrix(data, mask.calib, L, P)
+    gram = cm.matrix.conj().T @ cm.matrix
+    if ridge is None:
+        ridge = 1e-9 * float(np.max(gram.diagonal().real))
+    per = cm.taps_per_channel
+    taps, quality = {}, {}
+    for sig in missing_patterns(mask, L, P):
+        src = np.flatnonzero(np.array(list(sig[::-1])) == "1")
+        if not src.size:
+            continue
+        src_cols = (np.arange(cm.q_count)[:, None] * per + src).ravel()
+        stack = np.zeros((cm.q_count, cm.q_count * per), dtype=complex)
+        worst_resid = worst_energy = 0.0
+        for m in range(cm.q_count):
+            tgt = cm.col_index(m, (0,) * cm.dims)
+            cols = src_cols[src_cols != tgt]
+            sub = gram[np.ix_(cols, cols)]
+            coef = np.linalg.solve(sub + ridge * np.eye(len(cols)), gram[cols, tgt])
+            tt = float(gram[tgt, tgt].real)
+            rsq = tt - 2 * float((coef.conj() @ gram[cols, tgt]).real) + float(
+                (coef.conj() @ (sub @ coef)).real
+            )
+            worst_resid = max(worst_resid, np.sqrt(max(rsq, 0.0) / tt) if tt > 0 else 0.0)
+            worst_energy = max(worst_energy, float(np.sum(np.abs(coef) ** 2)))
+            stack[m, cols] = coef
+            stack[m, tgt] = -1.0
+        taps[sig] = stack.reshape((cm.q_count, cm.q_count) + cm.tap_shape)
+        quality[sig] = (worst_resid, worst_energy)
+    return taps, quality
+
+
+class TestPatternSignature:
+    @pytest.mark.parametrize("L,P", [(0, 2), (2, 0), (1, 1), (1, 3)])
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_gather_matches_per_offset_loop(self, L, P, data):
+        dims = data.draw(st.sampled_from([1, 2]))
+        shape = tuple(data.draw(st.integers(2, 9 if dims == 1 else 6)) for _ in range(dims))
+        bits = data.draw(
+            st.lists(st.booleans(), min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
+        )
+        mask = SamplingMask(centered_grid(shape, 1.0), np.reshape(bits, shape))
+        # Every index whose window overlaps the grid, off every edge, and
+        # some whose window misses it entirely.
+        pad = L + P + 1
+        axes = [range(lo - pad, hi + pad + 1) for lo, hi in zip(mask.grid.n_min, mask.grid.n_max)]
+        for n in np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dims):
+            n = tuple(int(v) for v in n)
+            assert pattern_signature(mask, n, L, P) == loop_signature(mask, n, L, P)
+        if dims == 1:
+            assert pattern_signature(mask, 0, L, P) == loop_signature(mask, 0, L, P)
+
+    def test_index_must_match_grid(self):
+        mask = SamplingMask(centered_grid((4, 4), (1.0, 1.0)), np.ones((4, 4), dtype=bool))
+        with pytest.raises(ValueError, match="2D grid"):
+            pattern_signature(mask, (0,), 1, 1)
+        with pytest.raises(ValueError, match="integers"):
+            pattern_signature(mask, (0.5, 0), 1, 1)
+
+
+class TestSharedPatternSolve:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_channel_solves(self, data):
+        from lpk.harness import MaskSpec, gen_mask
+
+        dims = data.draw(st.sampled_from([1, 2]))
+        q_count = data.draw(st.integers(1, 4))
+        pairs = [(0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (1, 3)] if dims == 1 else [
+            (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)
+        ]
+        L, P = data.draw(st.sampled_from(pairs))
+        ridge = data.draw(st.sampled_from([None, 1e-6, 0.5]))
+        seed = data.draw(st.integers(0, 2**16))
+        # Overdetermined calibration (rows > columns), so residuals are
+        # well above round-off and comparable to a relative tolerance.
+        grid = centered_grid((96,) if dims == 1 else (16, 14), 1.0)
+        mask = gen_mask(MaskSpec("random", 3, 32 if dims == 1 else 12, seed=seed), grid)
+        rng = np.random.default_rng(seed)
+        shape = (q_count,) + grid.shape
+        ms = MultiKSignal.from_array(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+        fmap, quality = fit_interpolation_filters(ms, mask, L, P, ridge, return_quality=True)
+        want_taps, want_quality = per_channel_fit(ms, mask, L, P, ridge)
+        assert list(fmap) == list(want_taps) and list(quality) == list(want_quality)
+        for sig, mfs in fmap.items():
+            assert [mf.anchor_channel for mf in mfs] == list(range(q_count))
+            got = np.array([[f.taps for f in mf.filters] for mf in mfs])
+            want = want_taps[sig]
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            np.testing.assert_allclose(quality[sig], want_quality[sig], rtol=1e-12, atol=0)
+
 
 def per_tap_gather(stacked, mask, filters, L, P):
     """Per-sample, per-tap imputation: the oracle for the batched gather."""
     out = stacked.copy()
     for pos in mask.missing_positions():
         n = tuple(int(p + lo) for p, lo in zip(pos, mask.grid.n_min))
-        sig = pattern_signature(mask, n, L, P)
+        sig = loop_signature(mask, n, L, P)
         for mf in filters.get(sig, ()):
             m = mf.anchor_channel
             acc = 0.0
