@@ -136,21 +136,20 @@ def build_calib_matrix(data, calib=None, L: int = 0, P: int = 1) -> CalibMatrix:
             raise ValueError(
                 f"calibration interval [{lo}, {hi}] smaller than P + L + 2 = {P + L + 2}"
             )
-    stacked = ms.stack()
-    width = L + P + 1
-    row_shape = tuple(hi - lo + 1 - P - L for lo, hi in calib)
-    rows = int(np.prod(row_shape))
-    cols_per = width**grid.dims
-    out = np.empty((rows, ms.q_count * cols_per), dtype=np.complex128)
-    ks = [np.arange(-L, P + 1)] * grid.dims
-    tap_list = np.stack(np.meshgrid(*ks, indexing="ij"), -1).reshape(-1, grid.dims)
-    for q in range(ms.q_count):
-        for j, k in enumerate(tap_list):
-            sl = tuple(
-                slice(lo + P - ki - glo, hi - L - ki - glo + 1)
-                for (lo, hi), ki, glo in zip(calib, k, grid.n_min)
-            )
-            out[:, q * cols_per + j] = stacked[q][sl].reshape(-1)
+    dims = grid.dims
+    region = ms.stack()[(slice(None),) + tuple(
+        slice(lo - glo, hi - glo + 1) for (lo, hi), glo in zip(calib, grid.n_min)
+    )]
+    # windows[q, r, w] = region[q, r + w]; window r is row n = lo + P + r
+    # and its tap k reads x[n - k] = region[r + P - k], so ascending k is
+    # the window axes reversed.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        region, (L + P + 1,) * dims, axis=tuple(range(1, dims + 1))
+    )
+    windows = windows[(Ellipsis,) + (slice(None, None, -1),) * dims]
+    windows = np.moveaxis(windows, 0, dims)
+    rows = int(np.prod(windows.shape[:dims]))
+    out = np.ascontiguousarray(windows).reshape(rows, -1)
     return CalibMatrix(out, grid, calib, L, P, ms.q_count)
 
 

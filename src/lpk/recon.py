@@ -4,7 +4,10 @@ Two complementary routes:
 
 * Lift the samples into a window-structured matrix whose rank deficiency
   encodes the prediction relations, alternate between rank truncation and
-  data consistency (``lowrank_complete``).
+  data consistency (``lowrank_complete``).  The truncation projects the
+  rows onto the leading eigenvectors of the small Gram matrix ``CᴴC``
+  (one column per channel tap), so no SVD of the tall lifted matrix is
+  taken.
 * Fix a bank of annihilating filters and solve the quadratic problem
   "acquired samples stay put, total filter response energy is minimal"
   by conjugate gradients (``annihilation_recon``).  Each CG step applies
@@ -48,6 +51,9 @@ class ReconReport:
     converged: bool
     objective_trace: tuple[float, ...] = ()
     rank: int | None = None
+    # Leading singular values of the last lifted matrix, taken as square
+    # roots of its Gram eigenvalues: entries below about 1e-8 of the first
+    # are round-off, not spectrum.
     spectrum_head: tuple[float, ...] = ()
     degenerate: bool = False
     conditioning: float | None = None
@@ -175,8 +181,10 @@ class StructuredMatrix:
         acc = np.zeros((blocks,) + self.grid.shape, dtype=np.complex128)
         count = np.zeros(self.grid.shape, dtype=np.float64)
         valid = self.grid.valid_for(self.L, self.P)
-        vshape = valid.shape
-        width = self.L + self.P + 1
+        # cells[j, q] holds channel q's tap-j column laid out on the valid grid.
+        cells = np.moveaxis(
+            self.matrix.reshape(-1, blocks, self.taps_per_channel), (2, 1), (0, 1)
+        ).reshape((self.taps_per_channel, blocks) + valid.shape)
         ks = np.stack(
             np.meshgrid(*[np.arange(-self.L, self.P + 1)] * self.grid.dims, indexing="ij"),
             -1,
@@ -186,8 +194,7 @@ class StructuredMatrix:
                 slice(vlo - ki - glo, vhi - ki - glo + 1)
                 for vlo, vhi, ki, glo in zip(valid.n_min, valid.n_max, k, self.grid.n_min)
             )
-            for q in range(blocks):
-                acc[q][sl] += self.matrix[:, q * self.taps_per_channel + j].reshape(vshape)
+            acc[(slice(None),) + sl] += cells[j]
             count[sl] += 1.0
         if self.variant == "C":
             vals = acc / count
@@ -246,16 +253,22 @@ def lowrank_complete(
 ) -> tuple[MultiKSignal, ReconReport]:
     """Fill missing samples by alternating rank truncation and consistency.
 
-    Each sweep lifts the current estimate, truncates its singular values
-    to ``rank`` (chosen on the first sweep as the count above ``tau``
-    times the largest when not given), averages the matrix back to
-    samples, and restores the acquired values.  Stops when the relative
-    update falls below ``tol``.
+    Each sweep lifts the current estimate to ``C``, truncates it to
+    ``rank`` (chosen on the first sweep as the count of singular values
+    above ``tau`` times the largest when not given), averages the matrix
+    back to samples, and restores the acquired values.  Stops when the
+    relative update falls below ``tol``.  The singular values are the
+    square roots of the eigenvalues of the Hermitian Gram ``CᴴC``, and
+    the truncation is ``(C V_r) V_rᴴ`` with ``V_r`` its leading
+    eigenvectors, which equals ``U_r S_r V_rᴴ`` of the thin SVD.  With
+    ``max_iters < 1`` no sweep runs and the zero-filled data come back.
 
     Returns:
         ``(completed, report)``; the report carries the final leading
         spectrum, and its ``degenerate`` flag is set when the spectrum
-        shows no clear gap at the chosen rank.
+        shows no clear gap at the chosen rank.  Squaring before the
+        eigendecomposition leaves spectrum entries below about
+        ``1e-8`` times the largest at round-off level.
     """
     ms = _as_multi(data)
     masks = _norm_masks(mask, ms.q_count, ms.grid)
@@ -268,15 +281,18 @@ def lowrank_complete(
     s_final = np.zeros(0)
     it = 0
     for it in range(1, max_iters + 1):
-        lifted = lift(MultiKSignal.from_array(ms.grid, x), L, P, variant)
-        u, s, vh = np.linalg.svd(lifted.matrix, full_matrices=False)
+        c = lift(MultiKSignal.from_array(ms.grid, x), L, P, variant).matrix
+        lam, v = np.linalg.eigh(c.conj().T @ c)
+        v = v[:, ::-1]
+        s = np.sqrt(np.clip(lam[::-1], 0.0, None))[: min(c.shape)]
         if chosen is None:
             chosen = max(1, int(np.sum(s > tau * s[0])))
             chosen = min(chosen, len(s))
         if not 1 <= chosen <= len(s):
             raise ValueError(f"rank must lie in [1, {len(s)}]")
         s_final = s
-        trunc = (u[:, :chosen] * s[:chosen]) @ vh[:chosen]
+        vr = v[:, :chosen]
+        trunc = (c @ vr) @ vr.conj().T
         back = StructuredMatrix(trunc, ms.grid, L, P, ms.q_count, variant).unlift()
         x_new = back.stack()
         for q in range(ms.q_count):
@@ -289,7 +305,9 @@ def lowrank_complete(
             converged = True
             break
     degenerate = bool(
-        chosen < len(s_final) and s_final[chosen] > 0.999 * s_final[chosen - 1]
+        chosen is not None
+        and chosen < len(s_final)
+        and s_final[chosen] > 0.999 * s_final[chosen - 1]
     )
     report = ReconReport(
         method=f"lowrank-{variant}",

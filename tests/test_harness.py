@@ -63,6 +63,20 @@ class TestInterpEngine:
         assert np.array_equal(est.stack(), zero_fill(truth, mask).stack())
 
 
+
+class TestLowrankEngine:
+    @pytest.mark.parametrize("rank", [None, 2])
+    def test_no_sweep_returns_zero_fill(self, rank):
+        measured, mask = small_2d_case(0)
+        params = {"max_iters": 0} if rank is None else {"max_iters": 0, "rank": rank}
+        est, report = ENGINES["lowrank"](measured, mask, params)
+        assert np.array_equal(est.stack(), measured.stack())
+        assert report.iterations == 0
+        assert report.converged is False
+        assert report.rank == rank
+        assert report.spectrum_head == ()
+        assert report.degenerate is False
+
 def test_experiment_rows_carry_convergence(tmp_path):
     config = {
         "scene": "demo1d",

@@ -105,6 +105,50 @@ class TestCalibMatrix:
         col = cm.col_index(0, (1, 1))
         assert cm.matrix[row, col] == sig.at((-1, -1))
 
+    @pytest.mark.parametrize("L,P", [(0, 0), (0, 2), (2, 0), (1, 3), (3, 1)])
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_gather_matches_per_tap_loop(self, L, P, data):
+        dims = data.draw(st.sampled_from([1, 2]))
+        q_count = data.draw(st.integers(1, 4))
+        least = L + P + 2  # smallest calibration block per axis
+        top = least + (9 if dims == 1 else 4)
+        shape = tuple(data.draw(st.integers(least, top)) for _ in range(dims))
+        n_min = tuple(data.draw(st.integers(-6, 2)) for _ in range(dims))
+        grid = KGrid.window(n_min, tuple(lo + s - 1 for lo, s in zip(n_min, shape)), (1.0,) * dims)
+        # An off-centre calibration block, from the smallest that fits up
+        # to the whole grid.
+        calib = []
+        for lo, s in zip(n_min, shape):
+            size = data.draw(st.integers(least, s))
+            start = lo + data.draw(st.integers(0, s - size))
+            calib.append((start, start + size - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        ms = MultiKSignal.from_array(
+            grid, rng.normal(size=(q_count,) + shape) + 1j * rng.normal(size=(q_count,) + shape)
+        )
+        got = build_calib_matrix(ms, tuple(calib), L, P)
+        assert got.matrix.flags.c_contiguous
+        assert np.array_equal(got.matrix, loop_calib_matrix(ms, tuple(calib), L, P))
+
+
+def loop_calib_matrix(ms, calib, L, P):
+    """One column slice per (channel, tap): the oracle for the window gather."""
+    grid = ms.grid
+    stacked = ms.stack()
+    rows = int(np.prod([hi - lo + 1 - P - L for lo, hi in calib]))
+    per = (L + P + 1) ** grid.dims
+    out = np.empty((rows, ms.q_count * per), dtype=np.complex128)
+    ks = np.stack(np.meshgrid(*[np.arange(-L, P + 1)] * grid.dims, indexing="ij"), -1)
+    for q in range(ms.q_count):
+        for j, k in enumerate(ks.reshape(-1, grid.dims)):
+            sl = tuple(
+                slice(lo + P - ki - glo, hi - L - ki - glo + 1)
+                for (lo, hi), ki, glo in zip(calib, k, grid.n_min)
+            )
+            out[:, q * per + j] = stacked[q][sl].reshape(-1)
+    return out
+
 
 class TestFitPredictionFilter:
     def test_single_exponential_tap(self):

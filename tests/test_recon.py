@@ -6,7 +6,16 @@ import scipy.signal
 from hypothesis import given, settings, strategies as st
 
 import lpk.recon
-from lpk.core import Filter, KSignal, MultiFilter, MultiKSignal, SamplingMask, centered_grid, zero_fill
+from lpk.core import (
+    Filter,
+    KGrid,
+    KSignal,
+    MultiFilter,
+    MultiKSignal,
+    SamplingMask,
+    centered_grid,
+    zero_fill,
+)
 from lpk.harness import MaskSpec, demo_scene_2d, gen_mask
 from lpk.lp import FilterBank, nullspace_filter_bank
 from lpk.multi import scene_samples
@@ -113,6 +122,117 @@ class TestLift:
         with pytest.raises(ValueError):
             lift(KSignal(g, np.ones(8)), 1, 1, "Q")
 
+    @pytest.mark.parametrize("L,P", [(0, 0), (0, 2), (2, 0), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("variant", ["C", "S"])
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_unlift_matches_per_block_loop(self, L, P, variant, data):
+        dims = data.draw(st.sampled_from([1, 2]))
+        q_count = data.draw(st.integers(1, 4))
+        width = L + P + 1
+        top = width + (9 if dims == 1 else 4)
+        shape = tuple(data.draw(st.integers(width, top)) for _ in range(dims))
+        n_min = tuple(data.draw(st.integers(-(s // 2) - 2, -(s // 2) + 2)) for s in shape)
+        grid = KGrid.window(n_min, tuple(lo + s - 1 for lo, s in zip(n_min, shape)), (1.0,) * dims)
+        rows = int(np.prod([s - L - P for s in shape]))
+        cols = (2 if variant == "S" else 1) * q_count * width**dims
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        sm = StructuredMatrix(cplx(rng, (rows, cols)), grid, L, P, q_count, variant)
+        assert np.array_equal(sm.unlift().stack(), loop_unlift(sm))
+
+
+def loop_unlift(sm):
+    """Per-(tap, block) accumulation: the oracle for the per-tap unlift."""
+    blocks = 2 * sm.q_count if sm.variant == "S" else sm.q_count
+    acc = np.zeros((blocks,) + sm.grid.shape, dtype=np.complex128)
+    count = np.zeros(sm.grid.shape)
+    valid = sm.grid.valid_for(sm.L, sm.P)
+    ks = np.stack(np.meshgrid(*[np.arange(-sm.L, sm.P + 1)] * sm.grid.dims, indexing="ij"), -1)
+    for j, k in enumerate(ks.reshape(-1, sm.grid.dims)):
+        sl = tuple(
+            slice(vlo - ki - glo, vhi - ki - glo + 1)
+            for vlo, vhi, ki, glo in zip(valid.n_min, valid.n_max, k, sm.grid.n_min)
+        )
+        for q in range(blocks):
+            acc[q][sl] += sm.matrix[:, q * sm.taps_per_channel + j].reshape(valid.shape)
+        count[sl] += 1.0
+    if sm.variant == "C":
+        return acc / count
+    count_refl = lpk.recon._reflect_values(count, sm.grid, fill=0.0)
+    return np.array([
+        (acc[q] + lpk.recon._reflect_values(np.conj(acc[sm.q_count + q]), sm.grid))
+        / (count + count_refl)
+        for q in range(sm.q_count)
+    ])
+
+
+def svd_lowrank_complete(data, mask, L, P, rank, tau, variant, max_iters, tol=1e-9):
+    """The sweep through a thin SVD of the lifted matrix: the oracle for the
+    Gram-eigendecomposition sweep."""
+    acq = mask.acquired
+    ref = data.stack()
+    x = np.where(acq, ref, 0.0)
+    converged, chosen, it = False, rank, 0
+    for it in range(1, max_iters + 1):
+        u, s, vh = np.linalg.svd(lift(MultiKSignal.from_array(data.grid, x), L, P, variant).matrix,
+                                 full_matrices=False)
+        if chosen is None:
+            chosen = min(max(1, int(np.sum(s > tau * s[0]))), len(s))
+        trunc = (u[:, :chosen] * s[:chosen]) @ vh[:chosen]
+        x_new = StructuredMatrix(trunc, data.grid, L, P, data.q_count, variant).unlift().stack()
+        x_new[:, acq] = ref[:, acq]
+        denom = max(float(np.linalg.norm(x)), np.finfo(float).tiny)
+        change = float(np.linalg.norm(x_new - x)) / denom
+        x = x_new
+        if change <= tol:
+            converged = True
+            break
+    degenerate = bool(chosen < len(s) and s[chosen] > 0.999 * s[chosen - 1])
+    report = lpk.recon.ReconReport(
+        method=f"lowrank-{variant}", iterations=it, converged=converged, rank=chosen,
+        spectrum_head=tuple(float(v) for v in s[:32]), degenerate=degenerate,
+    )
+    return MultiKSignal.from_array(data.grid, x), report
+
+
+@st.composite
+def sweep_cases(draw):
+    """Noisy sums of a few exponentials on a random mask: 1D or 2D, Q in
+    1..3, L != P, variants C and S, given or automatic rank.  A "wide"
+    case shrinks the grid until the lifted matrix has fewer rows than
+    columns."""
+    dims = draw(st.sampled_from([1, 2]))
+    q_count = draw(st.integers(1, 3))
+    variant = draw(st.sampled_from(["C", "S"]))
+    wide = draw(st.booleans())
+    L, P = draw(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+            lambda lp: lp[0] != lp[1] and (not wide or lp[0] + lp[1] >= 2)
+        )
+    )
+    width = L + P + 1
+    if wide:
+        shape = (width + 1,) * dims
+    else:
+        shape = tuple(draw(st.integers(width + 3, 20 if dims == 1 else 9)) for _ in range(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    modes = draw(st.integers(1, 3))
+    grid = centered_grid(shape, 1.0)
+    axes = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in zip(grid.n_min, grid.n_max)],
+                       indexing="ij")
+    phase = sum(np.multiply.outer(rng.uniform(-np.pi, np.pi, modes), n) for n in axes)
+    amps = cplx(rng, (q_count, modes))
+    clean = np.tensordot(amps, np.exp(1j * phase), axes=1)
+    values = clean + 0.01 * np.std(clean) * cplx(rng, clean.shape)
+    acquired = rng.uniform(size=shape) < 0.6
+    data = MultiKSignal.from_array(grid, np.where(acquired, values, 0.0))
+    rows = int(np.prod([s - L - P for s in shape]))
+    cols = (2 if variant == "S" else 1) * q_count * width**dims
+    assert not wide or rows < cols
+    rank = draw(st.sampled_from([None, min(modes, rows, cols)]))
+    kwargs = dict(L=L, P=P, rank=rank, variant=variant, max_iters=draw(st.integers(1, 6)))
+    return data, SamplingMask(grid, acquired), kwargs
+
 
 class TestLowrankComplete:
     def test_exact_completion(self, masked_two_point):
@@ -166,6 +286,27 @@ class TestLowrankComplete:
         _, mask, masked = masked_two_point
         with pytest.raises(ValueError):
             lowrank_complete(masked, mask, L=0, P=2, rank=7)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=sweep_cases())
+    def test_gram_sweep_matches_svd_sweep(self, case):
+        data, mask, kwargs = case
+        tau = 0.05
+        got, rep = lowrank_complete(data, mask, tau=tau, **kwargs)
+        want, ref = svd_lowrank_complete(data, mask, tau=tau, **kwargs)
+        got, want = got.stack(), want.stack()
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert (rep.rank, rep.iterations, rep.converged, rep.degenerate) == (
+            ref.rank, ref.iterations, ref.converged, ref.degenerate
+        )
+        head, ref_head = np.array(rep.spectrum_head), np.array(ref.spectrum_head)
+        assert head.shape == ref_head.shape
+        # Entries far below s[0] come from square roots of eigenvalues at
+        # round-off level, so only the leading ones agree in relative terms.
+        big = ref_head > tau * ref_head[0]
+        np.testing.assert_allclose(head[big], ref_head[big], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(head, ref_head, rtol=0, atol=1e-7 * ref_head[0])
+
 
 
 class TestAnnihilationRecon:
