@@ -17,194 +17,13 @@ Layout:
 - :mod:`lpk.multi` multi-channel scenes and slice separation
 - :mod:`lpk.harness` mask generation, noise, metrics, batch runs
 - :mod:`lpk.cli` the ``lpk`` command
+
+Names are imported from these modules; the package itself only loads
+them.
 """
 
-from .core import (
-    Filter,
-    GridMismatchError,
-    KGrid,
-    KSignal,
-    MultiFilter,
-    MultiKSignal,
-    SamplingMask,
-    centered_grid,
-    conv_apply,
-    conv_response,
-    signals_allclose,
-    zero_fill,
-)
-from .harness import (
-    ENGINES,
-    MaskSpec,
-    Metrics,
-    add_noise,
-    demo_scene_1d,
-    demo_scene_2d,
-    gen_mask,
-    image_magnitude,
-    nrmse,
-    register_engine,
-    run_experiment,
-    score,
-    write_pgm,
-)
-from .io import (
-    LpkFormatError,
-    PayloadLengthError,
-    TruncatedPayloadError,
-    UnknownVersionError,
-    read_lpk,
-    write_lpk,
-)
-from .lp import (
-    CalibMatrix,
-    FilterBank,
-    GramOperator,
-    IdentityCheck,
-    SingularFitError,
-    UncoveredPatternError,
-    build_calib_matrix,
-    check_annihilation_identity,
-    extrapolate,
-    fit_interpolation_filters,
-    fit_prediction_filter,
-    gram_operator,
-    highpass_unweight,
-    highpass_weight,
-    interpolate_missing,
-    load_bank,
-    nullspace_filter_bank,
-    pattern_signature,
-    save_bank,
-    smallest_eigensequences,
-)
-from .multi import (
-    MultiScene,
-    SeparatorReport,
-    SmsScene,
-    check_multichannel_identity,
-    check_superposition_identity,
-    load_scene,
-    save_scene,
-    scene_samples,
-    smash_fit,
-    sms_fit_separator,
-    sms_fit_separator_coils,
-    sms_separate,
-    sms_separate_coils,
-    sms_slice_samples,
-    sms_superpose,
-)
-from .phantom import (
-    Modulator,
-    Phantom,
-    Primitive,
-    fourier_samples,
-    load_phantom,
-    make_phase_modulator,
-    make_sensitivities,
-    modulated_samples,
-    quadrature_samples,
-    save_phantom,
-    spatial_profile,
-)
-from .recon import (
-    ReconReport,
-    StructuredMatrix,
-    annihilation_recon,
-    lift,
-    lowrank_complete,
-    pf_recon,
-    reflect_mask,
-    virtual_conjugate,
-)
+from . import core, harness, io, lp, multi, phantom, quadrature, recon
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalibMatrix",
-    "ENGINES",
-    "Filter",
-    "FilterBank",
-    "GramOperator",
-    "GridMismatchError",
-    "IdentityCheck",
-    "KGrid",
-    "KSignal",
-    "LpkFormatError",
-    "MaskSpec",
-    "Metrics",
-    "Modulator",
-    "MultiFilter",
-    "MultiKSignal",
-    "MultiScene",
-    "PayloadLengthError",
-    "Phantom",
-    "Primitive",
-    "ReconReport",
-    "SamplingMask",
-    "SeparatorReport",
-    "SingularFitError",
-    "SmsScene",
-    "StructuredMatrix",
-    "TruncatedPayloadError",
-    "UncoveredPatternError",
-    "UnknownVersionError",
-    "add_noise",
-    "annihilation_recon",
-    "build_calib_matrix",
-    "centered_grid",
-    "check_annihilation_identity",
-    "check_multichannel_identity",
-    "check_superposition_identity",
-    "conv_apply",
-    "conv_response",
-    "demo_scene_1d",
-    "demo_scene_2d",
-    "extrapolate",
-    "fit_interpolation_filters",
-    "fit_prediction_filter",
-    "fourier_samples",
-    "gen_mask",
-    "gram_operator",
-    "highpass_unweight",
-    "highpass_weight",
-    "image_magnitude",
-    "interpolate_missing",
-    "lift",
-    "load_bank",
-    "load_phantom",
-    "load_scene",
-    "lowrank_complete",
-    "make_phase_modulator",
-    "make_sensitivities",
-    "modulated_samples",
-    "nrmse",
-    "nullspace_filter_bank",
-    "pattern_signature",
-    "pf_recon",
-    "quadrature_samples",
-    "read_lpk",
-    "reflect_mask",
-    "register_engine",
-    "run_experiment",
-    "save_bank",
-    "save_phantom",
-    "save_scene",
-    "scene_samples",
-    "score",
-    "signals_allclose",
-    "smallest_eigensequences",
-    "smash_fit",
-    "sms_fit_separator",
-    "sms_fit_separator_coils",
-    "sms_separate",
-    "sms_separate_coils",
-    "sms_slice_samples",
-    "sms_superpose",
-    "spatial_profile",
-    "virtual_conjugate",
-    "write_lpk",
-    "write_pgm",
-    "zero_fill",
-]
+__all__ = ["core", "harness", "io", "lp", "multi", "phantom", "quadrature", "recon"]

@@ -252,9 +252,10 @@ def _cmd_recon(args) -> int:
         raise _DataError(f"{args.mask} does not hold a mask")
     if args.engine not in ENGINES:
         raise _DataError(f"unknown engine {args.engine!r}")
-    params = {
-        "L": args.L, "P": args.P, "tol": args.tol, "max_iters": args.max_iters,
-    }
+    params = {"L": args.L, "P": args.P, "tol": args.tol}
+    if args.max_iters is not None:
+        # interp caps its refit passes; the solvers cap their iterations.
+        params["passes" if args.engine == "interp" else "max_iters"] = args.max_iters
     if args.rank is not None:
         params["rank"] = args.rank
     if args.lam is not None:
@@ -458,7 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rank", type=int, default=None, help="lifted-matrix rank (lowrank engine)")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="soft consistency weight (annihilation engine)")
     p.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
-    p.add_argument("--max-iters", type=int, default=500, help="iteration cap")
+    p.add_argument("--max-iters", type=int, default=None, help="iteration cap; passes for interp (default: the engine's own)")
     p.add_argument("--truth", default=None, help="reference .lpk for an nrmse line")
     p.add_argument("--strict", action="store_true", help="exit 3 if the solver did not converge")
     p.add_argument("--out", default=None, help="output .lpk path")

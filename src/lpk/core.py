@@ -149,6 +149,15 @@ def centered_grid(shape, fov) -> KGrid:
     )
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without ``__post_init__``: for values already checked as a
+    whole, such as the channels of one validated stack."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _as_complex(values, shape, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.shape != shape:
@@ -194,10 +203,16 @@ class MultiKSignal:
 
     @classmethod
     def from_array(cls, grid: KGrid, stacked) -> "MultiKSignal":
+        """Channels from a ``[Q, *shape]`` stack, validated as one array;
+        each channel's values are a read-only view of the checked copy."""
         stacked = np.asarray(stacked, dtype=np.complex128)
         if stacked.shape[1:] != grid.shape:
             raise ValueError(f"stacked shape {stacked.shape} does not match grid {grid.shape}")
-        return cls(tuple(KSignal(grid, s) for s in stacked))
+        if not len(stacked):
+            raise ValueError("at least one channel required")
+        stacked = _as_complex(stacked, stacked.shape, "values")
+        chans = tuple(_unchecked(KSignal, grid=grid, values=s) for s in stacked)
+        return _unchecked(cls, channels=chans)
 
     @property
     def grid(self) -> KGrid:

@@ -13,13 +13,18 @@ exp(+i 2 pi x m / B) dx`` has a closed form, the Hermitian matrix
 ``G[k, n] = g[n - k]`` expresses the spatial energy ``(1/B) integral
 |rho h|^2`` of any tap sequence as ``(1/B) h^H G h``, and its smallest
 eigenvectors are the best-annihilating unit-norm sequences.
+
+Pattern-aware interpolation (one kernel per local sampling pattern, as in
+GRAPPA) solves and checks each pattern's filters as one ``[Q, Q, *W]``
+tap array; the :class:`~lpk.core.Filter` objects it returns are
+read-only views of that array, so the per-object checks are not repeated
+``Q * Q`` times per pattern.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +39,7 @@ from .core import (
     SamplingMask,
     _axes_int,
     _normalize_calib,
+    _unchecked,
 )
 from .phantom import Phantom, samples_at
 from .quadrature import merge_edges, piecewise_quad
@@ -110,6 +116,38 @@ class CalibMatrix:
         return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, self.dims)
 
 
+def _window_rows(region: np.ndarray, L: int, P: int) -> np.ndarray:
+    """Every window of a ``[Q, *shape]`` stack as one row, ``x_q[n - k]``
+    across channel-major, ascending-``k`` columns."""
+    dims = region.ndim - 1
+    # windows[q, r, w] = region[q, r + w]; window r is row n = lo + P + r
+    # and its tap k reads x[n - k] = region[r + P - k], so ascending k is
+    # the window axes reversed.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        region, (L + P + 1,) * dims, axis=tuple(range(1, dims + 1))
+    )
+    windows = windows[(Ellipsis,) + (slice(None, None, -1),) * dims]
+    windows = np.moveaxis(windows, 0, dims)
+    rows = int(np.prod(windows.shape[:dims]))
+    return np.ascontiguousarray(windows).reshape(rows, -1)
+
+
+def _checked_calib(grid: KGrid, calib, L: int, P: int):
+    """Normalized calibration intervals (the whole grid for None) that fit
+    at least two ``[-L, P]`` windows per axis."""
+    if L < 0 or P < 0:
+        raise ValueError("L and P must be nonnegative")
+    if calib is None:
+        calib = tuple(zip(grid.n_min, grid.n_max))
+    calib = _normalize_calib(calib, grid)
+    for lo, hi in calib:
+        if hi - lo + 1 < P + L + 2:
+            raise ValueError(
+                f"calibration interval [{lo}, {hi}] smaller than P + L + 2 = {P + L + 2}"
+            )
+    return calib
+
+
 def build_calib_matrix(data, calib=None, L: int = 0, P: int = 1) -> CalibMatrix:
     """Assemble the calibration matrix over a fully-sampled region.
 
@@ -125,32 +163,11 @@ def build_calib_matrix(data, calib=None, L: int = 0, P: int = 1) -> CalibMatrix:
         The assembled :class:`CalibMatrix`.
     """
     ms = _as_multi(data)
-    grid = ms.grid
-    if L < 0 or P < 0:
-        raise ValueError("L and P must be nonnegative")
-    if calib is None:
-        calib = tuple(zip(grid.n_min, grid.n_max))
-    calib = _normalize_calib(calib, grid)
-    for lo, hi in calib:
-        if hi - lo + 1 < P + L + 2:
-            raise ValueError(
-                f"calibration interval [{lo}, {hi}] smaller than P + L + 2 = {P + L + 2}"
-            )
-    dims = grid.dims
+    calib = _checked_calib(ms.grid, calib, L, P)
     region = ms.stack()[(slice(None),) + tuple(
-        slice(lo - glo, hi - glo + 1) for (lo, hi), glo in zip(calib, grid.n_min)
+        slice(lo - glo, hi - glo + 1) for (lo, hi), glo in zip(calib, ms.grid.n_min)
     )]
-    # windows[q, r, w] = region[q, r + w]; window r is row n = lo + P + r
-    # and its tap k reads x[n - k] = region[r + P - k], so ascending k is
-    # the window axes reversed.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        region, (L + P + 1,) * dims, axis=tuple(range(1, dims + 1))
-    )
-    windows = windows[(Ellipsis,) + (slice(None, None, -1),) * dims]
-    windows = np.moveaxis(windows, 0, dims)
-    rows = int(np.prod(windows.shape[:dims]))
-    out = np.ascontiguousarray(windows).reshape(rows, -1)
-    return CalibMatrix(out, grid, calib, L, P, ms.q_count)
+    return CalibMatrix(_window_rows(region, L, P), ms.grid, calib, L, P, ms.q_count)
 
 
 def _ridge_solve(A: np.ndarray, y: np.ndarray, ridge: float | None):
@@ -174,17 +191,26 @@ def _ridge_solve(A: np.ndarray, y: np.ndarray, ridge: float | None):
     return coef, resid
 
 
-def _coeffs_to_multifilter(calib: CalibMatrix, target: int, free_cols, coef) -> MultiFilter:
-    taps = np.zeros((calib.q_count,) + calib.tap_shape, dtype=np.complex128)
-    flat = taps.reshape(calib.q_count * calib.taps_per_channel)
-    flat[list(free_cols)] = coef
-    flat[calib.col_index(target, (0,) * calib.dims)] = -1.0
-    filters = []
-    for q in range(calib.q_count):
-        filters.append(
-            Filter(taps[q], calib.L, calib.P, anchor_fixed=(q == target))
-        )
-    return MultiFilter(tuple(filters))
+def _pattern_filters(taps: np.ndarray, L: int, P: int) -> tuple[MultiFilter, ...]:
+    """The filters of one pattern's ``[Q, Q, *W]`` taps, ``[m]`` anchored
+    at channel ``m`` (its own ``k = 0`` tap is -1).
+
+    Makes the checks :class:`Filter` makes once for the whole array and
+    builds the objects around read-only views of it.
+    """
+    q_count = taps.shape[0]
+    if not np.isfinite(taps.view(np.float64)).all():
+        raise ValueError("taps contain non-finite entries")
+    if not taps.reshape(q_count, q_count, -1).any(axis=2).all():
+        raise ValueError("at least one tap must be nonzero")
+    taps.setflags(write=False)
+    return tuple(
+        _unchecked(MultiFilter, filters=tuple(
+            _unchecked(Filter, taps=t, L=L, P=P, anchor_fixed=(q == m))
+            for q, t in enumerate(taps[m])
+        ))
+        for m in range(q_count)
+    )
 
 
 def fit_prediction_filter(
@@ -225,7 +251,13 @@ def fit_prediction_filter(
     free = [j for j in range(calib.matrix.shape[1]) if j not in dead]
     y = calib.matrix[:, tgt_col]
     coef, resid = _ridge_solve(calib.matrix[:, free], y, ridge)
-    mf = _coeffs_to_multifilter(calib, target, free, coef)
+    taps = np.zeros(calib.matrix.shape[1], dtype=np.complex128)
+    taps[free] = coef
+    taps[tgt_col] = -1.0
+    mf = MultiFilter(tuple(
+        Filter(t, calib.L, calib.P, anchor_fixed=(q == target))
+        for q, t in enumerate(taps.reshape((calib.q_count,) + calib.tap_shape))
+    ))
     return mf, resid / np.sqrt(calib.rows)
 
 
@@ -308,12 +340,17 @@ def pattern_signature(mask: SamplingMask, n, L: int, P: int) -> str:
     n = _axes_int(n, "n")
     if len(n) != mask.grid.dims:
         raise ValueError(f"index {n} does not match a {mask.grid.dims}D grid")
-    offsets = np.arange(-P, L + 1)
-    pos = [ni - lo + offsets for ni, lo in zip(n, mask.grid.n_min)]
-    inside = [(p >= 0) & (p < size) for p, size in zip(pos, mask.grid.shape)]
-    clipped = [np.clip(p, 0, size - 1) for p, size in zip(pos, mask.grid.shape)]
-    bits = mask.acquired[np.ix_(*clipped)] & reduce(np.logical_and.outer, inside)
-    return "".join("1" if b else "0" for b in bits.flat)
+    width = L + P + 1
+    bits = np.zeros((width,) * len(n), dtype=bool)
+    src, dst = [], []
+    for ni, lo, size in zip(n, mask.grid.n_min, mask.grid.shape):
+        start = ni - lo - P  # array index of offset -P
+        a = max(start, 0)
+        b = max(min(start + width, size), a)
+        src.append(slice(a, b))
+        dst.append(slice(a - start, b - start))
+    bits[tuple(dst)] = mask.acquired[tuple(src)]
+    return (bits.view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def missing_patterns(mask: SamplingMask, L: int, P: int) -> dict[str, np.ndarray]:
@@ -322,6 +359,8 @@ def missing_patterns(mask: SamplingMask, L: int, P: int) -> dict[str, np.ndarray
     Maps each :func:`pattern_signature` to the ``(count, dims)`` array
     positions of the missing samples whose window has it.
     """
+    if L < 0 or P < 0:
+        raise ValueError("L and P must be nonnegative")
     missing = mask.missing_positions()
     if missing.size == 0:
         return {}
@@ -329,13 +368,19 @@ def missing_patterns(mask: SamplingMask, L: int, P: int) -> dict[str, np.ndarray
     padded = np.pad(mask.acquired, [(P, L)] * dims)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (L + P + 1,) * dims)
     bits = windows[tuple(missing.T)].reshape(len(missing), -1)
-    # Rows of 0/1 sort like the strings they spell, so groups come out sorted.
-    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    # Big-endian packed rows sort bytewise like the 0/1 strings they
+    # spell, so groups come out sorted.
+    packed = np.packbits(bits, axis=1)
+    _, first, inverse, counts = np.unique(
+        packed, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    # A stable sort keeps each group's positions in ascending order.
+    order = np.argsort(inverse.reshape(-1), kind="stable")
+    members = np.split(missing[order], np.cumsum(counts)[:-1])
     groups = {}
-    for g, i in enumerate(first):
+    for i, pos in zip(first, members):
         n = tuple(int(p + lo) for p, lo in zip(missing[i], mask.grid.n_min))
-        groups[pattern_signature(mask, n, L, P)] = missing[inverse == g]
+        groups[pattern_signature(mask, n, L, P)] = pos
     return groups
 
 
@@ -365,6 +410,10 @@ def fit_interpolation_filters(
     right-hand side per channel's ``k = 0`` column.  Requires
     ``mask.calib``.
 
+    Each pattern's filters are solved and checked as one ``[Q, Q, *W]``
+    tap array, whose ``[m]`` is the filter anchored at channel ``m``; the
+    returned :class:`Filter` objects are read-only views of it.
+
     With ``return_quality`` also returns a per-signature ``(rel_resid,
     coef_energy)`` map: the worst channel's relative calibration residual
     and squared coefficient norm (the noise-amplification factor of one
@@ -379,8 +428,8 @@ def fit_interpolation_filters(
     gram = cm.matrix.conj().T @ cm.matrix
     if ridge is None:
         ridge = 1e-9 * float(np.max(gram.diagonal().real))
-    channels = np.arange(cm.q_count)
-    per = cm.taps_per_channel
+    q_count, per = cm.q_count, cm.taps_per_channel
+    channels = np.arange(q_count)
     tgts = channels * per + cm.col_index(0, (0,) * cm.dims)
     tt = gram[tgts, tgts].real
     live = tt > 0
@@ -395,9 +444,10 @@ def fit_interpolation_filters(
         sub = gram[np.ix_(src_cols, src_cols)]
         rhs = gram[np.ix_(src_cols, tgts)]
         coef = np.linalg.solve(sub + ridge * np.eye(len(src_cols)), rhs)
-        out[sig] = tuple(
-            _coeffs_to_multifilter(cm, m, src_cols, coef[:, m]) for m in channels
-        )
+        taps = np.zeros((q_count, q_count * per), dtype=np.complex128)
+        taps[:, src_cols] = coef.T
+        taps[channels, tgts] = -1.0
+        out[sig] = _pattern_filters(taps.reshape((q_count, q_count) + cm.tap_shape), cm.L, cm.P)
         if return_quality:
             # ||A_src c_m - a_m||^2 per channel m, expanded through the Gram.
             rsq = tt + np.einsum("im,im->m", coef.conj(), sub @ coef - 2 * rhs).real
@@ -423,6 +473,9 @@ def interpolate_missing(
     x_q[n-k]`` for the whole group at once.  Acquired samples pass
     through untouched.  With ``strict=False`` missing samples whose
     signature has no filter keep their input values instead of raising.
+
+    Each pattern's filters are applied as one ``[Q, Q, *W]`` tap array,
+    ``[m]`` the filter anchored at channel ``m``.
 
     Raises:
         UncoveredPatternError: in strict mode, a missing index's
@@ -469,11 +522,9 @@ def interpolate_missing(
         for m in range(q_count):
             if m not in by_anchor:
                 raise UncoveredPatternError([f"{sig} (channel {m})"])
-        taps = np.stack(
-            [np.stack([f.taps for f in by_anchor[m].filters]) for m in range(q_count)]
-        )
         # taps[m, q] is channel q of the filter anchored at m; only the
         # anchor's own k = 0 tap may sit on an unacquired offset.
+        taps = np.stack([by_anchor[m].stack() for m in range(q_count)])
         taps[anchors] = 0.0
         if np.any((taps != 0) & ~_source_taps(sig).reshape(taps.shape[2:])):
             raise UncoveredPatternError([f"{sig} (tap on unacquired offset)"])

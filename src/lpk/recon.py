@@ -7,7 +7,10 @@ Two complementary routes:
   data consistency (``lowrank_complete``).  The truncation projects the
   rows onto the leading eigenvectors of the small Gram matrix ``CᴴC``
   (one column per channel tap), so no SVD of the tall lifted matrix is
-  taken.
+  taken.  Each sweep is one ``lift`` (a single window gather, shared
+  with ``build_calib_matrix``) and one ``StructuredMatrix.unlift`` (one
+  slice-add per tap), and each builds its ``MultiKSignal`` with one
+  validation of the whole stack.
 * Fix a bank of annihilating filters and solve the quadratic problem
   "acquired samples stay put, total filter response energy is minimal"
   by conjugate gradients (``annihilation_recon``).  Each CG step applies
@@ -35,11 +38,17 @@ import scipy.signal
 from .core import (
     GridMismatchError,
     KGrid,
-    KSignal,
     MultiKSignal,
     SamplingMask,
 )
-from .lp import FilterBank, build_calib_matrix, nullspace_filter_bank, _as_multi
+from .lp import (
+    FilterBank,
+    _as_multi,
+    _checked_calib,
+    _window_rows,
+    build_calib_matrix,  # noqa: F401  bench/layers.py wraps lpk.recon:build_calib_matrix
+    nullspace_filter_bank,
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,10 @@ def report_from_json(doc: dict) -> ReconReport:
 
 
 def _reflect_values(arr: np.ndarray, grid: KGrid, fill=0):
-    """out[n] = arr[-n] where -n lies in the grid, else fill."""
+    """out[..., n] = arr[..., -n] where -n lies in the grid, else fill.
+
+    The grid spans the trailing axes; leading axes (channels) ride along.
+    """
     out = np.full_like(arr, fill)
     src = []
     dst = []
@@ -100,10 +112,13 @@ def _reflect_values(arr: np.ndarray, grid: KGrid, fill=0):
         ok = (-n >= lo) & (-n <= hi)
         dst.append(np.flatnonzero(ok))
         src.append((-n[ok]) - lo)
-    dst_ix = np.ix_(*dst)
-    src_ix = np.ix_(*src)
-    out[dst_ix] = arr[src_ix]
+    out[(Ellipsis,) + np.ix_(*dst)] = arr[(Ellipsis,) + np.ix_(*src)]
     return out
+
+
+def _with_mirrors(x: np.ndarray, grid: KGrid) -> np.ndarray:
+    """A ``[Q, *N]`` stack followed by its conjugate-mirrored channels."""
+    return np.concatenate([x, _reflect_values(np.conj(x), grid)])
 
 
 def unpaired_positions(grid: KGrid) -> np.ndarray:
@@ -132,11 +147,7 @@ def virtual_conjugate(data) -> MultiKSignal:
             "grid is asymmetric; unpaired edge indices of the conjugate copy are zero-filled",
             stacklevel=2,
         )
-    mirrored = [
-        KSignal(ms.grid, _reflect_values(np.conj(s.values), ms.grid))
-        for s in ms.channels
-    ]
-    return MultiKSignal(tuple(ms.channels) + tuple(mirrored))
+    return MultiKSignal.from_array(ms.grid, _with_mirrors(ms.stack(), ms.grid))
 
 
 def reflect_mask(mask: SamplingMask) -> SamplingMask:
@@ -153,6 +164,14 @@ def reflect_mask(mask: SamplingMask) -> SamplingMask:
             if bool(np.all(acq[sl])):
                 calib = refl
     return SamplingMask(mask.grid, acq, calib)
+
+
+def _check_lift(grid: KGrid, L: int, P: int, variant: str) -> None:
+    """The checks :func:`lift` makes: a known variant, and room for at
+    least two windows per axis."""
+    if variant not in ("C", "S"):
+        raise ValueError("variant must be 'C' or 'S'")
+    _checked_calib(grid, None, L, P)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,34 +196,25 @@ class StructuredMatrix:
         the symmetric variant mirrored cells contribute through their
         conjugate at the reflected index.
         """
-        blocks = 2 * self.q_count if self.variant == "S" else self.q_count
-        acc = np.zeros((blocks,) + self.grid.shape, dtype=np.complex128)
-        count = np.zeros(self.grid.shape, dtype=np.float64)
-        valid = self.grid.valid_for(self.L, self.P)
+        grid, shape, q_count = self.grid, self.grid.shape, self.q_count
+        blocks = q_count if self.variant == "C" else 2 * q_count
+        width = self.L + self.P + 1
         # cells[j, q] holds channel q's tap-j column laid out on the valid grid.
-        cells = np.moveaxis(
-            self.matrix.reshape(-1, blocks, self.taps_per_channel), (2, 1), (0, 1)
-        ).reshape((self.taps_per_channel, blocks) + valid.shape)
-        ks = np.stack(
-            np.meshgrid(*[np.arange(-self.L, self.P + 1)] * self.grid.dims, indexing="ij"),
-            -1,
-        ).reshape(-1, self.grid.dims)
-        for j, k in enumerate(ks):
-            sl = tuple(
-                slice(vlo - ki - glo, vhi - ki - glo + 1)
-                for vlo, vhi, ki, glo in zip(valid.n_min, valid.n_max, k, self.grid.n_min)
-            )
+        cells = self.matrix.reshape(-1, blocks, self.taps_per_channel).T.reshape(
+            (self.taps_per_channel, blocks) + tuple(n - width + 1 for n in shape)
+        )
+        acc = np.zeros((blocks,) + shape, dtype=np.complex128)
+        count = np.zeros(shape)
+        # Tap k = j - L of the window at n reads sample n - k.
+        for j, js in enumerate(np.ndindex((width,) * grid.dims)):
+            sl = tuple(slice(width - 1 - i, n - i) for i, n in zip(js, shape))
             acc[(slice(None),) + sl] += cells[j]
             count[sl] += 1.0
-        if self.variant == "C":
-            vals = acc / count
-            return MultiKSignal.from_array(self.grid, vals)
-        count_refl = _reflect_values(count, self.grid, fill=0.0)
-        out = np.empty((self.q_count,) + self.grid.shape, dtype=np.complex128)
-        for q in range(self.q_count):
-            mirrored = _reflect_values(np.conj(acc[self.q_count + q]), self.grid)
-            out[q] = (acc[q] + mirrored) / (count + count_refl)
-        return MultiKSignal.from_array(self.grid, out)
+        if self.variant != "C":
+            # Mirrored cells land, conjugated, on the reflected index.
+            acc = acc[:q_count] + _reflect_values(np.conj(acc[q_count:]), grid)
+            count = count + _reflect_values(count, grid)
+        return MultiKSignal.from_array(grid, acc / count)
 
 
 def lift(data, L: int, P: int, variant: str = "C") -> StructuredMatrix:
@@ -217,17 +227,11 @@ def lift(data, L: int, P: int, variant: str = "C") -> StructuredMatrix:
     conjugate-mirrored channels so conjugate symmetry shows up as extra
     rank deficiency.
     """
-    if variant not in ("C", "S"):
-        raise ValueError("variant must be 'C' or 'S'")
     ms = _as_multi(data)
-    if variant == "S":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            aug = virtual_conjugate(ms)
-    else:
-        aug = ms
-    cm = build_calib_matrix(aug, None, L, P)
-    return StructuredMatrix(cm.matrix, ms.grid, L, P, ms.q_count, variant)
+    _check_lift(ms.grid, L, P, variant)
+    x = ms.stack()
+    matrix = _window_rows(_with_mirrors(x, ms.grid) if variant == "S" else x, L, P)
+    return StructuredMatrix(matrix, ms.grid, L, P, ms.q_count, variant)
 
 
 def _norm_masks(mask, q_count: int, grid: KGrid) -> list[SamplingMask]:
@@ -261,7 +265,8 @@ def lowrank_complete(
     square roots of the eigenvalues of the Hermitian Gram ``CᴴC``, and
     the truncation is ``(C V_r) V_rᴴ`` with ``V_r`` its leading
     eigenvectors, which equals ``U_r S_r V_rᴴ`` of the thin SVD.  With
-    ``max_iters < 1`` no sweep runs and the zero-filled data come back.
+    ``max_iters < 1`` no sweep runs and the zero-filled data come back;
+    the variant and the window are checked against the grid either way.
 
     Returns:
         ``(completed, report)``; the report carries the final leading
@@ -272,9 +277,10 @@ def lowrank_complete(
     """
     ms = _as_multi(data)
     masks = _norm_masks(mask, ms.q_count, ms.grid)
-    acq = [m.acquired for m in masks]
+    _check_lift(ms.grid, L, P, variant)
+    acq = np.array([m.acquired for m in masks])
     ref = ms.stack()
-    x = np.array([np.where(a, r, 0.0) for a, r in zip(acq, ref)])
+    x = np.where(acq, ref, 0.0)
     trace = []
     converged = False
     chosen = rank
@@ -293,10 +299,8 @@ def lowrank_complete(
         s_final = s
         vr = v[:, :chosen]
         trunc = (c @ vr) @ vr.conj().T
-        back = StructuredMatrix(trunc, ms.grid, L, P, ms.q_count, variant).unlift()
-        x_new = back.stack()
-        for q in range(ms.q_count):
-            x_new[q][acq[q]] = ref[q][acq[q]]
+        x_new = StructuredMatrix(trunc, ms.grid, L, P, ms.q_count, variant).unlift().stack()
+        x_new[acq] = ref[acq]
         denom = max(float(np.linalg.norm(x)), np.finfo(float).tiny)
         change = float(np.linalg.norm(x_new - x)) / denom
         trace.append(change)

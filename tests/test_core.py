@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpk.core import (
     Filter,
@@ -219,6 +220,23 @@ class TestZeroFill:
         once = zero_fill(data, mask)
         twice = zero_fill(once, mask)
         assert np.array_equal(once.values, twice.values)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_idempotent_on_random_masks(self, data):
+        dims = data.draw(st.sampled_from([1, 2]))
+        shape = tuple(data.draw(st.integers(2, 9)) for _ in range(dims))
+        q_count = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        g = centered_grid(shape, 1.0)
+        mask = SamplingMask(g, rng.random(shape) < data.draw(st.floats(0.0, 1.0)))
+        values = rng.normal(size=(q_count,) + shape) + 1j * rng.normal(size=(q_count,) + shape)
+        sig = MultiKSignal.from_array(g, values) if q_count > 1 else KSignal(g, values[0])
+        once = zero_fill(sig, mask)
+        twice = zero_fill(once, mask)
+        stack = (lambda s: s.stack()) if q_count > 1 else (lambda s: s.values[None])
+        assert stack(twice).tobytes() == stack(once).tobytes()
+        assert np.array_equal(stack(once), np.where(mask.acquired, values, 0.0))
 
     def test_grid_mismatch_rejected(self):
         data = KSignal(grid1d(-1, 1), np.ones(3))

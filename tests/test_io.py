@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lpk.core import KGrid, KSignal, MultiKSignal, SamplingMask
 from lpk.io import (
@@ -151,3 +152,44 @@ def test_random_payload_round_trips(tmp_path, seed):
     back = read_lpk(path)
     assert back.grid == sig.grid
     assert back.values.tobytes() == sig.values.tobytes()
+
+
+@st.composite
+def payloads(draw):
+    """A signal, channel stack or mask on a random grid (index 0 optional)."""
+    dims = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(dims))
+    n_min = tuple(draw(st.integers(-9, 3)) for _ in range(dims))
+    fov = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dims))
+    grid = KGrid.window(n_min, tuple(lo + s - 1 for lo, s in zip(n_min, shape)), fov)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["signal", "multisignal", "mask"]))
+    if kind == "mask":
+        acq = rng.random(shape) < 0.5
+        calib = None
+        if draw(st.booleans()):
+            lo = tuple(draw(st.integers(a, a + s - 1)) for a, s in zip(n_min, shape))
+            hi = tuple(draw(st.integers(b, a + s - 1)) for a, b, s in zip(n_min, lo, shape))
+            calib = tuple(zip(lo, hi))
+            acq[tuple(slice(a - g, b - g + 1) for (a, b), g in zip(calib, n_min))] = True
+        return SamplingMask(grid, acq, calib)
+    q = 1 if kind == "signal" else draw(st.integers(1, 3))
+    values = rng.normal(size=(q,) + shape) + 1j * rng.normal(size=(q,) + shape)
+    return KSignal(grid, values[0]) if kind == "signal" else MultiKSignal.from_array(grid, values)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=payloads())
+def test_every_payload_round_trips_exactly(tmp_path, obj):
+    path = tmp_path / "p.lpk"
+    write_lpk(path, obj)
+    back = read_lpk(path)
+    assert type(back) is type(obj)
+    assert back.grid == obj.grid
+    if isinstance(obj, SamplingMask):
+        assert back.acquired.tobytes() == obj.acquired.tobytes()
+        assert back.calib == obj.calib
+    else:
+        stack = (lambda s: s.values) if isinstance(obj, KSignal) else (lambda s: s.stack())
+        assert stack(back).tobytes() == stack(obj).tobytes()

@@ -6,6 +6,8 @@ Faddeev-LeVerrier characteristic polynomial for eigenvalues, and the
 quadrature route for spatial energies.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -722,6 +724,35 @@ class TestBankJson:
         back = load_bank(path)
         assert back.filters[0].anchor_channel == 0
         assert back.filters[0].filters[0].tap((0,)) == -1.0
+
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_banks_round_trip_exactly(self, data):
+        from lpk.lp import FilterBank, bank_from_json, bank_to_json
+
+        dims = data.draw(st.sampled_from([1, 2]))
+        L, P = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        q_count = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        filters = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            taps = rng.normal(size=(q_count,) + (L + P + 1,) * dims) * (1 - 0.5j)
+            anchor = data.draw(st.sampled_from([None] + list(range(q_count))))
+            if anchor is not None:
+                taps[(anchor,) + (L,) * dims] = -1.0
+            filters.append(MultiFilter(tuple(
+                Filter(t, L, P, anchor_fixed=(q == anchor)) for q, t in enumerate(taps)
+            )))
+        residuals = tuple(np.sort(rng.random(len(filters))))
+        bank = FilterBank(tuple(filters), residuals)
+        # Through JSON text, as save_bank and load_bank carry it.
+        back = bank_from_json(json.loads(json.dumps(bank_to_json(bank))))
+        assert (back.L, back.P, back.q_count) == (bank.L, bank.P, bank.q_count)
+        assert back.residuals == bank.residuals
+        for a, b in zip(back.filters, bank.filters, strict=True):
+            assert a.stack().tobytes() == b.stack().tobytes()
+            assert a.anchor_channel == b.anchor_channel
 
 
 class TestExponentialAnnihilation:

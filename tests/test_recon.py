@@ -117,6 +117,21 @@ class TestLift:
         rhs = np.vdot(counts * M.unlift().stack()[0], x.stack()[0])
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
+    @pytest.mark.parametrize("variant", ["C", "S"])
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_unlift_inverts_lift_on_symmetric_grids(self, variant, data):
+        # Odd sizes centred on 0, so every index has its mirror on the grid.
+        dims = data.draw(st.sampled_from([1, 2]))
+        L, P = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        half = L + P + 1
+        shape = tuple(2 * data.draw(st.integers(half // 2 + 1, half + 4)) + 1 for _ in range(dims))
+        q_count = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = MultiKSignal.from_array(centered_grid(shape, 1.0), cplx(rng, (q_count,) + shape))
+        back = lift(x, L, P, variant).unlift().stack()
+        assert np.max(np.abs(back - x.stack())) <= 1e-14 * np.max(np.abs(x.stack()))
+
     def test_bad_variant_rejected(self):
         g = centered_grid(8, 1.0)
         with pytest.raises(ValueError):
@@ -306,6 +321,50 @@ class TestLowrankComplete:
         big = ref_head > tau * ref_head[0]
         np.testing.assert_allclose(head[big], ref_head[big], rtol=1e-9, atol=0)
         np.testing.assert_allclose(head, ref_head, rtol=0, atol=1e-7 * ref_head[0])
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=sweep_cases())
+    def test_sweep_matches_public_lift_and_unlift(self, case):
+        data, mask, kwargs = case
+        got, rep = lowrank_complete(data, mask, **kwargs)
+        want, ref = object_lowrank_complete(data, mask, **kwargs)
+        assert got.stack().tobytes() == want.stack().tobytes()
+        assert rep == ref
+
+
+def object_lowrank_complete(data, mask, L, P, rank, variant, max_iters, tau=0.05, tol=1e-9):
+    """The Gram sweep with every lift and unlift through the public
+    ``lift`` and ``StructuredMatrix.unlift``, rebuilding the signal
+    objects each sweep: ``lowrank_complete`` must match it bitwise
+    whatever shortcuts its sweep takes."""
+    acq = mask.acquired
+    ref = data.stack()
+    x = np.where(acq, ref, 0.0)
+    trace, converged, chosen, it = [], False, rank, 0
+    for it in range(1, max_iters + 1):
+        c = lift(MultiKSignal.from_array(data.grid, x), L, P, variant).matrix
+        lam, v = np.linalg.eigh(c.conj().T @ c)
+        v = v[:, ::-1]
+        s = np.sqrt(np.clip(lam[::-1], 0.0, None))[: min(c.shape)]
+        if chosen is None:
+            chosen = min(max(1, int(np.sum(s > tau * s[0]))), len(s))
+        vr = v[:, :chosen]
+        trunc = (c @ vr) @ vr.conj().T
+        x_new = StructuredMatrix(trunc, data.grid, L, P, data.q_count, variant).unlift().stack()
+        x_new[:, acq] = ref[:, acq]
+        change = float(np.linalg.norm(x_new - x)) / max(float(np.linalg.norm(x)), np.finfo(float).tiny)
+        trace.append(change)
+        x = x_new
+        if change <= tol:
+            converged = True
+            break
+    report = lpk.recon.ReconReport(
+        method=f"lowrank-{variant}", iterations=it, converged=converged,
+        objective_trace=tuple(trace), rank=chosen,
+        spectrum_head=tuple(float(v) for v in s[:32]),
+        degenerate=bool(chosen < len(s) and s[chosen] > 0.999 * s[chosen - 1]),
+    )
+    return MultiKSignal.from_array(data.grid, x), report
 
 
 
