@@ -287,12 +287,17 @@ def _cmd_sms(args) -> int:
         print(f"wrote {args.out}")
         return 0
     if args.action == "separate":
+        if args.filters is None:
+            raise _UsageError("separate needs --filters", args.parser)
         if len(args.inputs) != 1:
             raise _DataError("separate takes exactly one superposed input")
         data = _load_lpk(args.inputs[0])
         if not isinstance(data, KSignal):
             raise _DataError("separate expects a single-channel signal")
-        bank = load_bank(args.filters)
+        try:
+            bank = load_bank(args.filters)
+        except OSError as exc:
+            raise _DataError(f"cannot read {args.filters}: {exc}") from exc
         seps = []
         for mf in bank.filters:
             if mf.q_count != 1:
@@ -470,7 +475,7 @@ def build_parser() -> _Parser:
     p.add_argument("inputs", nargs="+", help="input .lpk paths")
     p.add_argument("--filters", default=None, help=".filters.json with per-slice separators")
     p.add_argument("--out", required=True, help="output .lpk path")
-    p.set_defaults(func=_cmd_sms)
+    p.set_defaults(func=_cmd_sms, parser=p)
 
     p = sub.add_parser("verify", help="check a sample-domain/spatial-domain energy identity")
     p.add_argument("--theorem", type=int, required=True, choices=[1, 2, 3], help="which identity to check")
@@ -494,16 +499,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify" and args.grid is None:
+            args.grid = _VERIFY_GRIDS[args.theorem]
+        return args.func(args)
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "verify" and args.grid is None:
-        args.grid = _VERIFY_GRIDS[args.theorem]
-    try:
-        return args.func(args)
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -320,7 +320,7 @@ def sms_separate(
 
     b = np.broadcast_to(y, shape).copy().reshape(-1)
     f0 = float(np.sum(np.abs(y[acq]) ** 2))
-    sol, iters, converged, alphas, betas, drops = _cg(apply_a, b, tol, max_iters)
+    sol, iters, converged, alphas, betas, drops, notes = _cg(apply_a, b, tol, max_iters)
     trace = [f0]
     for d in drops:
         trace.append(trace[-1] - d)
@@ -330,6 +330,7 @@ def sms_separate(
         converged=converged,
         objective_trace=tuple(trace),
         conditioning=_ritz_conditioning(alphas, betas),
+        notes=notes,
     )
     return MultiKSignal.from_array(grid, sol.reshape(shape)), report
 

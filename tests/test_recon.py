@@ -423,6 +423,36 @@ class TestAnnihilationRecon:
         lowr, _ = lowrank_complete(masked, mask, L=3, P=3, rank=2, tol=1e-12, max_iters=500)
         assert rel_err(lowr.channels[0].values, anni.channels[0].values) <= 1e-6
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_capped_solve_says_why(self, masked_two_point, lam):
+        sig, mask, masked = masked_two_point
+        bank = nullspace_filter_bank(sig, None, 0, 2)
+        _, rep = annihilation_recon(masked, mask, bank, lam=lam, tol=1e-12, max_iters=2)
+        assert (rep.converged, rep.iterations) == (False, 2)
+        (note,) = rep.notes
+        head = "CG stopped at the iteration cap (2); relative residual "
+        assert note.startswith(head) and note.endswith(" (tol 1e-12)")
+        assert float(note[len(head):].split()[0]) > 1e-12
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_converged_solve_has_no_notes(self, masked_two_point, lam):
+        sig, mask, masked = masked_two_point
+        bank = nullspace_filter_bank(sig, None, 0, 2)
+        _, rep = annihilation_recon(masked, mask, bank, lam=lam, tol=1e-8, max_iters=500)
+        assert rep.converged
+        assert rep.notes == ()
+
+    def test_non_positive_curvature_is_named(self):
+        # Indefinite diag(2, -1): one step goes through, the next has pᴴAp < 0.
+        a = np.array([2.0, -1.0])
+        _, it, converged, *_, notes = lpk.recon._cg(
+            lambda v: a * v, np.ones(2, complex), tol=1e-12, max_iters=10
+        )
+        assert (it, converged) == (1, False)
+        assert notes == (
+            "CG stopped on non-positive curvature at step 2; relative residual 3 (tol 1e-12)",
+        )
+
 
 def direct_forward(x, bank):
     """Per-(filter, channel) valid-mode convolutions, summed over channels."""
@@ -491,34 +521,57 @@ def bank_cases(draw):
     return rng, random_bank(rng, F, Q, L, P, dims), (Q,) + grid
 
 
+# A bound on the lifted window matrix that forces each evaluation.
+FORCING = {"window": 2**62, "fft": 0}
+
+
+def forced_operator(evaluation, bank, shape):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpk.recon, "_WINDOW_CELLS", FORCING[evaluation])
+        op = _BankOperator(bank, shape)
+    assert op.evaluation == evaluation
+    return op
+
+
 class TestBankOperator:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(case=bank_cases())
     def test_matches_direct_loops(self, case):
         rng, bank, shape = case
-        op = _BankOperator(bank, shape)
         x = cplx(rng, shape)
-        got = op.forward(x)
-        want = direct_forward(x, bank)
-        assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-        r = cplx(rng, want.shape)
-        got = op.adjoint(r)
-        want = direct_adjoint(r, bank, shape)
-        assert got.shape == shape
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        want_fwd = direct_forward(x, bank)
+        r = cplx(rng, want_fwd.shape)
+        want_adj = direct_adjoint(r, bank, shape)
+        for evaluation in FORCING:
+            op = forced_operator(evaluation, bank, shape)
+            got = op.forward(x)
+            assert got.shape == want_fwd.shape
+            assert np.linalg.norm(got - want_fwd) <= 1e-13 * np.linalg.norm(want_fwd)
+            got = op.adjoint(r)
+            assert got.shape == shape
+            assert np.linalg.norm(got - want_adj) <= 1e-13 * np.linalg.norm(want_adj)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(case=bank_cases())
     def test_adjointness(self, case):
         rng, bank, shape = case
-        op = _BankOperator(bank, shape)
         x = cplx(rng, shape)
-        ax = op.forward(x)
-        y = cplx(rng, ax.shape)
-        lhs = np.vdot(y, ax)
-        rhs = np.vdot(op.adjoint(y), x)
-        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+        for evaluation in FORCING:
+            op = forced_operator(evaluation, bank, shape)
+            ax = op.forward(x)
+            y = cplx(rng, ax.shape)
+            lhs = np.vdot(y, ax)
+            rhs = np.vdot(op.adjoint(y), x)
+            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("shape,L,P,F,evaluation", [
+        ((4, 64), 2, 2, 4, "window"),  # sweep1d: 1,200 cells
+        ((8, 48, 48), 2, 2, 8, "fft"),  # random2d: 387,200 cells
+        ((8, 64, 64), 2, 2, 8, "fft"),  # demo2d: 720,000 cells
+    ])
+    def test_bench_shapes_keep_their_evaluation(self, shape, L, P, F, evaluation):
+        bank = random_bank(np.random.default_rng(0), F, shape[0], L, P, len(shape) - 1)
+        assert _BankOperator(bank, shape).evaluation == evaluation
 
     def test_mismatches_rejected(self):
         rng = np.random.default_rng(0)
@@ -537,19 +590,28 @@ class TestBankOperator:
         with pytest.raises(ValueError, match="channels"):
             annihilation_recon(data, mask, random_bank(rng, 2, 2, 1, 2, 1))
 
-    @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_recon_matches_direct_oracle(self, lam, monkeypatch):
+    @staticmethod
+    def recon_against_direct(lam, evaluation, monkeypatch):
         grid = centered_grid((20, 18), 1.0)
         truth = scene_samples(demo_scene_2d(), grid)
         mask = gen_mask(MaskSpec("random", 2, 8, seed=4), grid)
         measured = zero_fill(truth, mask)
         bank = nullspace_filter_bank(measured, mask.calib, 1, 2, limit=4)
+        monkeypatch.setattr(lpk.recon, "_WINDOW_CELLS", FORCING[evaluation])
         got, rep = annihilation_recon(measured, mask, bank, lam=lam, tol=1e-30, max_iters=25)
         monkeypatch.setattr(lpk.recon, "_BankOperator", DirectBank)
         want, ref = annihilation_recon(measured, mask, bank, lam=lam, tol=1e-30, max_iters=25)
         assert rep.iterations == ref.iterations == 25
         got, want = got.stack(), want.stack()
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_recon_matches_direct_oracle(self, lam, monkeypatch):
+        self.recon_against_direct(lam, "fft", monkeypatch)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_window_recon_matches_direct_oracle(self, lam, monkeypatch):
+        self.recon_against_direct(lam, "window", monkeypatch)
 
 
 class TestVirtualConjugate:
@@ -629,6 +691,14 @@ class TestPfRecon:
         assert out.q_count == 1
         assert rel_err(out.channels[0].values, sig.values) <= 1e-12
         assert rep.converged
+
+    def test_capped_solve_note_is_forwarded(self):
+        _, mask, masked = self.pf_case()
+        _, rep = pf_recon(
+            masked, mask, method="annihilation-vc", L=1, P=1, tol=1e-12, max_iters=2
+        )
+        assert not rep.converged
+        assert len(rep.notes) == 1 and rep.notes[0].startswith("CG stopped at the iteration cap (2);")
 
     def test_symmetric_lowrank_route_improves_on_zero_fill(self):
         sig, mask, masked = self.pf_case()
