@@ -264,6 +264,8 @@ def _cmd_recon(args) -> int:
     print(f"engine {args.engine}")
     print(f"iterations {report.iterations}")
     print(f"converged {str(report.converged).lower()}")
+    for note in report.notes:
+        print(f"note {note}")
     if args.truth:
         truth = _load_lpk(args.truth)
         if isinstance(truth, KSignal):

@@ -23,6 +23,7 @@ read-only views of that array, so the per-object checks are not repeated
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -116,20 +117,31 @@ class CalibMatrix:
         return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, self.dims)
 
 
-def _window_rows(region: np.ndarray, L: int, P: int) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _window_geometry(shape: tuple[int, ...], L: int, P: int):
+    """``(starts, offsets, count)`` of a ``[Q, *N]`` stack, shared and so
+    read-only.  Window ``v`` reads column ``c`` at ``starts[v] + offsets[c]``,
+    summed per use so no ``V × QΠW`` array is kept, and ``count[n]`` counts
+    the cells that read sample ``n``."""
+    grid = shape[1:]
+    width = L + P + 1
+    flat = np.arange(int(np.prod(shape))).reshape(shape)
+    starts = flat[(0,) + tuple(slice(0, n - width + 1) for n in grid)].ravel()
+    # Tap k = j - L of the window at v reads v + P - k = v + width - 1 - j,
+    # so ascending k is the window axes reversed.
+    offsets = flat[(slice(None),) + (slice(width - 1, None, -1),) * len(grid)].ravel()
+    cells = np.add.outer(starts, offsets[: width ** len(grid)]).ravel()
+    count = np.bincount(cells, minlength=int(np.prod(grid))).reshape(grid).astype(float)
+    for arr in (starts, offsets, count):
+        arr.flags.writeable = False
+    return starts, offsets, count
+
+
+def _window_rows(stack: np.ndarray, L: int, P: int) -> np.ndarray:
     """Every window of a ``[Q, *shape]`` stack as one row, ``x_q[n - k]``
     across channel-major, ascending-``k`` columns."""
-    dims = region.ndim - 1
-    # windows[q, r, w] = region[q, r + w]; window r is row n = lo + P + r
-    # and its tap k reads x[n - k] = region[r + P - k], so ascending k is
-    # the window axes reversed.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        region, (L + P + 1,) * dims, axis=tuple(range(1, dims + 1))
-    )
-    windows = windows[(Ellipsis,) + (slice(None, None, -1),) * dims]
-    windows = np.moveaxis(windows, 0, dims)
-    rows = int(np.prod(windows.shape[:dims]))
-    return np.ascontiguousarray(windows).reshape(rows, -1)
+    starts, offsets, _ = _window_geometry(stack.shape, L, P)
+    return stack.reshape(-1)[np.add.outer(starts, offsets)]
 
 
 def _checked_calib(grid: KGrid, calib, L: int, P: int):
@@ -263,7 +275,8 @@ def fit_prediction_filter(
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Joint annihilating filters with their calibration residuals."""
+    """Joint filters with their calibration residuals; the nullspace
+    producers return them ascending, separators come in slice order."""
 
     filters: tuple[MultiFilter, ...]
     residuals: tuple[float, ...]
@@ -279,8 +292,6 @@ class FilterBank:
         for f in filts[1:]:
             if (f.L, f.P, f.q_count, f.dims) != (f0.L, f0.P, f0.q_count, f0.dims):
                 raise ValueError("bank filters must share shape and channel count")
-        if any(b < a - 1e-15 for a, b in zip(res, res[1:])):
-            raise ValueError("residuals must be ascending")
         object.__setattr__(self, "filters", filts)
         object.__setattr__(self, "residuals", res)
 
@@ -669,7 +680,7 @@ def smallest_eigensequences(gram: GramOperator, count: int) -> FilterBank:
 
     Eigenvectors of the Gram operator for the ``count`` smallest
     eigenvalues, each phase-normalized so its first nonzero component is
-    positive real; residuals are the eigenvalues themselves.
+    positive real; residuals are the eigenvalues themselves, ascending.
     """
     width = gram.L + gram.P + 1
     if not 1 <= count <= width:

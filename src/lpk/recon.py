@@ -7,10 +7,11 @@ Two complementary routes:
   data consistency (``lowrank_complete``).  The truncation projects the
   rows onto the leading eigenvectors of the small Gram matrix ``CᴴC``
   (one column per channel tap), so no SVD of the tall lifted matrix is
-  taken.  Each sweep is one ``lift`` (a single window gather, shared
-  with ``build_calib_matrix``) and one ``StructuredMatrix.unlift`` (one
-  slice-add per tap), and each builds its ``MultiKSignal`` with one
-  validation of the whole stack.
+  taken.  Each sweep is one ``lift`` (one gather) and one
+  ``StructuredMatrix.unlift`` (one ``np.add.at`` scatter-add over the
+  per-sample cell count) through window positions cached per stack shape
+  and window, and each builds its ``MultiKSignal`` with one validation
+  of the whole stack.
 * Fix a bank of annihilating filters and solve the quadratic problem
   "acquired samples stay put, total filter response energy is minimal"
   by conjugate gradients (``annihilation_recon``).  Each CG step applies
@@ -51,6 +52,7 @@ from .lp import (
     FilterBank,
     _as_multi,
     _checked_calib,
+    _window_geometry,
     _window_rows,
     build_calib_matrix,  # noqa: F401  bench/layers.py wraps lpk.recon:build_calib_matrix
     nullspace_filter_bank,
@@ -200,22 +202,15 @@ class StructuredMatrix:
 
         Exact inverse of :func:`lift` up to floating-point averaging; for
         the symmetric variant mirrored cells contribute through their
-        conjugate at the reflected index.
+        conjugate at the reflected index.  One scatter-add, in window order,
+        through the positions :func:`lift` reads, over the cached count.
         """
-        grid, shape, q_count = self.grid, self.grid.shape, self.q_count
-        blocks = q_count if self.variant == "C" else 2 * q_count
-        width = self.L + self.P + 1
-        # cells[j, q] holds channel q's tap-j column laid out on the valid grid.
-        cells = self.matrix.reshape(-1, blocks, self.taps_per_channel).T.reshape(
-            (self.taps_per_channel, blocks) + tuple(n - width + 1 for n in shape)
-        )
-        acc = np.zeros((blocks,) + shape, dtype=np.complex128)
-        count = np.zeros(shape)
-        # Tap k = j - L of the window at n reads sample n - k.
-        for j, js in enumerate(np.ndindex((width,) * grid.dims)):
-            sl = tuple(slice(width - 1 - i, n - i) for i, n in zip(js, shape))
-            acc[(slice(None),) + sl] += cells[j]
-            count[sl] += 1.0
+        grid, q_count = self.grid, self.q_count
+        shape = ((1 if self.variant == "C" else 2) * q_count,) + grid.shape
+        starts, offsets, count = _window_geometry(shape, self.L, self.P)
+        acc = np.zeros(shape, dtype=np.complex128)
+        cells = self.matrix.reshape(len(starts) * len(offsets))
+        np.add.at(acc.reshape(-1), np.add.outer(starts, offsets).ravel(), cells)
         if self.variant != "C":
             # Mirrored cells land, conjugated, on the reflected index.
             acc = acc[:q_count] + _reflect_values(np.conj(acc[q_count:]), grid)
@@ -279,7 +274,8 @@ def lowrank_complete(
         spectrum, and its ``degenerate`` flag is set when the spectrum
         shows no clear gap at the chosen rank.  Squaring before the
         eigendecomposition leaves spectrum entries below about
-        ``1e-8`` times the largest at round-off level.
+        ``1e-8`` times the largest at round-off level.  A run stopped by
+        ``max_iters`` says so in ``notes``, with its last relative change.
     """
     ms = _as_multi(data)
     masks = _norm_masks(mask, ms.q_count, ms.grid)
@@ -304,8 +300,9 @@ def lowrank_complete(
             raise ValueError(f"rank must lie in [1, {len(s)}]")
         s_final = s
         vr = v[:, :chosen]
-        trunc = (c @ vr) @ vr.conj().T
-        x_new = StructuredMatrix(trunc, ms.grid, L, P, ms.q_count, variant).unlift().stack()
+        # Rebinding frees C before unlift forms its scatter positions.
+        c = (c @ vr) @ vr.conj().T
+        x_new = StructuredMatrix(c, ms.grid, L, P, ms.q_count, variant).unlift().stack()
         x_new[acq] = ref[acq]
         denom = max(float(np.linalg.norm(x)), np.finfo(float).tiny)
         change = float(np.linalg.norm(x_new - x)) / denom
@@ -327,6 +324,10 @@ def lowrank_complete(
         rank=chosen,
         spectrum_head=tuple(float(v) for v in s_final[: min(32, len(s_final))]),
         degenerate=degenerate,
+        notes=() if converged or not trace else (
+            f"lowrank stopped at the sweep cap ({max_iters}); "
+            f"last relative change {trace[-1]:.3g} (tol {tol:.3g})",
+        ),
     )
     return MultiKSignal.from_array(ms.grid, x), report
 
@@ -375,13 +376,13 @@ class _BankOperator:
     window matrix (``V`` valid windows by ``Q·ΠW`` channel taps):
 
     * ``"window"`` (up to ``_WINDOW_CELLS`` cells): ``forward`` gathers
-      every window of ``x`` through one flat index array (the gather of
-      :func:`lift`) and multiplies by the ``[F, Q·ΠW]`` taps; ``adjoint``
-      multiplies by their conjugate transpose and scatter-adds the cells
-      back onto the samples they were read from, in one ``bincount``
-      over interleaved real and imaginary parts.  Two small GEMMs and no
-      FFT, which wins while the fixed cost of an FFT call outweighs the
-      arithmetic.
+      every window of ``x`` through one flat index array (the cached
+      positions :func:`lift` reads, transposed) and multiplies by the
+      ``[F, Q·ΠW]`` taps; ``adjoint`` multiplies by their conjugate
+      transpose and scatter-adds the cells back onto the samples they
+      were read from, in one ``bincount`` over interleaved real and
+      imaginary parts.  Two small GEMMs and no FFT, which wins while the
+      fixed cost of an FFT call outweighs the arithmetic.
     * ``"fft"``: zero-padded FFTs of length ``next_fast_len(N + W - 1)``
       per axis, long enough that no product wraps around, cropped to the
       exact valid (forward) or full (adjoint) range, so no padding reaches
@@ -407,14 +408,12 @@ class _BankOperator:
         self.resp_shape = (taps.shape[0],) + valid
         if int(np.prod(valid)) * taps[0].size <= _WINDOW_CELLS:
             self.evaluation = "window"
-            size = int(np.prod(self.shape))
+            starts, offsets, _ = _window_geometry(self.shape, bank.L, bank.P)
             # index[j, v]: the flat sample that column j of window row v reads.
-            self.index = np.ascontiguousarray(
-                _window_rows(np.arange(size).reshape(self.shape), bank.L, bank.P).T
-            )
+            self.index = np.add.outer(offsets, starts)
             # The same positions in the float64 view of a complex array.
             self.scatter = np.stack([2 * self.index, 2 * self.index + 1], axis=-1).ravel()
-            self.scatter_len = 2 * size
+            self.scatter_len = 2 * int(np.prod(self.shape))
             self.taps = taps.reshape(taps.shape[0], -1)
             self.taps_h = self.taps.conj().T
         else:

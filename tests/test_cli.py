@@ -113,6 +113,34 @@ def test_recon_prints_the_engine_run(capsys, sampled, engine, flags, iterations,
     assert 0.0 < float(out["nrmse"]) <= 0.1401
 
 
+# (engine, extra flags, every printed note)
+NOTES = [
+    ("interp", [], []),
+    ("interp", ["--max-iters", "1"], ["uncovered indices left at zero-fill"]),
+    ("annihilation", ["--max-iters", "7"],
+     ["CG stopped at the iteration cap (7); relative residual 0.125 (tol 1e-09)"]),
+    ("lowrank", [],
+     ["lowrank stopped at the sweep cap (100); last relative change 0.000294 (tol 1e-09)"]),
+    ("lowrank", ["--max-iters", "3"],
+     ["lowrank stopped at the sweep cap (3); last relative change 0.0045 (tol 1e-09)"]),
+]
+
+
+@pytest.mark.parametrize("engine,flags,notes", NOTES)
+def test_recon_prints_every_report_note(capsys, sampled, engine, flags, notes):
+    code = main([
+        "recon", str(sampled / "meas.lpk"), "--mask", str(sampled / "mask.lpk"),
+        "--engine", engine, *flags,
+    ])
+    printed = capsys.readouterr().out.splitlines()
+    assert code == 0
+    # One line per note, right after the engine, iterations and convergence.
+    assert [line.split(" ", 1)[0] for line in printed] == (
+        ["engine", "iterations", "converged"] + ["note"] * len(notes)
+    )
+    assert [line[len("note "):] for line in printed[3:]] == notes
+
+
 def test_capped_lowrank_fails_under_strict(capsys, sampled):
     code, out, err = recon(capsys, sampled, "--engine", "lowrank", "--max-iters", "3", "--strict")
     assert code == 3
@@ -235,19 +263,48 @@ def test_sms_superpose_fit_and_separate(capsys, sms_dir):
     assert np.array_equal(sep.channels[0].values, want.values)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FilterBank demands ascending residuals, but the per-slice separator "
-    "residuals of this scene descend (5.26e-3, 5.20e-3)",
-)
-def test_sms_fit_of_every_slice_writes_one_bank(capsys, sms_dir):
-    out = sms_dir / "seps.filters.json"
-    code, _, err = run(
-        capsys, "fit", str(sms_dir / "sms.json"), "--mode", "sms-sep", "--L", "2", "--P", "2",
+def fit_every_slice(capsys, d):
+    out = d / "seps.filters.json"
+    code, lines, err = run(
+        capsys, "fit", str(d / "sms.json"), "--mode", "sms-sep", "--L", "2", "--P", "2",
         "--calib", "12", "--out", str(out),
     )
     assert code == 0, err
-    assert len(load_bank(out).filters) == 2
+    return out, lines
+
+
+def test_sms_fit_of_every_slice_writes_one_bank(capsys, sms_dir):
+    out, lines = fit_every_slice(capsys, sms_dir)
+    assert [k for k, _ in lines] == [
+        "slice 0 residual", "slice 0 leakage", "slice 1 residual", "slice 1 leakage", "wrote",
+    ]
+    printed = dict(lines)
+    bank = load_bank(out)
+    assert len(bank.filters) == 2
+    # In slice order, although this scene's residuals descend.
+    assert bank.residuals == (
+        pytest.approx(float(printed["slice 0 residual"]), rel=1e-11),
+        pytest.approx(float(printed["slice 1 residual"]), rel=1e-11),
+    )
+    assert bank.residuals[0] > bank.residuals[1]
+
+
+def test_sms_separate_with_the_two_slice_bank_matches_conv_apply(capsys, sms_dir):
+    d = sms_dir
+    bank_path, _ = fit_every_slice(capsys, d)
+    code, lines, _ = run(
+        capsys, "sms", "separate", str(d / "scene-sum.lpk"),
+        "--filters", str(bank_path), "--out", str(d / "seps.lpk"),
+    )
+    assert (code, lines) == (
+        0, [("slices", "2"), ("converged", "true"), ("wrote", str(d / "seps.lpk"))]
+    )
+    summed = read_lpk(d / "scene-sum.lpk")
+    sep = read_lpk(d / "seps.lpk")
+    for ch, mf in zip(sep.channels, load_bank(bank_path).filters, strict=True):
+        want = conv_apply(summed, mf.filters[0])
+        assert ch.grid == want.grid
+        assert np.array_equal(ch.values, want.values)
 
 
 def test_sms_errors(capsys, sms_dir, tmp_path):

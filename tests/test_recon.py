@@ -17,7 +17,7 @@ from lpk.core import (
     zero_fill,
 )
 from lpk.harness import MaskSpec, demo_scene_2d, gen_mask
-from lpk.lp import FilterBank, nullspace_filter_bank
+from lpk.lp import FilterBank, build_calib_matrix, nullspace_filter_bank
 from lpk.multi import scene_samples
 from lpk.phantom import Phantom, Primitive, fourier_samples
 from lpk.recon import (
@@ -156,6 +156,113 @@ class TestLift:
         assert np.array_equal(sm.unlift().stack(), loop_unlift(sm))
 
 
+def strided_window_rows(stack, L, P):
+    """The ``sliding_window_view`` copy that lifted a stack before the
+    window positions were cached: the oracle for the gather."""
+    dims = stack.ndim - 1
+    windows = np.lib.stride_tricks.sliding_window_view(
+        stack, (L + P + 1,) * dims, axis=tuple(range(1, dims + 1))
+    )
+    windows = windows[(Ellipsis,) + (slice(None, None, -1),) * dims]
+    windows = np.moveaxis(windows, 0, dims)
+    rows = int(np.prod(windows.shape[:dims]))
+    return np.ascontiguousarray(windows).reshape(rows, -1)
+
+
+def per_tap_unlift(sm):
+    """One slice-add per tap, counting in the same loop: the oracle for the
+    ``np.add.at`` scatter."""
+    grid, shape, q_count = sm.grid, sm.grid.shape, sm.q_count
+    blocks = q_count if sm.variant == "C" else 2 * q_count
+    width = sm.L + sm.P + 1
+    cells = sm.matrix.reshape(-1, blocks, sm.taps_per_channel).T.reshape(
+        (sm.taps_per_channel, blocks) + tuple(n - width + 1 for n in shape)
+    )
+    acc = np.zeros((blocks,) + shape, dtype=np.complex128)
+    count = np.zeros(shape)
+    for j, js in enumerate(np.ndindex((width,) * grid.dims)):
+        sl = tuple(slice(width - 1 - i, n - i) for i, n in zip(js, shape))
+        acc[(slice(None),) + sl] += cells[j]
+        count[sl] += 1.0
+    if sm.variant != "C":
+        acc = acc[:q_count] + lpk.recon._reflect_values(np.conj(acc[q_count:]), grid)
+        count = count + lpk.recon._reflect_values(count, grid)
+    return acc / count
+
+
+@st.composite
+def window_cases(draw):
+    """Random samples on a shifted 1D or 2D grid: Q in 1..4, L != P,
+    variants C and S, grids from two windows up."""
+    dims = draw(st.sampled_from([1, 2]))
+    q_count = draw(st.integers(1, 4))
+    L = draw(st.integers(0, 3))
+    P = draw(st.integers(0, 3).filter(lambda p: p != L))
+    variant = draw(st.sampled_from(["C", "S"]))
+    least = L + P + 2
+    shape = tuple(draw(st.integers(least, least + (12 if dims == 1 else 5))) for _ in range(dims))
+    n_min = tuple(draw(st.integers(-(s // 2) - 2, -(s // 2) + 2)) for s in shape)
+    grid = KGrid.window(n_min, tuple(lo + s - 1 for lo, s in zip(n_min, shape)), (1.0,) * dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return MultiKSignal.from_array(grid, cplx(rng, (q_count,) + shape)), L, P, variant, rng
+
+
+class TestWindowGeometry:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=window_cases())
+    def test_lift_matches_strided_windows(self, case):
+        ms, L, P, variant, _ = case
+        x = ms.stack()
+        src = lpk.recon._with_mirrors(x, ms.grid) if variant == "S" else x
+        got = lift(ms, L, P, variant).matrix
+        want = strided_window_rows(src, L, P)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=window_cases())
+    def test_unlift_matches_per_tap_loop(self, case):
+        ms, L, P, variant, rng = case
+        shape = lift(ms, L, P, variant).matrix.shape
+        sm = StructuredMatrix(cplx(rng, shape), ms.grid, L, P, ms.q_count, variant)
+        assert sm.unlift().stack().tobytes() == per_tap_unlift(sm).tobytes()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=window_cases(), data=st.data())
+    def test_calib_sub_region_matches_strided_windows(self, case, data):
+        ms, L, P, _, _ = case
+        # A block strictly inside the grid on some axis, so the region is
+        # not contiguous in memory.
+        calib, sl = [], []
+        for lo, s in zip(ms.grid.n_min, ms.grid.shape):
+            size = data.draw(st.integers(L + P + 2, s))
+            start = data.draw(st.integers(0, s - size))
+            calib.append((lo + start, lo + start + size - 1))
+            sl.append(slice(start, start + size))
+        region = ms.stack()[(slice(None),) + tuple(sl)]
+        got = build_calib_matrix(ms, tuple(calib), L, P).matrix
+        assert got.tobytes() == strided_window_rows(region, L, P).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        geometry = lpk.lp._window_geometry((3, 9, 8), 1, 2)
+        assert geometry is lpk.lp._window_geometry((3, 9, 8), 1, 2)
+        for arr in geometry:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_written_lift_leaves_the_next_lift_alone(self):
+        rng = np.random.default_rng(5)
+        ms = MultiKSignal.from_array(centered_grid((10, 9), 1.0), cplx(rng, (2, 10, 9)))
+        for variant in ("C", "S"):
+            first = lift(ms, 2, 1, variant).matrix
+            want = first.copy()
+            first[...] = np.nan
+            assert lift(ms, 2, 1, variant).matrix.tobytes() == want.tobytes()
+            back = StructuredMatrix(want, ms.grid, 2, 1, 2, variant).unlift().stack()
+            assert np.max(np.abs(back - ms.stack())) <= 1e-14 * np.max(np.abs(ms.stack()))
+
+
 def loop_unlift(sm):
     """Per-(tap, block) accumulation: the oracle for the per-tap unlift."""
     blocks = 2 * sm.q_count if sm.variant == "S" else sm.q_count
@@ -269,6 +376,22 @@ class TestLowrankComplete:
         got = out.channels[0].values[mask.acquired]
         assert np.array_equal(got, sig.values[mask.acquired])
 
+    def test_capped_run_says_so(self, masked_two_point):
+        _, mask, masked = masked_two_point
+        _, rep = lowrank_complete(masked, mask, L=2, P=2, rank=2, max_iters=4)
+        assert not rep.converged
+        assert rep.notes == (
+            "lowrank stopped at the sweep cap (4); "
+            f"last relative change {rep.objective_trace[-1]:.3g} (tol 1e-09)",
+        )
+
+    def test_converged_and_unswept_runs_have_no_notes(self, masked_two_point):
+        _, mask, masked = masked_two_point
+        _, rep = lowrank_complete(masked, mask, L=3, P=3, rank=2, tol=1e-12, max_iters=500)
+        assert rep.converged and rep.notes == ()
+        _, rep = lowrank_complete(masked, mask, L=3, P=3, max_iters=0)
+        assert rep.notes == ()
+
     def test_fully_sampled_returns_input(self, masked_two_point):
         sig, _, _ = masked_two_point
         full = SamplingMask(sig.grid, np.ones(32, dtype=bool))
@@ -363,6 +486,10 @@ def object_lowrank_complete(data, mask, L, P, rank, variant, max_iters, tau=0.05
         objective_trace=tuple(trace), rank=chosen,
         spectrum_head=tuple(float(v) for v in s[:32]),
         degenerate=bool(chosen < len(s) and s[chosen] > 0.999 * s[chosen - 1]),
+        notes=() if converged else (
+            f"lowrank stopped at the sweep cap ({max_iters}); "
+            f"last relative change {trace[-1]:.3g} (tol {tol:.3g})",
+        ),
     )
     return MultiKSignal.from_array(data.grid, x), report
 
