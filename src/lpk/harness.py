@@ -403,7 +403,8 @@ def run_experiment(config: dict, out_dir=None) -> dict:
 
     Returns the report document; with ``out_dir`` also writes
     ``report.json``, ``report.csv``, and per-case PGM renderings for 2D
-    scenes.
+    scenes.  Each row's ``notes`` joins its report's notes with ``"; "``
+    (empty when there are none).
     """
     scene, scene_label = resolve_scene(config["scene"])
     if not isinstance(scene, MultiScene):
@@ -451,6 +452,7 @@ def run_experiment(config: dict, out_dir=None) -> dict:
                     "iterations": 0,
                     "converged": False,
                     "wall_ms": 0.0,
+                    "notes": "",
                 }
                 detail = {"error": None, "report": None}
                 try:
@@ -462,6 +464,7 @@ def run_experiment(config: dict, out_dir=None) -> dict:
                     row["nrmse"] = nrmse(est, truth)
                     row["iterations"] = report.iterations
                     row["converged"] = report.converged
+                    row["notes"] = "; ".join(report.notes)
                     if timing:
                         row["wall_ms"] = elapsed
                     detail["report"] = report_to_json(report)
@@ -498,7 +501,7 @@ def run_experiment(config: dict, out_dir=None) -> dict:
             writer = csv.writer(fh)
             writer.writerow(
                 ["scene", "mask", "method", "sigma", "seed", "nrmse", "iterations",
-                 "converged", "wall_ms"]
+                 "converged", "wall_ms", "notes"]
             )
             for row in rows:
                 writer.writerow(
@@ -506,7 +509,7 @@ def run_experiment(config: dict, out_dir=None) -> dict:
                         row["scene"], row["mask"], row["method"],
                         f"{row['sigma']:g}", row["seed"],
                         repr(row["nrmse"]), row["iterations"], row["converged"],
-                        f"{row['wall_ms']:g}",
+                        f"{row['wall_ms']:g}", row["notes"],
                     ]
                 )
     return doc

@@ -7,11 +7,13 @@ Two complementary routes:
   data consistency (``lowrank_complete``).  The truncation projects the
   rows onto the leading eigenvectors of the small Gram matrix ``CᴴC``
   (one column per channel tap), so no SVD of the tall lifted matrix is
-  taken.  Each sweep is one ``lift`` (one gather) and one
-  ``StructuredMatrix.unlift`` (one ``np.add.at`` scatter-add over the
-  per-sample cell count) through window positions cached per stack shape
-  and window, and each builds its ``MultiKSignal`` with one validation
-  of the whole stack.
+  taken.  The sweep runs on ``[Q, *N]`` arrays: the window index and the
+  per-sample cell count are built once per call, and each sweep is one
+  gather through the index and one ``np.add.at`` scatter-add back over
+  the count.  ``lift`` and ``StructuredMatrix.unlift`` are the same
+  gather and scatter behind validated value types, for callers at the
+  API edge and as the oracle the sweep is tested against; the first
+  sweep goes through them.
 * Fix a bank of annihilating filters and solve the quadratic problem
   "acquired samples stay put, total filter response energy is minimal"
   by conjugate gradients (``annihilation_recon``).  Each CG step applies
@@ -53,7 +55,6 @@ from .lp import (
     _as_multi,
     _checked_calib,
     _window_geometry,
-    _window_rows,
     build_calib_matrix,  # noqa: F401  bench/layers.py wraps lpk.recon:build_calib_matrix
     nullspace_filter_bank,
 )
@@ -202,20 +203,54 @@ class StructuredMatrix:
 
         Exact inverse of :func:`lift` up to floating-point averaging; for
         the symmetric variant mirrored cells contribute through their
-        conjugate at the reflected index.  One scatter-add, in window order,
-        through the positions :func:`lift` reads, over the cached count.
+        conjugate at the reflected index.  The API-edge form of the
+        array scatter that ``lowrank_complete`` sweeps with: one
+        scatter-add, in window order, through the positions :func:`lift`
+        reads, over the per-sample cell count.
         """
-        grid, q_count = self.grid, self.q_count
-        shape = ((1 if self.variant == "C" else 2) * q_count,) + grid.shape
-        starts, offsets, count = _window_geometry(shape, self.L, self.P)
-        acc = np.zeros(shape, dtype=np.complex128)
-        cells = self.matrix.reshape(len(starts) * len(offsets))
-        np.add.at(acc.reshape(-1), np.add.outer(starts, offsets).ravel(), cells)
-        if self.variant != "C":
-            # Mirrored cells land, conjugated, on the reflected index.
-            acc = acc[:q_count] + _reflect_values(np.conj(acc[q_count:]), grid)
-            count = count + _reflect_values(count, grid)
-        return MultiKSignal.from_array(grid, acc / count)
+        index, count = _lift_geometry(self.grid, self.q_count, self.L, self.P, self.variant)
+        acc = _average_back(self.matrix, self.grid, self.q_count, index, count, self.variant)
+        return MultiKSignal.from_array(self.grid, acc)
+
+
+def _lift_geometry(grid: KGrid, q_count: int, L: int, P: int, variant: str):
+    """``(index, count)`` of the stack a variant lifts, ``[Q, *N]`` for
+    ``"C"`` and the mirrored ``[2Q, *N]`` for ``"S"``.  ``index[v, c]`` is
+    the flat position that column ``c`` of window row ``v`` reads, and
+    ``count[n]`` the number of cells that average back onto sample ``n``,
+    mirrored cells included."""
+    blocks = q_count if variant == "C" else 2 * q_count
+    starts, offsets, count = _window_geometry((blocks,) + grid.shape, L, P)
+    if variant != "C":
+        count = count + _reflect_values(count, grid)
+    return np.add.outer(starts, offsets), count
+
+
+def _gather(x: np.ndarray, grid: KGrid, index: np.ndarray, variant: str) -> np.ndarray:
+    """The lifted matrix of a ``[Q, *N]`` stack: one gather through ``index``."""
+    return (_with_mirrors(x, grid) if variant == "S" else x).reshape(-1)[index]
+
+
+def _scatter_add(shape: tuple[int, ...], index: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """A zero complex stack of ``shape`` with every cell added at its flat
+    position in ``index``, in the order of ``index``."""
+    acc = np.zeros(shape, dtype=np.complex128)
+    np.add.at(acc.reshape(-1), index.reshape(-1), cells.reshape(index.size))
+    return acc
+
+
+def _average_back(
+    matrix: np.ndarray, grid: KGrid, q_count: int, index: np.ndarray, count: np.ndarray,
+    variant: str,
+) -> np.ndarray:
+    """The ``[Q, *N]`` stack a lifted matrix averages back to (see
+    :meth:`StructuredMatrix.unlift`)."""
+    blocks = q_count if variant == "C" else 2 * q_count
+    acc = _scatter_add((blocks,) + count.shape, index, matrix)
+    if variant != "C":
+        # Mirrored cells land, conjugated, on the reflected index.
+        acc = acc[:q_count] + _reflect_values(np.conj(acc[q_count:]), grid)
+    return acc / count
 
 
 def lift(data, L: int, P: int, variant: str = "C") -> StructuredMatrix:
@@ -226,12 +261,13 @@ def lift(data, L: int, P: int, variant: str = "C") -> StructuredMatrix:
     ascending-``k`` columns; any filter annihilating the data is a
     nullspace vector of this matrix.  Variant ``"S"`` first appends the
     conjugate-mirrored channels so conjugate symmetry shows up as extra
-    rank deficiency.
+    rank deficiency.  The API-edge form of the array gather that
+    ``lowrank_complete`` sweeps with.
     """
     ms = _as_multi(data)
     _check_lift(ms.grid, L, P, variant)
-    x = ms.stack()
-    matrix = _window_rows(_with_mirrors(x, ms.grid) if variant == "S" else x, L, P)
+    index, _ = _lift_geometry(ms.grid, ms.q_count, L, P, variant)
+    matrix = _gather(ms.stack(), ms.grid, index, variant)
     return StructuredMatrix(matrix, ms.grid, L, P, ms.q_count, variant)
 
 
@@ -269,6 +305,11 @@ def lowrank_complete(
     ``max_iters < 1`` no sweep runs and the zero-filled data come back;
     the variant and the window are checked against the grid either way.
 
+    The sweeps run on arrays, through a window index and cell count built
+    once per call; only the first goes through :func:`lift` and
+    :meth:`StructuredMatrix.unlift`, which do the same gather and scatter,
+    so every sweep gives bitwise what a sweep of public calls gives.
+
     Returns:
         ``(completed, report)``; the report carries the final leading
         spectrum, and its ``degenerate`` flag is set when the spectrum
@@ -278,21 +319,31 @@ def lowrank_complete(
         ``max_iters`` says so in ``notes``, with its last relative change.
     """
     ms = _as_multi(data)
-    masks = _norm_masks(mask, ms.q_count, ms.grid)
-    _check_lift(ms.grid, L, P, variant)
+    grid, q_count = ms.grid, ms.q_count
+    masks = _norm_masks(mask, q_count, grid)
+    _check_lift(grid, L, P, variant)
     acq = np.array([m.acquired for m in masks])
     ref = ms.stack()
     x = np.where(acq, ref, 0.0)
+    ref_acq = ref[acq]
+    index, count = _lift_geometry(grid, q_count, L, P, variant)
     trace = []
     converged = False
     chosen = rank
     s_final = np.zeros(0)
     it = 0
     for it in range(1, max_iters + 1):
-        c = lift(MultiKSignal.from_array(ms.grid, x), L, P, variant).matrix
+        # Sweep 1 goes through the public lift and unlift, which keeps
+        # their benchmark spans measured; later sweeps do the same gather
+        # and scatter on arrays.
+        edge = it == 1
+        if edge:
+            c = lift(MultiKSignal.from_array(grid, x), L, P, variant).matrix
+        else:
+            c = _gather(x, grid, index, variant)
         lam, v = np.linalg.eigh(c.conj().T @ c)
         v = v[:, ::-1]
-        s = np.sqrt(np.clip(lam[::-1], 0.0, None))[: min(c.shape)]
+        s = np.sqrt(np.maximum(lam[::-1], 0.0))[: min(c.shape)]
         if chosen is None:
             chosen = max(1, int(np.sum(s > tau * s[0])))
             chosen = min(chosen, len(s))
@@ -300,10 +351,13 @@ def lowrank_complete(
             raise ValueError(f"rank must lie in [1, {len(s)}]")
         s_final = s
         vr = v[:, :chosen]
-        # Rebinding frees C before unlift forms its scatter positions.
+        # Rebinding frees C before the scatter.
         c = (c @ vr) @ vr.conj().T
-        x_new = StructuredMatrix(c, ms.grid, L, P, ms.q_count, variant).unlift().stack()
-        x_new[acq] = ref[acq]
+        if edge:
+            x_new = StructuredMatrix(c, grid, L, P, q_count, variant).unlift().stack()
+        else:
+            x_new = _average_back(c, grid, q_count, index, count, variant)
+        x_new[acq] = ref_acq
         denom = max(float(np.linalg.norm(x)), np.finfo(float).tiny)
         change = float(np.linalg.norm(x_new - x)) / denom
         trace.append(change)
@@ -329,7 +383,7 @@ def lowrank_complete(
             f"last relative change {trace[-1]:.3g} (tol {tol:.3g})",
         ),
     )
-    return MultiKSignal.from_array(ms.grid, x), report
+    return MultiKSignal.from_array(grid, x), report
 
 
 def _conv_valid(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -380,9 +434,10 @@ class _BankOperator:
       positions :func:`lift` reads, transposed) and multiplies by the
       ``[F, Q·ΠW]`` taps; ``adjoint`` multiplies by their conjugate
       transpose and scatter-adds the cells back onto the samples they
-      were read from, in one ``bincount`` over interleaved real and
-      imaginary parts.  Two small GEMMs and no FFT, which wins while the
-      fixed cost of an FFT call outweighs the arithmetic.
+      were read from, in one ``np.add.at`` (the scatter of
+      :meth:`StructuredMatrix.unlift`).  Two small GEMMs and no FFT,
+      which wins while the fixed cost of an FFT call outweighs the
+      arithmetic.
     * ``"fft"``: zero-padded FFTs of length ``next_fast_len(N + W - 1)``
       per axis, long enough that no product wraps around, cropped to the
       exact valid (forward) or full (adjoint) range, so no padding reaches
@@ -411,9 +466,6 @@ class _BankOperator:
             starts, offsets, _ = _window_geometry(self.shape, bank.L, bank.P)
             # index[j, v]: the flat sample that column j of window row v reads.
             self.index = np.add.outer(offsets, starts)
-            # The same positions in the float64 view of a complex array.
-            self.scatter = np.stack([2 * self.index, 2 * self.index + 1], axis=-1).ravel()
-            self.scatter_len = 2 * int(np.prod(self.shape))
             self.taps = taps.reshape(taps.shape[0], -1)
             self.taps_h = self.taps.conj().T
         else:
@@ -438,10 +490,7 @@ class _BankOperator:
     def adjoint(self, resp: np.ndarray) -> np.ndarray:
         if self.evaluation == "window":
             cells = self.taps_h @ resp.reshape(self.resp_shape[0], -1)  # [Q·ΠW, V]
-            acc = np.bincount(
-                self.scatter, weights=cells.view(np.float64).ravel(), minlength=self.scatter_len
-            )
-            return acc.view(np.complex128).reshape(self.shape)
+            return _scatter_add(self.shape, self.index, cells)
         embed = np.zeros((resp.shape[0],) + self.fft_shape, dtype=np.complex128)
         embed[self.valid] = resp
         spec = scipy.fft.fftn(embed, axes=self.axes)

@@ -184,3 +184,25 @@ def test_experiment_rows_carry_convergence(tmp_path):
         "annihilation": "False",
         "zero-fill": "True",
     }
+
+
+def test_experiment_rows_and_csv_carry_notes(tmp_path):
+    config = {
+        "scene": "demo1d",
+        "grid": 64,
+        "mask": {"kind": "uniform", "accel": 2, "calib": 12},
+        "methods": [{"name": "lowrank", "max_iters": 3}, "interp"],
+    }
+    doc = run_experiment(config, out_dir=str(tmp_path))
+    cap = "lowrank stopped at the sweep cap (3); last relative change "
+    by_method = {row["method"]: row for row in doc["rows"]}
+    assert by_method["lowrank"]["notes"].startswith(cap)
+    assert by_method["interp"]["converged"] is True and by_method["interp"]["notes"] == ""
+    for row, case in zip(doc["rows"], doc["cases"]):
+        assert row["notes"] == "; ".join(case["report"]["notes"])
+    with open(tmp_path / "report.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert {r["method"]: r["notes"] for r in table} == {
+        "lowrank": by_method["lowrank"]["notes"],
+        "interp": "",
+    }

@@ -1,13 +1,21 @@
 """Channel fits and slice separation: SMASH fits, separator fits, and
-both separation paths against direct convolution and the closed form."""
+both separation paths against direct convolution and the closed form;
+scene JSON round trips."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lpk.core import MultiKSignal, centered_grid, conv_apply, conv_response
+from lpk.core import KSignal, MultiKSignal, centered_grid, conv_apply, conv_response
 from lpk.harness import MaskSpec, gen_mask, make_sensitivities
 from lpk.multi import (
+    MultiScene,
     SmsScene,
+    scene_from_json,
+    scene_samples,
+    scene_to_json,
     smash_fit,
     sms_fit_separator,
     sms_fit_separator_coils,
@@ -16,7 +24,7 @@ from lpk.multi import (
     sms_slice_samples,
     sms_superpose,
 )
-from lpk.phantom import Phantom, Primitive, modulated_samples
+from lpk.phantom import Modulator, Phantom, Primitive, modulated_samples
 
 
 def two_slices():
@@ -156,3 +164,60 @@ def test_coil_separation_is_the_per_coil_convolution_sum():
         # Two coils separate this scene far better than one coil does (0.10).
         ref = truth[m].stack()[:, lo:lo + valid.shape[0]]
         assert rel(out[m].stack(), ref) <= 0.03
+
+
+@st.composite
+def phantoms(draw, fov):
+    """One to three primitives of any kind, inside the field of view."""
+    prims = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["boxcar", "ellipse", "point"]))
+        extent = tuple(
+            0.0 if kind == "point" else draw(st.floats(0.01 * b, 0.25 * b)) for b in fov
+        )
+        center = tuple(draw(st.floats(-(b / 2 - w), b / 2 - w)) for b, w in zip(fov, extent))
+        amp = complex(draw(st.floats(-5, 5)), draw(st.floats(-5, 5)))
+        prims.append(Primitive(kind, center, extent, amp))
+    return Phantom(tuple(prims), fov)
+
+
+@st.composite
+def modulators(draw, dims):
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(dims))
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return Modulator(coeffs, tuple(draw(st.integers(-2, 0)) for _ in range(dims)))
+
+
+@st.composite
+def scenes(draw):
+    """A multi-channel scene, or a superposition scene with or without
+    coils, in 1D or 2D, on an irregular field of view."""
+    dims = draw(st.sampled_from([1, 2]))
+    fov = tuple(draw(st.floats(0.5, 3.0)) for _ in range(dims))
+    coils = tuple(draw(modulators(dims)) for _ in range(draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        return MultiScene(draw(phantoms(fov)), coils)
+    slices = tuple(draw(phantoms(fov)) for _ in range(draw(st.integers(2, 3))))
+    return SmsScene(slices, coils if draw(st.booleans()) else None)
+
+
+def scene_stacks(scene, grid):
+    """Every closed-form sample array a scene yields on a grid."""
+    if isinstance(scene, MultiScene):
+        return [scene_samples(scene, grid).stack()]
+    slices = sms_slice_samples(scene, grid)
+    return [s.values if isinstance(s, KSignal) else s.stack() for s in slices]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(scene=scenes())
+def test_scene_json_round_trip_keeps_samples(scene):
+    back = scene_from_json(json.loads(json.dumps(scene_to_json(scene))))
+    assert type(back) is type(scene)
+    fov = (scene.phantom if isinstance(scene, MultiScene) else scene.slices[0]).fov
+    grid = centered_grid((9,) if len(fov) == 1 else (6, 5), fov)
+    got, want = scene_stacks(back, grid), scene_stacks(scene, grid)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()

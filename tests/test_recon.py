@@ -16,7 +16,7 @@ from lpk.core import (
     centered_grid,
     zero_fill,
 )
-from lpk.harness import MaskSpec, demo_scene_2d, gen_mask
+from lpk.harness import MaskSpec, add_noise, demo_scene_1d, demo_scene_2d, gen_mask
 from lpk.lp import FilterBank, build_calib_matrix, nullspace_filter_bank
 from lpk.multi import scene_samples
 from lpk.phantom import Phantom, Primitive, fourier_samples
@@ -493,6 +493,53 @@ def object_lowrank_complete(data, mask, L, P, rank, variant, max_iters, tau=0.05
     )
     return MultiKSignal.from_array(data.grid, x), report
 
+
+# Cases shaped like the benchmark's: (scene, grid, calibration, sweeps).
+BENCH_SHAPES = {
+    "sweep1d": (demo_scene_1d, (64,), 12, 100),
+    "random2d": (demo_scene_2d, (48, 48), 16, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def bench_cases():
+    """Each bench-shaped case on a random R=3 mask with noise at 1e-3 of
+    the RMS sample, built from the public functions as the benchmark
+    builds it, with its sweep count."""
+    cases = {}
+    for name, (scene, shape, calib, sweeps) in BENCH_SHAPES.items():
+        grid = centered_grid(shape, 1.0)
+        truth = scene_samples(scene(), grid)
+        rms = float(np.sqrt(np.mean(np.abs(truth.stack()) ** 2)))
+        mask = gen_mask(MaskSpec("random", 3, calib, seed=7), grid)
+        measured = zero_fill(add_noise(truth, 1e-3 * rms, 8), mask)
+        cases[name] = measured, mask, sweeps
+    return cases
+
+
+@pytest.mark.parametrize("variant", ["C", "S"])
+@pytest.mark.parametrize("name", list(BENCH_SHAPES))
+class TestBenchShapes:
+    """The sweep and its lift and unlift at the benchmark's shapes, far
+    above the hypothesis grids: ``[4, 64]`` with 100 sweeps and
+    ``[8, 48, 48]`` with 3."""
+
+    def test_sweep_matches_public_lift_and_unlift(self, bench_cases, name, variant):
+        measured, mask, sweeps = bench_cases[name]
+        kwargs = dict(L=2, P=2, rank=None, variant=variant, max_iters=sweeps)
+        got, rep = lowrank_complete(measured, mask, **kwargs)
+        want, ref = object_lowrank_complete(measured, mask, **kwargs)
+        assert got.stack().tobytes() == want.stack().tobytes()
+        assert rep == ref
+        assert rep.iterations == sweeps
+
+    def test_lift_and_unlift_match_the_loops(self, bench_cases, name, variant):
+        measured, _, _ = bench_cases[name]
+        x = measured.stack()
+        src = lpk.recon._with_mirrors(x, measured.grid) if variant == "S" else x
+        sm = lift(measured, 2, 2, variant)
+        assert sm.matrix.tobytes() == strided_window_rows(src, 2, 2).tobytes()
+        assert sm.unlift().stack().tobytes() == per_tap_unlift(sm).tobytes()
 
 
 class TestAnnihilationRecon:
