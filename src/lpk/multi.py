@@ -6,7 +6,10 @@ convolution, so everything stays closed-form.  A superposition scene
 holds several objects whose samples are only observed summed; short
 separator filters applied to the sum recover the individual objects
 whenever each filter's spatial response is near one on its own object's
-support and near zero on the others.
+support and near zero on the others.  A fully sampled sum is split by
+valid-range convolution; an undersampled one by a joint solve whose
+separator relations are one filter bank over the stacked slices, applied
+by the annihilation solver's operator (``recon._BankOperator``).
 
 The identity checks mirror the single-image one: a truncated response
 energy on the sample side against a quadrature energy integral on the
@@ -21,7 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Filter, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask, conv_apply
+from .core import (
+    Filter, GridMismatchError, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask,
+    conv_apply, conv_response,
+)
 from .lp import IdentityCheck, _decay_constant as _decay, _lhs_energy, _ridge_solve, build_calib_matrix
 from .phantom import (
     Modulator,
@@ -35,7 +41,7 @@ from .phantom import (
     spatial_profile,
 )
 from .quadrature import merge_edges, piecewise_quad
-from .recon import ReconReport, _cg, _conv_valid, _corr_full, _ritz_conditioning
+from .recon import ReconReport, _BankOperator, _cg, _ritz_conditioning
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,6 +269,24 @@ def sms_fit_separator_coils(
     return mf, SeparatorReport(repro, float(leakage), mu, rows)
 
 
+def _joint_normal(seps: Sequence[Filter], acq: np.ndarray, lam: float):
+    """The undersampled split's normal operator on flat ``[R, *N]`` stacks.
+    Relation ``m`` is one filter over the slices: ``h[m, q] = f_m - [q = m] δ₀``,
+    ``δ₀`` the ``k = 0`` tap."""
+    shape = (len(seps),) + acq.shape
+    taps = np.repeat(np.stack([f.taps for f in seps])[:, None], len(seps), axis=1)
+    for m, f in enumerate(seps):
+        taps[(m, m) + (f.L,) * acq.ndim] -= 1.0
+    op = _BankOperator(taps, shape)
+
+    def apply_a(vec):
+        x = vec.reshape(shape)
+        out = np.where(acq, x.sum(axis=0), 0.0) + lam * op.adjoint(op.forward(x))
+        return out.reshape(-1)
+
+    return apply_a
+
+
 def sms_separate(
     summed: KSignal,
     separators: Sequence[Filter],
@@ -278,6 +302,13 @@ def sms_separate(
     slices become joint unknowns: conjugate gradients balances summed
     data consistency on acquired indices against each slice's separator
     relation (weighted by ``lam``), returning slices on the full grid.
+
+    That split is limited by the model: summed over ``m`` the relations
+    leave ``conv_valid(sum_q x_q, sum_m f_m - δ₀)``, and separators that
+    split well add up to nearly ``δ₀``, so the sum is barely constrained
+    where it was not acquired.  On the benchmark's two-slice scene the
+    direct split scores 0.100 and the joint one 0.27 for any ``lam`` in
+    [0.01, 100]; its sum is 126% off at missing indices.
     """
     seps = tuple(separators)
     if not seps:
@@ -286,38 +317,19 @@ def sms_separate(
     for f in seps[1:]:
         if (f.L, f.P) != (L, P):
             raise ValueError("separators must share tap support")
+    if mask is not None and mask.grid != summed.grid:
+        raise GridMismatchError("mask grid differs from data grid")
     if mask is None or bool(np.all(mask.acquired)):
         outs = tuple(conv_apply(summed, f) for f in seps)
         return MultiKSignal(outs), ReconReport(
             method="sms-direct", iterations=0, converged=True
         )
-    if mask.grid != summed.grid:
-        raise ValueError("mask grid differs from data grid")
     if lam <= 0:
         raise ValueError("undersampled separation needs lam > 0")
-    r_count = len(seps)
-    grid = summed.grid
-    valid = grid.valid_for(L, P)
-    vsl = tuple(
-        slice(vlo - glo, vhi - glo + 1)
-        for vlo, vhi, glo in zip(valid.n_min, valid.n_max, grid.n_min)
-    )
     acq = mask.acquired
     y = np.where(acq, summed.values, 0.0)
-    shape = (r_count,) + grid.shape
-
-    def apply_a(vec):
-        x = vec.reshape(shape)
-        t = x.sum(axis=0)
-        cons = np.where(acq, t, 0.0)
-        out = np.broadcast_to(cons, shape).copy()
-        for m, f in enumerate(seps):
-            resp = _conv_valid(t, f.taps) - x[m][vsl]
-            back = _corr_full(resp, f.taps)
-            out += lam * back
-            out[m][vsl] -= lam * resp
-        return out.reshape(-1)
-
+    shape = (len(seps),) + summed.grid.shape
+    apply_a = _joint_normal(seps, acq, lam)
     b = np.broadcast_to(y, shape).copy().reshape(-1)
     f0 = float(np.sum(np.abs(y[acq]) ** 2))
     sol, iters, converged, alphas, betas, drops, notes = _cg(apply_a, b, tol, max_iters)
@@ -332,7 +344,7 @@ def sms_separate(
         conditioning=_ritz_conditioning(alphas, betas),
         notes=notes,
     )
-    return MultiKSignal.from_array(grid, sol.reshape(shape)), report
+    return MultiKSignal.from_array(summed.grid, sol.reshape(shape)), report
 
 
 def sms_separate_coils(
@@ -344,17 +356,10 @@ def sms_separate_coils(
     ``separators[m][c]`` maps all coils of the sum to slice ``m``,
     coil ``c``.
     """
-    out = []
-    for per_slice in separators:
-        coils = []
-        for mf in per_slice:
-            resp = None
-            for q, f in enumerate(mf.filters):
-                r = conv_apply(summed.channels[q], f)
-                resp = r if resp is None else KSignal(r.grid, resp.values + r.values)
-            coils.append(resp)
-        out.append(MultiKSignal(tuple(coils)))
-    return tuple(out)
+    return tuple(
+        MultiKSignal(tuple(conv_response(summed, mf) for mf in per_slice))
+        for per_slice in separators
+    )
 
 
 def _spatial_filter(filt: Filter, b: float):

@@ -18,7 +18,9 @@ Two complementary routes:
   "acquired samples stay put, total filter response energy is minimal"
   by conjugate gradients (``annihilation_recon``).  Each CG step applies
   the whole bank forward and back as one operator (``_BankOperator``)
-  with exact valid-range responses and no wraparound.  It has two exact
+  with exact valid-range responses and no wraparound.  It takes a stacked
+  ``[F, Q, *W]`` tap array, and ``pf_recon`` and the slice separation of
+  ``multi.sms_separate`` solve with it too.  It has two exact
   evaluations, chosen once per solve from the size of the lifted window
   matrix: small matrices take one window gather (the gather of ``lift``)
   and two GEMMs with the taps, whose cost is all arithmetic; large ones
@@ -42,7 +44,6 @@ from typing import Sequence
 import numpy as np
 import scipy.fft
 import scipy.linalg
-import scipy.signal
 
 from .core import (
     GridMismatchError,
@@ -386,17 +387,6 @@ def lowrank_complete(
     return MultiKSignal.from_array(grid, x), report
 
 
-def _conv_valid(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    return scipy.signal.convolve(arr, taps, mode="valid", method="direct")
-
-
-def _corr_full(arr: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Adjoint of valid-mode convolution: full convolution with the
-    conjugate-reversed taps."""
-    rev = np.conj(taps[tuple(slice(None, None, -1) for _ in range(taps.ndim))])
-    return scipy.signal.convolve(arr, rev, mode="full", method="direct")
-
-
 # Largest lifted window matrix, ``V·Q·ΠW`` cells (valid windows times
 # channel taps), that ``_BankOperator`` applies by window gather and
 # GEMM; above it the FFT evaluation is cheaper.  Measured as one normal
@@ -421,8 +411,12 @@ _WINDOW_CELLS = 2**15
 
 
 class _BankOperator:
-    """A filter bank's joint response as one linear map.
+    """A stacked ``[F, Q, *W]`` tap array applied jointly as one linear map.
 
+    The filter bank of ``annihilation_recon``, ``pf_recon`` and
+    ``multi.sms_separate``.  ``W`` taps on every axis, ascending in ``k``;
+    the operator reads only the width, since where ``k = 0`` sits only
+    labels the valid range.
     ``forward`` takes a stacked signal ``x[Q, *N]`` to the per-filter joint
     responses ``r[F, *valid]``, ``r_f = sum_q conv_valid(x_q, h_fq)``;
     ``adjoint`` takes them back to ``[Q, *N]``.  Two exact evaluations of
@@ -446,15 +440,12 @@ class _BankOperator:
       large grids.
     """
 
-    def __init__(self, bank: FilterBank, shape: Sequence[int]):
-        taps = np.stack([mf.stack() for mf in bank.filters])  # [F, Q, *W]
+    def __init__(self, taps: np.ndarray, shape: Sequence[int]):
         q_count, *grid_shape = shape
         if taps.ndim - 2 != len(grid_shape):
-            raise ValueError(
-                f"bank filters are {taps.ndim - 2}D, data is {len(grid_shape)}D"
-            )
+            raise ValueError(f"taps are {taps.ndim - 2}D, data is {len(grid_shape)}D")
         if taps.shape[1] != q_count:
-            raise ValueError(f"bank has {taps.shape[1]} channels, data has {q_count}")
+            raise ValueError(f"taps have {taps.shape[1]} channels, data has {q_count}")
         width = taps.shape[2:]
         if any(w > n for w, n in zip(width, grid_shape)):
             raise ValueError(f"filter width {width} exceeds data shape {tuple(grid_shape)}")
@@ -463,7 +454,8 @@ class _BankOperator:
         self.resp_shape = (taps.shape[0],) + valid
         if int(np.prod(valid)) * taps[0].size <= _WINDOW_CELLS:
             self.evaluation = "window"
-            starts, offsets, _ = _window_geometry(self.shape, bank.L, bank.P)
+            # The geometry reads only the width L + P + 1.
+            starts, offsets, _ = _window_geometry(self.shape, width[0] - 1, 0)
             # index[j, v]: the flat sample that column j of window row v reads.
             self.index = np.add.outer(offsets, starts)
             self.taps = taps.reshape(taps.shape[0], -1)
@@ -600,7 +592,7 @@ def annihilation_recon(
     if lam < 0:
         raise ValueError("lam must be nonnegative")
 
-    op = _BankOperator(bank, shape)
+    op = _BankOperator(np.stack([mf.stack() for mf in bank.filters]), shape)
     if lam == 0.0:
         miss = ~acq
 

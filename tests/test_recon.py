@@ -649,11 +649,21 @@ def direct_adjoint(resps, bank, shape):
     return grad
 
 
+def stacked(bank):
+    """A bank's taps as the ``[F, Q, *W]`` array ``_BankOperator`` takes."""
+    return np.stack([mf.stack() for mf in bank.filters])
+
+
 class DirectBank:
     """Drop-in for ``_BankOperator`` that runs the direct loops."""
 
-    def __init__(self, bank, shape):
-        self.bank, self.shape = bank, tuple(shape)
+    def __init__(self, taps, shape):
+        width = taps.shape[-1]
+        self.bank = FilterBank(
+            tuple(MultiFilter(tuple(Filter(t, width - 1, 0) for t in row)) for row in taps),
+            (0.0,) * len(taps),
+        )
+        self.shape = tuple(shape)
 
     def forward(self, x):
         return direct_forward(x, self.bank)
@@ -702,7 +712,7 @@ FORCING = {"window": 2**62, "fft": 0}
 def forced_operator(evaluation, bank, shape):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpk.recon, "_WINDOW_CELLS", FORCING[evaluation])
-        op = _BankOperator(bank, shape)
+        op = _BankOperator(stacked(bank), shape)
     assert op.evaluation == evaluation
     return op
 
@@ -742,20 +752,21 @@ class TestBankOperator:
         ((4, 64), 2, 2, 4, "window"),  # sweep1d: 1,200 cells
         ((8, 48, 48), 2, 2, 8, "fft"),  # random2d: 387,200 cells
         ((8, 64, 64), 2, 2, 8, "fft"),  # demo2d: 720,000 cells
+        ((2, 64), 2, 2, 2, "window"),  # sms, R = 2: 600 cells
     ])
     def test_bench_shapes_keep_their_evaluation(self, shape, L, P, F, evaluation):
         bank = random_bank(np.random.default_rng(0), F, shape[0], L, P, len(shape) - 1)
-        assert _BankOperator(bank, shape).evaluation == evaluation
+        assert _BankOperator(stacked(bank), shape).evaluation == evaluation
 
     def test_mismatches_rejected(self):
         rng = np.random.default_rng(0)
         bank2d = random_bank(rng, 2, 3, 1, 2, 2)
         with pytest.raises(ValueError, match="2D"):
-            _BankOperator(bank2d, (3, 16))
+            _BankOperator(stacked(bank2d), (3, 16))
         with pytest.raises(ValueError, match="channels"):
-            _BankOperator(bank2d, (2, 8, 8))
+            _BankOperator(stacked(bank2d), (2, 8, 8))
         with pytest.raises(ValueError, match="width"):
-            _BankOperator(bank2d, (3, 8, 3))
+            _BankOperator(stacked(bank2d), (3, 8, 3))
         g = centered_grid(16, 1.0)
         data = MultiKSignal.from_array(g, cplx(rng, (3, 16)))
         mask = SamplingMask(g, np.arange(16) % 2 == 0)
