@@ -229,6 +229,14 @@ def _engine_zero_fill(measured, mask, params):
 
 
 def _engine_interp(measured, mask, params):
+    """Up to ``passes`` rounds of pattern fits and imputation.
+
+    Each pass fits one ``[Q, Q, *W]`` tap array per local pattern of the
+    samples still missing (:func:`fit_interpolation_filters`), keeps the
+    arrays whose fit passes the residual and gain gates below, imputes
+    their samples (:func:`interpolate_missing`) and counts them as
+    acquired for the next pass.
+    """
     L = int(params.get("L", 2))
     P = int(params.get("P", 2))
     ridge = params.get("ridge")
@@ -256,14 +264,14 @@ def _engine_interp(measured, mask, params):
         fitted = {s for s in fmap if quality[s][0] <= max_resid}
         anchor = min((quality[s][1] for s in fitted), default=0.0)
         useful = {
-            sig: mfs
-            for sig, mfs in fmap.items()
+            sig: taps
+            for sig, taps in fmap.items()
             if sig in fitted and quality[sig][1] <= gain_ratio * max(anchor, 1e-3)
         }
         if not useful:
             done -= 1
             break
-        cur = interpolate_missing(cur, eff_mask, useful, strict=False)
+        cur = interpolate_missing(cur, eff_mask, useful, L, P, strict=False)
         for sig, pos in missing_patterns(eff_mask, L, P).items():
             if sig in useful:
                 eff[tuple(pos.T)] = True

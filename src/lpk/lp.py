@@ -15,10 +15,10 @@ exp(+i 2 pi x m / B) dx`` has a closed form, the Hermitian matrix
 eigenvectors are the best-annihilating unit-norm sequences.
 
 Pattern-aware interpolation (one kernel per local sampling pattern, as in
-GRAPPA) solves and checks each pattern's filters as one ``[Q, Q, *W]``
-tap array; the :class:`~lpk.core.Filter` objects it returns are
-read-only views of that array, so the per-object checks are not repeated
-``Q * Q`` times per pattern.
+GRAPPA) keeps each pattern's filters as one read-only ``[Q, Q, *W]`` tap
+array, ``[m]`` the filter anchored at channel ``m``: the fit returns it
+and the imputation applies it as is, with no per-channel filter objects
+built and taken apart again.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .core import (
     SamplingMask,
     _axes_int,
     _normalize_calib,
-    _unchecked,
 )
 from .phantom import Phantom, samples_at
 from .quadrature import merge_edges, piecewise_quad
@@ -102,11 +101,6 @@ class CalibMatrix:
                 raise ValueError(f"tap {k} outside [-{self.L}, {self.P}]")
             flat = flat * (self.L + self.P + 1) + (ki + self.L)
         return q * self.taps_per_channel + flat
-
-    def col_keys(self) -> list[tuple[int, tuple[int, ...]]]:
-        ks = [np.arange(-self.L, self.P + 1)] * self.dims
-        taps = [tuple(int(v) for v in t) for t in np.stack(np.meshgrid(*ks, indexing="ij"), -1).reshape(-1, self.dims)]
-        return [(q, k) for q in range(self.q_count) for k in taps]
 
     def row_index(self) -> np.ndarray:
         """(rows, dims) array of window positions n, row-major ascending."""
@@ -201,28 +195,6 @@ def _ridge_solve(A: np.ndarray, y: np.ndarray, ridge: float | None):
         coef = np.linalg.solve(gram + ridge * np.eye(A.shape[1]), A.conj().T @ y)
     resid = float(np.linalg.norm(A @ coef - y))
     return coef, resid
-
-
-def _pattern_filters(taps: np.ndarray, L: int, P: int) -> tuple[MultiFilter, ...]:
-    """The filters of one pattern's ``[Q, Q, *W]`` taps, ``[m]`` anchored
-    at channel ``m`` (its own ``k = 0`` tap is -1).
-
-    Makes the checks :class:`Filter` makes once for the whole array and
-    builds the objects around read-only views of it.
-    """
-    q_count = taps.shape[0]
-    if not np.isfinite(taps.view(np.float64)).all():
-        raise ValueError("taps contain non-finite entries")
-    if not taps.reshape(q_count, q_count, -1).any(axis=2).all():
-        raise ValueError("at least one tap must be nonzero")
-    taps.setflags(write=False)
-    return tuple(
-        _unchecked(MultiFilter, filters=tuple(
-            _unchecked(Filter, taps=t, L=L, P=P, anchor_fixed=(q == m))
-            for q, t in enumerate(taps[m])
-        ))
-        for m in range(q_count)
-    )
 
 
 def fit_prediction_filter(
@@ -421,9 +393,10 @@ def fit_interpolation_filters(
     right-hand side per channel's ``k = 0`` column.  Requires
     ``mask.calib``.
 
-    Each pattern's filters are solved and checked as one ``[Q, Q, *W]``
-    tap array, whose ``[m]`` is the filter anchored at channel ``m``; the
-    returned :class:`Filter` objects are read-only views of it.
+    Returns a map from signature to that pattern's read-only ``[Q, Q,
+    *W]`` tap array (``W = L + P + 1`` per axis): ``[m]`` is the filter
+    anchored at channel ``m``, whose own ``k = 0`` tap ``[m, m, L, ...]``
+    is -1, and taps on unacquired offsets are zero.
 
     With ``return_quality`` also returns a per-signature ``(rel_resid,
     coef_energy)`` map: the worst channel's relative calibration residual
@@ -445,7 +418,7 @@ def fit_interpolation_filters(
     tt = gram[tgts, tgts].real
     live = tt > 0
 
-    out: dict[str, tuple[MultiFilter, ...]] = {}
+    out: dict[str, np.ndarray] = {}
     quality: dict[str, tuple[float, float]] = {}
     for sig in missing_patterns(mask, L, P):
         src_flat = np.flatnonzero(_source_taps(sig))
@@ -458,7 +431,11 @@ def fit_interpolation_filters(
         taps = np.zeros((q_count, q_count * per), dtype=np.complex128)
         taps[:, src_cols] = coef.T
         taps[channels, tgts] = -1.0
-        out[sig] = _pattern_filters(taps.reshape((q_count, q_count) + cm.tap_shape), cm.L, cm.P)
+        if not np.isfinite(taps.view(np.float64)).all():
+            raise ValueError("taps contain non-finite entries")
+        taps = taps.reshape((q_count, q_count) + cm.tap_shape)
+        taps.setflags(write=False)
+        out[sig] = taps
         if return_quality:
             # ||A_src c_m - a_m||^2 per channel m, expanded through the Gram.
             rsq = tt + np.einsum("im,im->m", coef.conj(), sub @ coef - 2 * rhs).real
@@ -473,22 +450,25 @@ def fit_interpolation_filters(
 def interpolate_missing(
     data,
     mask: SamplingMask,
-    filters: Mapping[str, Sequence[MultiFilter]],
+    filters: Mapping[str, np.ndarray],
+    L: int,
+    P: int,
     strict: bool = True,
 ) -> MultiKSignal:
     """Impute every missing sample from acquired neighbors in one pass.
 
     Missing samples are grouped by local pattern signature
-    (:func:`missing_patterns`); each group's filters, one anchored at
-    each channel, supply ``x_m[n] = sum_{(q,k) != (m,0)} h_q[k]
-    x_q[n-k]`` for the whole group at once.  Acquired samples pass
-    through untouched.  With ``strict=False`` missing samples whose
-    signature has no filter keep their input values instead of raising.
-
-    Each pattern's filters are applied as one ``[Q, Q, *W]`` tap array,
-    ``[m]`` the filter anchored at channel ``m``.
+    (:func:`missing_patterns` with the fit's ``L`` and ``P``); each
+    group's ``[Q, Q, *W]`` tap array, as :func:`fit_interpolation_filters`
+    returns it, supplies ``x_m[n] = sum_{(q,k) != (m,0)} h[m, q, k]
+    x_q[n-k]`` for the whole group at once.  The anchor taps ``h[m, m,
+    k=0]`` are not read.  Acquired samples pass through untouched.  With
+    ``strict=False`` missing samples whose signature has no filter keep
+    their input values instead of raising.
 
     Raises:
+        ValueError: a tap array is not ``[Q, Q, *W]`` for the data's
+            ``Q`` channels and ``W = L + P + 1`` per axis.
         UncoveredPatternError: in strict mode, a missing index's
             signature has no filter; in any mode, a matched filter has a
             nonzero tap on an unacquired offset.
@@ -501,13 +481,6 @@ def interpolate_missing(
     if mask.acquired.all():
         return MultiKSignal.from_array(ms.grid, out)
 
-    first = next((mf for mfs in filters.values() for mf in mfs), None)
-    if first is None:
-        if strict:
-            raise UncoveredPatternError(["<empty filter map>"])
-        return MultiKSignal.from_array(ms.grid, out)
-    L, P = first.L, first.P
-
     groups = missing_patterns(mask, L, P)
     uncovered = [sig for sig in groups if sig not in filters]
     if uncovered and strict:
@@ -515,6 +488,7 @@ def interpolate_missing(
 
     dims = ms.grid.dims
     q_count = ms.q_count
+    shape = (q_count, q_count) + (L + P + 1,) * dims
     # Window j of the padded data at position p holds x[p - P + j], which
     # tap k = L + P - j (the flipped tap array) multiplies.
     padded = np.pad(stacked, [(0, 0)] + [(P, L)] * dims)
@@ -525,19 +499,13 @@ def interpolate_missing(
     for sig, pos in groups.items():
         if sig not in filters:
             continue
-        by_anchor = {}
-        for mf in filters[sig]:
-            if mf.anchor_channel is None:
-                raise ValueError("interpolation filters must carry an anchor channel")
-            by_anchor[mf.anchor_channel] = mf
-        for m in range(q_count):
-            if m not in by_anchor:
-                raise UncoveredPatternError([f"{sig} (channel {m})"])
         # taps[m, q] is channel q of the filter anchored at m; only the
         # anchor's own k = 0 tap may sit on an unacquired offset.
-        taps = np.stack([by_anchor[m].stack() for m in range(q_count)])
+        taps = np.array(filters[sig], dtype=np.complex128)
+        if taps.shape != shape:
+            raise ValueError(f"filters for pattern {sig} have shape {taps.shape}, expected {shape}")
         taps[anchors] = 0.0
-        if np.any((taps != 0) & ~_source_taps(sig).reshape(taps.shape[2:])):
+        if np.any((taps != 0) & ~_source_taps(sig).reshape(shape[2:])):
             raise UncoveredPatternError([f"{sig} (tap on unacquired offset)"])
         taps = np.flip(taps, axis=tuple(range(2, dims + 2))).reshape(q_count, q_count, -1)
         at = (slice(None),) + tuple(pos.T)

@@ -37,6 +37,7 @@ coverage (``pf_recon``).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -109,20 +110,31 @@ def report_from_json(doc: dict) -> ReconReport:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _reflection(n_min: tuple[int, ...], n_max: tuple[int, ...]):
+    """``(dst, src)`` slices per grid axis: index ``n`` at ``dst`` reads
+    ``-n`` at ``src``, over the ``n`` whose mirror lies in the grid."""
+    dst, src = [], []
+    for lo, hi in zip(n_min, n_max):
+        a, b = max(lo, -hi), min(hi, -lo)
+        if a > b:
+            dst.append(slice(0, 0))
+            src.append(slice(0, 0))
+            continue
+        dst.append(slice(a - lo, b - lo + 1))
+        stop = -b - lo - 1
+        src.append(slice(-a - lo, None if stop < 0 else stop, -1))
+    return (Ellipsis,) + tuple(dst), (Ellipsis,) + tuple(src)
+
+
 def _reflect_values(arr: np.ndarray, grid: KGrid, fill=0):
     """out[..., n] = arr[..., -n] where -n lies in the grid, else fill.
 
     The grid spans the trailing axes; leading axes (channels) ride along.
     """
+    dst, src = _reflection(grid.n_min, grid.n_max)
     out = np.full_like(arr, fill)
-    src = []
-    dst = []
-    for lo, hi in zip(grid.n_min, grid.n_max):
-        n = np.arange(lo, hi + 1)
-        ok = (-n >= lo) & (-n <= hi)
-        dst.append(np.flatnonzero(ok))
-        src.append((-n[ok]) - lo)
-    out[(Ellipsis,) + np.ix_(*dst)] = arr[(Ellipsis,) + np.ix_(*src)]
+    out[dst] = arr[src]
     return out
 
 
@@ -539,18 +551,21 @@ def _cg(apply_a, b: np.ndarray, tol: float, max_iters: int):
 
 
 def _ritz_conditioning(alphas: Sequence[float], betas: Sequence[float]) -> float | None:
-    """Condition estimate from the tridiagonal system CG built implicitly."""
-    m = len(alphas)
+    """Condition estimate from the tridiagonal system CG built implicitly:
+    the ratio of its extreme eigenvalues, None unless both are positive.
+    Only the two extremes are computed (by bisection)."""
+    a = np.asarray(alphas, dtype=float)
+    m = a.size
     if m == 0:
         return None
-    diag = np.empty(m)
-    off = np.empty(max(m - 1, 0))
-    for j in range(m):
-        diag[j] = 1.0 / alphas[j] + (betas[j - 1] / alphas[j - 1] if j > 0 else 0.0)
-        if j < m - 1:
-            off[j] = np.sqrt(betas[j]) / alphas[j]
-    vals = scipy.linalg.eigvalsh_tridiagonal(diag, off) if m > 1 else diag
-    lo, hi = float(np.min(vals)), float(np.max(vals))
+    b = np.asarray(betas, dtype=float)[: m - 1]
+    diag = 1.0 / a
+    diag[1:] += b / a[:-1]
+    off = np.sqrt(b) / a[:-1]
+    lo, hi = (
+        float(scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(j, j))[0])
+        for j in (0, m - 1)
+    )
     if lo <= 0:
         return None
     return hi / lo

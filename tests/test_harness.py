@@ -3,17 +3,20 @@
 The ``interp`` engine is checked against per-index oracles: acquired
 samples pass through, convergence means full coverage, and the pattern
 set it fits equals a per-index :func:`pattern_signature` pass.  Its
-array passes are pinned bitwise to the same passes run through the
-public, object-returning fit and imputation.
+passes are pinned bitwise to the same passes written out over the public
+fit, imputation and grouping, and no ``Filter`` or ``MultiFilter`` is
+built on its path.
 """
 
 import csv
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpk.core import MultiKSignal, SamplingMask, centered_grid, zero_fill
+import lpk.core
+from lpk.core import Filter, MultiFilter, MultiKSignal, SamplingMask, centered_grid, zero_fill
 from lpk.harness import (
     ENGINES,
     MaskSpec,
@@ -21,6 +24,7 @@ from lpk.harness import (
     demo_scene_1d,
     demo_scene_2d,
     gen_mask,
+    register_engine,
     run_experiment,
 )
 from lpk.lp import (
@@ -62,6 +66,40 @@ class TestInterpEngine:
         oracle.discard("0" * 25)
         assert set(fit_interpolation_filters(measured, mask, 2, 2)) == oracle
 
+    def test_builds_no_filter_objects(self, monkeypatch):
+        """Fit, imputation and engine run on tap arrays alone: building a
+        ``Filter`` or ``MultiFilter``, checked or not, fails the test."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Filter or MultiFilter was built on the interp path")
+
+        unchecked = lpk.core._unchecked
+
+        def guarded(cls, **fields):
+            if cls in (Filter, MultiFilter):
+                refuse()
+            return unchecked(cls, **fields)
+
+        for cls in (Filter, MultiFilter):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "lpk" and hasattr(module, "_unchecked"):
+                monkeypatch.setattr(module, "_unchecked", guarded)
+
+        measured, mask = small_2d_case(0)
+        L, P = 1, 2
+        fmap = fit_interpolation_filters(measured, mask, L, P)
+        assert fmap
+        shape = (measured.q_count, measured.q_count, L + P + 1, L + P + 1)
+        for taps in fmap.values():
+            assert isinstance(taps, np.ndarray) and taps.shape == shape
+            assert not taps.flags.writeable
+            for m in range(measured.q_count):
+                assert taps[m, m, L, L] == -1.0
+        est = interpolate_missing(measured, mask, fmap, L, P, strict=False)
+        assert not np.array_equal(est.stack(), measured.stack())
+        ENGINES["interp"](measured, mask, {"L": L, "P": P})
+
     def test_pass_that_imputes_nothing_is_not_counted(self):
         grid = centered_grid(64, 1.0)
         truth = scene_samples(demo_scene_1d(), grid)
@@ -74,7 +112,7 @@ class TestInterpEngine:
 
 
 
-def object_interp(measured, mask, params):
+def public_interp(measured, mask, params):
     """The interp engine's passes written out over the public fit,
     imputation and grouping, each grouping the samples on its own: the
     engine must match it bitwise whatever shortcuts it takes."""
@@ -96,13 +134,13 @@ def object_interp(measured, mask, params):
         fitted = {s for s in fmap if quality[s][0] <= max_resid}
         anchor = min((quality[s][1] for s in fitted), default=0.0)
         useful = {
-            s: mfs for s, mfs in fmap.items()
+            s: taps for s, taps in fmap.items()
             if s in fitted and quality[s][1] <= gain_ratio * max(anchor, 1e-3)
         }
         if not useful:
             done -= 1
             break
-        cur = interpolate_missing(cur, eff_mask, useful, strict=False)
+        cur = interpolate_missing(cur, eff_mask, useful, L, P, strict=False)
         for sig, pos in missing_patterns(eff_mask, L, P).items():
             if sig in useful:
                 eff[tuple(pos.T)] = True
@@ -141,10 +179,10 @@ def interp_cases(draw):
 class TestInterpPasses:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(case=interp_cases())
-    def test_matches_the_public_object_loop(self, case):
+    def test_matches_the_public_loop(self, case):
         measured, mask, params = case
         est, report = ENGINES["interp"](measured, mask, params)
-        want, want_report = object_interp(measured, mask, params)
+        want, want_report = public_interp(measured, mask, params)
         assert est.stack().tobytes() == want.stack().tobytes()
         assert (report.iterations, report.converged, report.notes) == (
             want_report.iterations, want_report.converged, want_report.notes,
@@ -206,3 +244,30 @@ def test_experiment_rows_and_csv_carry_notes(tmp_path):
         "lowrank": by_method["lowrank"]["notes"],
         "interp": "",
     }
+
+
+def test_registered_engine_runs_in_experiments(tmp_path):
+    calls = []
+
+    def toy(measured, mask, params):
+        calls.append(params)
+        return measured, ReconReport(method="toy", iterations=7, converged=True, notes=("toy ran",))
+
+    before = dict(ENGINES)
+    try:
+        register_engine("toy", toy)
+        assert ENGINES["toy"] is toy
+        config = {
+            "scene": "demo1d",
+            "grid": 32,
+            "mask": {"kind": "uniform", "accel": 2, "calib": 8},
+            "methods": [{"name": "toy", "knob": 3}],
+            "seeds": [0, 1],
+        }
+        doc = run_experiment(config, out_dir=str(tmp_path))
+    finally:
+        ENGINES.pop("toy", None)
+    assert ENGINES == before
+    assert calls == [{"knob": 3}, {"knob": 3}]
+    assert [(r["method"], r["iterations"], r["notes"]) for r in doc["rows"]] == [("toy", 7, "toy ran")] * 2
+    assert all(case["error"] is None for case in doc["cases"])

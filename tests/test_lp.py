@@ -250,20 +250,16 @@ class TestInterpolateMissing:
 
     @staticmethod
     def shift_filters():
-        """Hand-built imputation map for the uniform "101" pattern."""
-        ch0 = MultiFilter(
-            (
-                Filter(np.array([0, -1.0, 0]), 1, 1, anchor_fixed=True),
-                Filter(np.array([1.0, 0, 0]), 1, 1),  # rho1[n] = rho2[n+1]
-            )
+        """Hand-built L = P = 1 imputation map for the uniform "101" pattern:
+        ``[anchor, channel, k + 1]`` taps."""
+        taps = np.array(
+            [
+                [[0, -1.0, 0], [1.0, 0, 0]],  # rho1[n] = rho2[n+1]
+                [[0, 0, 1.0], [0, -1.0, 0]],  # rho2[n] = rho1[n-1]
+            ],
+            dtype=complex,
         )
-        ch1 = MultiFilter(
-            (
-                Filter(np.array([0, 0, 1.0]), 1, 1),  # rho2[n] = rho1[n-1]
-                Filter(np.array([0, -1.0, 0]), 1, 1, anchor_fixed=True),
-            )
-        )
-        return {"101": (ch0, ch1)}
+        return {"101": taps}
 
     def test_exact_recovery_from_shift_identity(self):
         g = centered_grid(17, 1.0)
@@ -271,14 +267,14 @@ class TestInterpolateMissing:
         acq = (np.arange(-8, 9) % 2) == 0
         mask = SamplingMask(g, acq)
         masked = MultiKSignal.from_array(g, np.where(acq, ms.stack(), 0.0))
-        out = interpolate_missing(masked, mask, self.shift_filters())
+        out = interpolate_missing(masked, mask, self.shift_filters(), 1, 1)
         assert np.max(np.abs(out.stack() - ms.stack())) <= 1e-12
 
     def test_fully_sampled_is_identity(self):
         g = centered_grid(9, 1.0)
         ms = self.harmonic_pair(g)
         mask = SamplingMask(g, np.ones(9, dtype=bool))
-        out = interpolate_missing(ms, mask, {})
+        out = interpolate_missing(ms, mask, {}, 1, 1)
         assert np.array_equal(out.stack(), ms.stack())
 
     def test_uncovered_signature_raises(self):
@@ -288,7 +284,7 @@ class TestInterpolateMissing:
         acq[3:6] = False  # window around index 0 fully missing
         masked = MultiKSignal.from_array(g, np.where(acq, ms.stack(), 0.0))
         with pytest.raises(UncoveredPatternError):
-            interpolate_missing(masked, SamplingMask(g, acq), self.shift_filters())
+            interpolate_missing(masked, SamplingMask(g, acq), self.shift_filters(), 1, 1)
 
     def test_fitted_filters_recover_calibrated_pattern(self):
         g = centered_grid(33, 1.0)
@@ -298,7 +294,7 @@ class TestInterpolateMissing:
         mask = SamplingMask(g, acq, ((-3, 3),))
         masked = MultiKSignal.from_array(g, np.where(acq, ms.stack(), 0.0))
         fmap = fit_interpolation_filters(masked, mask, L=1, P=1, ridge=0.0)
-        out = interpolate_missing(masked, mask, fmap)
+        out = interpolate_missing(masked, mask, fmap, 1, 1)
         assert np.max(np.abs(out.stack() - ms.stack())) <= 1e-10
 
     def test_pattern_signature_reads_window(self):
@@ -327,24 +323,24 @@ class TestInterpolateMissing:
     )
     def test_tap_on_unacquired_offset_raises(self, anchor, channel, k):
         masked, mask, fmap = self.wide_fit()
-        mfs = list(fmap["01010"])
-        mf = mfs[anchor]
-        filters = list(mf.filters)
-        taps = filters[channel].taps.copy()
-        taps[k + mf.L] = 0.25
-        filters[channel] = Filter(taps, mf.L, mf.P, anchor_fixed=filters[channel].anchor_fixed)
-        mfs[anchor] = MultiFilter(tuple(filters))
-        fmap["01010"] = tuple(mfs)
+        taps = fmap["01010"].copy()
+        taps[anchor, channel, k + 2] = 0.25
+        fmap["01010"] = taps
         with pytest.raises(UncoveredPatternError) as err:
-            interpolate_missing(masked, mask, fmap)
+            interpolate_missing(masked, mask, fmap, 2, 2)
         assert str(err.value) == "no filter covers local pattern(s): 01010 (tap on unacquired offset)"
+
+    def test_taps_for_another_channel_count_are_rejected(self):
+        masked, mask, fmap = self.wide_fit()
+        with pytest.raises(ValueError, match=r"have shape \(2, 2, 5\), expected \(1, 1, 5\)"):
+            interpolate_missing(masked.channels[0], mask, fmap, 2, 2, strict=False)
 
     def test_anchor_tap_on_missing_sample_is_allowed(self):
         masked, mask, fmap = self.wide_fit()
-        for m, mf in enumerate(fmap["01010"]):
-            assert mf.anchor_channel == m
-            assert mf.filters[m].tap((0,)) == -1.0
-        out = interpolate_missing(masked, mask, fmap).stack()
+        taps = fmap["01010"]
+        for m in range(len(taps)):
+            assert taps[m, m, 2] == -1.0  # k = 0 of L = 2, on the missing sample
+        out = interpolate_missing(masked, mask, fmap, 2, 2).stack()
         truth = self.harmonic_pair(mask.grid).stack()
         # The default ridge biases the fit slightly (measured 3.4e-6).
         assert np.max(np.abs(out - truth)) <= 1e-4 * np.max(np.abs(truth))
@@ -452,10 +448,9 @@ class TestSharedPatternSolve:
         fmap, quality = fit_interpolation_filters(ms, mask, L, P, ridge, return_quality=True)
         want_taps, want_quality = per_channel_fit(ms, mask, L, P, ridge)
         assert list(fmap) == list(want_taps) and list(quality) == list(want_quality)
-        for sig, mfs in fmap.items():
-            assert [mf.anchor_channel for mf in mfs] == list(range(q_count))
-            got = np.array([[f.taps for f in mf.filters] for mf in mfs])
+        for sig, got in fmap.items():
             want = want_taps[sig]
+            assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             np.testing.assert_allclose(quality[sig], want_quality[sig], rtol=1e-12, atol=0)
 
@@ -466,15 +461,16 @@ def per_tap_gather(stacked, mask, filters, L, P):
     for pos in mask.missing_positions():
         n = tuple(int(p + lo) for p, lo in zip(pos, mask.grid.n_min))
         sig = loop_signature(mask, n, L, P)
-        for mf in filters.get(sig, ()):
-            m = mf.anchor_channel
+        if sig not in filters:
+            continue
+        for m, anchored in enumerate(filters[sig]):
             acc = 0.0
-            for q, filt in enumerate(mf.filters):
-                for tap_pos in np.argwhere(filt.taps != 0):
+            for q, taps in enumerate(anchored):
+                for tap_pos in np.argwhere(taps != 0):
                     k = tap_pos - L
                     if q == m and not k.any():
                         continue
-                    acc += filt.taps[tuple(tap_pos)] * stacked[q][tuple(pos - k)]
+                    acc += taps[tuple(tap_pos)] * stacked[q][tuple(pos - k)]
             out[(m,) + tuple(pos)] = acc
     return out
 
@@ -519,7 +515,7 @@ class TestMissingPatterns:
         # Junk at the missing entries shows any read of an unacquired sample.
         stacked[:, ~mask.acquired] = 1e3 * (1 + 2j)
         data = MultiKSignal.from_array(grid, stacked)
-        got = interpolate_missing(data, mask, fmap, strict=False).stack()
+        got = interpolate_missing(data, mask, fmap, L, P, strict=False).stack()
         want = per_tap_gather(stacked, mask, fmap, L, P)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 

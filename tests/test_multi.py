@@ -26,6 +26,8 @@ from lpk.multi import (
     MultiScene,
     SmsScene,
     _joint_normal,
+    load_scene,
+    save_scene,
     scene_from_json,
     scene_samples,
     scene_to_json,
@@ -361,4 +363,27 @@ def test_scene_json_round_trip_keeps_samples(scene):
     got, want = scene_stacks(back, grid), scene_stacks(scene, grid)
     assert len(got) == len(want)
     for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("which", ["multi", "sms", "sms-coils"])
+def test_scene_file_round_trip(tmp_path, which):
+    coils = make_sensitivities(3, 2, seed=4, dims=2)
+    fov = (1.0, 1.25)
+    slices = tuple(
+        Phantom((Primitive("ellipse", (c, 0.1), (0.2, 0.15), 2.0 - 1j),
+                 Primitive("boxcar", (-0.2, c), (0.1, 0.05), 0.5)), fov)
+        for c in (0.05, -0.1)
+    )
+    scene = {
+        "multi": MultiScene(slices[0], coils),
+        "sms": SmsScene(slices),
+        "sms-coils": SmsScene(slices, coils),
+    }[which]
+    save_scene(tmp_path / "scene.json", scene)
+    back = load_scene(tmp_path / "scene.json")
+    assert type(back) is type(scene)
+    assert scene_to_json(back) == scene_to_json(scene)
+    grid = centered_grid((6, 5), fov)
+    for g, w in zip(scene_stacks(back, grid), scene_stacks(scene, grid), strict=True):
         assert g.tobytes() == w.tobytes()

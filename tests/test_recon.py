@@ -1,5 +1,7 @@
 """Structured lifting, completion solvers, and conjugate-symmetry helpers."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -21,13 +23,17 @@ from lpk.lp import FilterBank, build_calib_matrix, nullspace_filter_bank
 from lpk.multi import scene_samples
 from lpk.phantom import Phantom, Primitive, fourier_samples
 from lpk.recon import (
+    ReconReport,
     StructuredMatrix,
     _BankOperator,
+    _ritz_conditioning,
     annihilation_recon,
     lift,
     lowrank_complete,
     pf_recon,
     reflect_mask,
+    report_from_json,
+    report_to_json,
     unpaired_positions,
     virtual_conjugate,
 )
@@ -717,6 +723,68 @@ def forced_operator(evaluation, bank, shape):
     return op
 
 
+def lanczos_tridiagonal(alphas, betas):
+    """The tridiagonal matrix CG builds implicitly, entry by entry."""
+    m = len(alphas)
+    T = np.zeros((m, m))
+    for j in range(m):
+        T[j, j] = 1.0 / alphas[j] + (betas[j - 1] / alphas[j - 1] if j > 0 else 0.0)
+        if j < m - 1:
+            T[j, j + 1] = T[j + 1, j] = np.sqrt(betas[j]) / alphas[j]
+    return T
+
+
+class TestRitzConditioning:
+    @pytest.mark.parametrize("m", [2, 3, 17, 200])
+    def test_matches_the_dense_spectrum(self, m):
+        rng = np.random.default_rng(m)
+        alphas, betas = rng.uniform(0.05, 2.0, m), rng.uniform(0.01, 0.95, m)
+        vals = np.linalg.eigvalsh(lanczos_tridiagonal(alphas, betas))
+        assert vals[0] > 0
+        np.testing.assert_allclose(
+            _ritz_conditioning(list(alphas), list(betas)), vals[-1] / vals[0], rtol=1e-10
+        )
+
+    def test_full_cg_run_recovers_the_condition_number(self):
+        # After n steps on an n x n SPD system the Ritz values are its eigenvalues.
+        a = np.array([0.5, 1.0, 2.0, 3.0, 7.0, 10.0])
+        _, _, converged, alphas, betas, *_ = lpk.recon._cg(
+            lambda v: a * v, np.ones(6, complex), tol=1e-13, max_iters=6
+        )
+        assert converged and len(alphas) == 6
+        assert _ritz_conditioning(alphas, betas) == pytest.approx(20.0, rel=1e-8)
+
+    def test_empty_and_single_step(self):
+        assert _ritz_conditioning([], []) is None
+        assert _ritz_conditioning([0.25], [0.5]) == 1.0
+
+    @pytest.mark.parametrize("alphas,betas", [([-0.5], [0.1]), ([1.0, -0.5], [0.25, 0.1])])
+    def test_non_positive_minimum_gives_none(self, alphas, betas):
+        assert np.linalg.eigvalsh(lanczos_tridiagonal(alphas, betas))[0] <= 0
+        assert _ritz_conditioning(alphas, betas) is None
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        ReconReport(method="zero-fill", iterations=0, converged=True),
+        ReconReport(
+            method="annihilation-hard", iterations=3, converged=False,
+            objective_trace=(4.0, 2.5, 1.25, 1.0), conditioning=123.5,
+            notes=("CG stopped at the iteration cap (3); relative residual 0.1 (tol 1e-09)",),
+        ),
+        ReconReport(
+            method="lowrank-C", iterations=7, converged=True, objective_trace=(1.0, 0.5),
+            rank=2, spectrum_head=(3.0, 1.5, 1e-9), degenerate=True,
+            notes=("first note", "second note"),
+        ),
+    ],
+)
+def test_report_json_round_trip(report):
+    assert report_from_json(report_to_json(report)) == report
+    assert report_from_json(json.loads(json.dumps(report_to_json(report)))) == report
+
+
 class TestBankOperator:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(case=bank_cases())
@@ -797,6 +865,24 @@ class TestBankOperator:
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_window_recon_matches_direct_oracle(self, lam, monkeypatch):
         self.recon_against_direct(lam, "window", monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "n_min,n_max",
+    [
+        ((-4,), (4,)), ((-4,), (3,)), ((-3,), (5,)), ((0,), (5,)), ((1,), (4,)),
+        ((-5,), (-1,)), ((-5,), (0,)), ((-2, 0), (3, 4)), ((-3, -5), (2, -1)), ((-2, 1), (2, 3)),
+    ],
+)
+def test_reflection_matches_the_per_index_loop(n_min, n_max):
+    grid = KGrid.window(n_min, n_max, (1.0,) * len(n_min))
+    x = cplx(np.random.default_rng(3), (2,) + grid.shape)
+    want = np.zeros_like(x)
+    for idx in np.ndindex(grid.shape):
+        mirror = tuple(-(i + lo) for i, lo in zip(idx, grid.n_min))
+        if grid.contains(mirror):
+            want[(slice(None),) + idx] = x[(slice(None),) + grid.pos(mirror)]
+    assert lpk.recon._reflect_values(x, grid).tobytes() == want.tobytes()
 
 
 class TestVirtualConjugate:
