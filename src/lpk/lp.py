@@ -689,6 +689,17 @@ def _decay_constant(phantom: Phantom) -> float:
     return c
 
 
+def _tail(c_tot: float, kmax: int, grid: KGrid, L: int, P: int) -> float:
+    """Bound on the response energy that a 1D grid's valid range
+    ``[n_min + P, n_max - L]`` leaves out, for a response with
+    ``|r[n]| <= c_tot / (|n| - kmax)``; inf unless the range reaches past
+    ``kmax`` on both sides."""
+    lo_v, hi_v = grid.n_min[0] + P, grid.n_max[0] - L
+    if hi_v - kmax < 1 or -lo_v - kmax < 1:
+        return float(np.inf)
+    return c_tot**2 * (1.0 / (hi_v - kmax) + 1.0 / (-lo_v - kmax))
+
+
 def _lhs_energy(sample_fns, filters, grid: KGrid, chunk: int = 1 << 20) -> float:
     """Sum of |summed filter responses|^2 over the valid range, in chunks.
 
@@ -742,15 +753,8 @@ def check_annihilation_identity(
 
     rhs = float(piecewise_quad(integrand, edges, points=quadrature_points)) / b
 
-    c = _decay_constant(phantom)
-    norm1 = float(np.sum(np.abs(filt.taps)))
-    kmax = max(filt.L, filt.P)
-    lo_v, hi_v = grid.n_min[0] + filt.P, grid.n_max[0] - filt.L
-    if hi_v - kmax < 1 or -lo_v - kmax < 1:
-        tail = np.inf
-    else:
-        tail = (norm1 * c) ** 2 * (1.0 / (hi_v - kmax) + 1.0 / (-lo_v - kmax))
-    return IdentityCheck(lhs, rhs, float(tail))
+    c_tot = float(np.sum(np.abs(filt.taps))) * _decay_constant(phantom)
+    return IdentityCheck(lhs, rhs, _tail(c_tot, max(filt.L, filt.P), grid, filt.L, filt.P))
 
 
 def bank_to_json(bank: FilterBank) -> dict:

@@ -7,9 +7,9 @@ holds several objects whose samples are only observed summed; short
 separator filters applied to the sum recover the individual objects
 whenever each filter's spatial response is near one on its own object's
 support and near zero on the others.  A fully sampled sum is split by
-valid-range convolution; an undersampled one by a joint solve whose
-separator relations are one filter bank over the stacked slices, applied
-by the annihilation solver's operator (``recon._BankOperator``).
+valid-range convolution; an undersampled one by the annihilation
+solve (``recon._bank_solve``): the separator relations are one filter
+bank over the stacked slices, and the data term sees the slices summed.
 
 The identity checks mirror the single-image one: a truncated response
 energy on the sample side against a quadrature energy integral on the
@@ -28,7 +28,9 @@ from .core import (
     Filter, GridMismatchError, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask,
     conv_apply, conv_response,
 )
-from .lp import IdentityCheck, _decay_constant as _decay, _lhs_energy, _ridge_solve, build_calib_matrix
+from .lp import (
+    IdentityCheck, _decay_constant as _decay, _lhs_energy, _ridge_solve, _tail, build_calib_matrix,
+)
 from .phantom import (
     Modulator,
     Phantom,
@@ -41,7 +43,7 @@ from .phantom import (
     spatial_profile,
 )
 from .quadrature import merge_edges, piecewise_quad
-from .recon import ReconReport, _BankOperator, _cg, _ritz_conditioning
+from .recon import ReconReport, _bank_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,24 +271,6 @@ def sms_fit_separator_coils(
     return mf, SeparatorReport(repro, float(leakage), mu, rows)
 
 
-def _joint_normal(seps: Sequence[Filter], acq: np.ndarray, lam: float):
-    """The undersampled split's normal operator on flat ``[R, *N]`` stacks.
-    Relation ``m`` is one filter over the slices: ``h[m, q] = f_m - [q = m] δ₀``,
-    ``δ₀`` the ``k = 0`` tap."""
-    shape = (len(seps),) + acq.shape
-    taps = np.repeat(np.stack([f.taps for f in seps])[:, None], len(seps), axis=1)
-    for m, f in enumerate(seps):
-        taps[(m, m) + (f.L,) * acq.ndim] -= 1.0
-    op = _BankOperator(taps, shape)
-
-    def apply_a(vec):
-        x = vec.reshape(shape)
-        out = np.where(acq, x.sum(axis=0), 0.0) + lam * op.adjoint(op.forward(x))
-        return out.reshape(-1)
-
-    return apply_a
-
-
 def sms_separate(
     summed: KSignal,
     separators: Sequence[Filter],
@@ -299,9 +283,11 @@ def sms_separate(
 
     Fully sampled data is split directly: slice ``m`` is separator ``m``
     applied to the sum, on the shrunken valid grid.  With a mask, the
-    slices become joint unknowns: conjugate gradients balances summed
-    data consistency on acquired indices against each slice's separator
-    relation (weighted by ``lam``), returning slices on the full grid.
+    slices become joint unknowns of the annihilation solve
+    (``recon._bank_solve``) with the slice sum as its data: conjugate
+    gradients balances summed data consistency on acquired indices
+    against each slice's separator relation, ``f_m`` over the sum less
+    slice ``m`` (weighted by ``lam``), returning slices on the full grid.
 
     That split is limited by the model: summed over ``m`` the relations
     leave ``conv_valid(sum_q x_q, sum_m f_m - δ₀)``, and separators that
@@ -326,25 +312,16 @@ def sms_separate(
         )
     if lam <= 0:
         raise ValueError("undersampled separation needs lam > 0")
-    acq = mask.acquired
-    y = np.where(acq, summed.values, 0.0)
     shape = (len(seps),) + summed.grid.shape
-    apply_a = _joint_normal(seps, acq, lam)
-    b = np.broadcast_to(y, shape).copy().reshape(-1)
-    f0 = float(np.sum(np.abs(y[acq]) ** 2))
-    sol, iters, converged, alphas, betas, drops, notes = _cg(apply_a, b, tol, max_iters)
-    trace = [f0]
-    for d in drops:
-        trace.append(trace[-1] - d)
-    report = ReconReport(
-        method="sms-joint",
-        iterations=iters,
-        converged=converged,
-        objective_trace=tuple(trace),
-        conditioning=_ritz_conditioning(alphas, betas),
-        notes=notes,
+    # Relation m is one filter over the slices: h[m, q] = f_m - [q = m] δ₀,
+    # δ₀ the k = 0 tap.
+    taps = np.repeat(np.stack([f.taps for f in seps])[:, None], len(seps), axis=1)
+    for m in range(len(seps)):
+        taps[(m, m) + (L,) * summed.grid.dims] -= 1.0
+    x, report = _bank_solve(
+        taps, shape, summed.values[None], mask.acquired[None], lam, tol, max_iters, "sms-joint"
     )
-    return MultiKSignal.from_array(summed.grid, sol.reshape(shape)), report
+    return MultiKSignal.from_array(summed.grid, x), report
 
 
 def sms_separate_coils(
@@ -369,13 +346,6 @@ def _spatial_filter(filt: Filter, b: float):
         return (np.exp(2j * np.pi * np.multiply.outer(x, k) / b) @ filt.taps) / b
 
     return h
-
-
-def _tail(c_tot: float, kmax: int, grid: KGrid, L: int, P: int) -> float:
-    lo_v, hi_v = grid.n_min[0] + P, grid.n_max[0] - L
-    if hi_v - kmax < 1 or -lo_v - kmax < 1:
-        return float(np.inf)
-    return c_tot**2 * (1.0 / (hi_v - kmax) + 1.0 / (-lo_v - kmax))
 
 
 def check_multichannel_identity(

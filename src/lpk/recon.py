@@ -14,13 +14,16 @@ Two complementary routes:
   gather and scatter behind validated value types, for callers at the
   API edge and as the oracle the sweep is tested against; the first
   sweep goes through them.
-* Fix a bank of annihilating filters and solve the quadratic problem
-  "acquired samples stay put, total filter response energy is minimal"
-  by conjugate gradients (``annihilation_recon``).  Each CG step applies
-  the whole bank forward and back as one operator (``_BankOperator``)
-  with exact valid-range responses and no wraparound.  It takes a stacked
-  ``[F, Q, *W]`` tap array, and ``pf_recon`` and the slice separation of
-  ``multi.sms_separate`` solve with it too.  It has two exact
+* Fix a bank of annihilating filters and choose the missing samples so
+  that the total filter response energy is minimal, by conjugate
+  gradients.  One routine, ``_bank_solve``, builds that solve, with the
+  acquired samples as constraints or as a weighted data term, and
+  reports it.  It has three users: ``annihilation_recon``, ``pf_recon``'s
+  ``annihilation-vc`` through it, and the undersampled
+  ``multi.sms_separate``, whose data term sees the slices summed.  Each
+  CG step applies the whole bank forward and back as one operator
+  (``_BankOperator``) on a stacked ``[F, Q, *W]`` tap array, with exact
+  valid-range responses and no wraparound.  The operator has two exact
   evaluations, chosen once per solve from the size of the lifted window
   matrix: small matrices take one window gather (the gather of ``lift``)
   and two GEMMs with the taps, whose cost is all arithmetic; large ones
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -425,8 +428,8 @@ _WINDOW_CELLS = 2**15
 class _BankOperator:
     """A stacked ``[F, Q, *W]`` tap array applied jointly as one linear map.
 
-    The filter bank of ``annihilation_recon``, ``pf_recon`` and
-    ``multi.sms_separate``.  ``W`` taps on every axis, ascending in ``k``;
+    The filter bank that ``_bank_solve`` minimizes the response of.
+    ``W`` taps on every axis, ascending in ``k``;
     the operator reads only the width, since where ``k = 0`` sits only
     labels the valid range.
     ``forward`` takes a stacked signal ``x[Q, *N]`` to the per-filter joint
@@ -571,6 +574,76 @@ def _ritz_conditioning(alphas: Sequence[float], betas: Sequence[float]) -> float
     return hi / lo
 
 
+def _bank_solve(
+    taps: np.ndarray, shape: tuple[int, ...], y: np.ndarray, acq: np.ndarray, lam: float,
+    tol: float, max_iters: int, method: str,
+) -> tuple[np.ndarray, ReconReport]:
+    """Fill a ``[Q, *N]`` stack so a ``[F, Q, *W]`` bank responds least.
+
+    The one CG solve behind ``annihilation_recon`` (and so ``pf_recon``'s
+    ``annihilation-vc``) and the undersampled ``multi.sms_separate``.  The
+    data ``y`` and mask ``acq`` are ``[G, *N]``, and the data term sees
+    each of the ``G`` equal runs of consecutive channels summed: ``G = Q``
+    is every channel itself, ``G = 1`` the slice sum.
+
+    With ``lam == 0`` (only ``G = Q``) acquired samples are constraints
+    and CG runs over the missing ones, minimizing ``||H x||^2``.  With
+    ``lam > 0`` it minimizes ``||D x - y||^2`` on acquired samples plus
+    ``lam ||H x||^2``, ``D`` the run sums.  The report's objective trace
+    starts at that objective's value at the zero-filled (hard) or zero
+    (soft) start and falls by CG's exact step decreases.
+    """
+    op = _BankOperator(taps, shape)
+    y = np.where(acq, y, 0.0)
+    if lam == 0.0:
+        miss = ~acq
+
+        def apply_a(vec):
+            x = np.zeros(shape, dtype=np.complex128)
+            x[miss] = vec
+            return op.adjoint(op.forward(x))[miss]
+
+        resp0 = op.forward(y)
+        f0 = float(np.sum(np.abs(resp0) ** 2))
+        grad0 = op.adjoint(resp0)
+        b = -grad0[miss]
+        # The FFT evaluation's round-off leaves ~eps-sized entries where
+        # the residual's gradient vanishes exactly (e.g. a bank that never
+        # couples a missing sample to an acquired one); CG must not step
+        # on them.
+        eps = np.finfo(float).eps
+        if np.linalg.norm(b) <= 64 * eps * np.linalg.norm(grad0):
+            b = np.zeros_like(b)
+    else:
+        runs = (y.shape[0], shape[0] // y.shape[0]) + y.shape[1:]
+
+        def apply_a(vec):
+            penalty = lam * op.adjoint(op.forward(vec.reshape(shape)))
+            sums = np.where(acq, vec.reshape(runs).sum(axis=1), 0.0)
+            return (sums[:, None] + penalty.reshape(runs)).reshape(-1)
+
+        f0 = float(np.sum(np.abs(y[acq]) ** 2))
+        b = np.broadcast_to(y[:, None], runs).reshape(-1)
+    sol, iters, converged, alphas, betas, drops, notes = _cg(apply_a, b, tol, max_iters)
+    if lam == 0.0:
+        x = y.copy()
+        x[miss] = sol
+    else:
+        x = sol.reshape(shape)
+    trace = [f0]
+    for d in drops:
+        trace.append(trace[-1] - d)
+    report = ReconReport(
+        method=method,
+        iterations=iters,
+        converged=converged,
+        objective_trace=tuple(trace),
+        conditioning=_ritz_conditioning(alphas, betas),
+        notes=notes,
+    )
+    return x, report
+
+
 def annihilation_recon(
     data,
     mask,
@@ -601,67 +674,13 @@ def annihilation_recon(
     masks = _norm_masks(mask, ms.q_count, ms.grid)
     acq = np.array([m.acquired for m in masks])
     ref = ms.stack()
-    base = np.where(acq, ref, 0.0)
-    shape = base.shape
 
     if lam < 0:
         raise ValueError("lam must be nonnegative")
 
-    op = _BankOperator(np.stack([mf.stack() for mf in bank.filters]), shape)
-    if lam == 0.0:
-        miss = ~acq
-
-        def scatter(vec):
-            x = base.copy()
-            x[miss] = vec
-            return x
-
-        def apply_a(vec):
-            x = np.zeros(shape, dtype=np.complex128)
-            x[miss] = vec
-            return op.adjoint(op.forward(x))[miss]
-
-        resp0 = op.forward(base)
-        f0 = float(np.sum(np.abs(resp0) ** 2))
-        grad0 = op.adjoint(resp0)
-        b = -grad0[miss]
-        # The FFT evaluation's round-off leaves ~eps-sized entries where
-        # the residual's gradient vanishes exactly (e.g. a bank that never
-        # couples a missing sample to an acquired one); CG must not step
-        # on them.
-        eps = np.finfo(float).eps
-        if np.linalg.norm(b) <= 64 * eps * np.linalg.norm(grad0):
-            b = np.zeros_like(b)
-        sol, iters, converged, alphas, betas, drops, notes = _cg(apply_a, b, tol, max_iters)
-        x = scatter(sol)
-        trace = [f0]
-        for d in drops:
-            trace.append(trace[-1] - d)
-        method = "annihilation-hard"
-    else:
-
-        def apply_a(vec):
-            x = vec.reshape(shape)
-            out = np.where(acq, x, 0.0) + lam * op.adjoint(op.forward(x))
-            return out.reshape(-1)
-
-        f0 = float(np.sum(np.abs(base[acq]) ** 2))
-        sol, iters, converged, alphas, betas, drops, notes = _cg(
-            apply_a, base.reshape(-1), tol, max_iters
-        )
-        x = sol.reshape(shape)
-        trace = [f0]
-        for d in drops:
-            trace.append(trace[-1] - d)
-        method = "annihilation-soft"
-
-    report = ReconReport(
-        method=method,
-        iterations=iters,
-        converged=converged,
-        objective_trace=tuple(trace),
-        conditioning=_ritz_conditioning(alphas, betas),
-        notes=notes,
+    x, report = _bank_solve(
+        np.stack([mf.stack() for mf in bank.filters]), ref.shape, ref, acq, lam, tol, max_iters,
+        "annihilation-hard" if lam == 0.0 else "annihilation-soft",
     )
     return MultiKSignal.from_array(ms.grid, x), report
 
@@ -720,12 +739,4 @@ def pf_recon(
         aug, aug_masks, bank, lam=0.0, tol=tol, max_iters=max_iters
     )
     kept = MultiKSignal(tuple(out.channels[: ms.q_count]))
-    report = ReconReport(
-        method="annihilation-vc",
-        iterations=report.iterations,
-        converged=report.converged,
-        objective_trace=report.objective_trace,
-        conditioning=report.conditioning,
-        notes=report.notes,
-    )
-    return kept, report
+    return kept, replace(report, method="annihilation-vc")

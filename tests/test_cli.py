@@ -1,5 +1,6 @@
 """``lpk`` command line: identity verdicts and exit codes."""
 
+import argparse
 import csv
 import json
 
@@ -29,6 +30,18 @@ def test_default_grids_agree(capsys, theorem):
         assert float(out["tail"]) / rhs < 0.1
     else:  # theorem 2: the filter annihilates exactly, both sides are zero
         assert float(out["absolute"]) == 0.0
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+def test_tail_bound_covers_what_the_grid_truncates(theorem):
+    # The valid range of the 1025 grid lies inside that of the 2^18 grid,
+    # so the gap is the response energy the smaller grid leaves out, as
+    # far as 2^18 reaches.  The bounds are loose: the gaps are 2.2e-8, 0
+    # and 1.1e-5 against tails of 2.4e-3, 1.6e-3 and 3.6e-3.
+    scene = getattr(lpk.cli, f"_theorem_scene_{theorem}")
+    small, _ = scene(argparse.Namespace(grid=1025, fov=None, L=4, P=4))
+    large, _ = scene(argparse.Namespace(grid=1 << 18, fov=None, L=4, P=4))
+    assert 0.0 <= large.lhs - small.lhs <= small.tail_bound
 
 
 def test_loose_tail_bound_is_inconclusive(capsys):

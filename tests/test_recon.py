@@ -1,5 +1,6 @@
 """Structured lifting, completion solvers, and conjugate-symmetry helpers."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -970,6 +971,24 @@ class TestPfRecon:
         )
         assert not rep.converged
         assert len(rep.notes) == 1 and rep.notes[0].startswith("CG stopped at the iteration cap (2);")
+
+    def test_report_is_the_inner_solve_report_renamed(self, monkeypatch):
+        _, mask, masked = self.pf_case()
+        inner = []
+        solve = lpk.recon.annihilation_recon
+
+        def spy(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            inner.append(out[1])
+            return out
+
+        monkeypatch.setattr(lpk.recon, "annihilation_recon", spy)
+        _, rep = pf_recon(masked, mask, method="annihilation-vc", L=1, P=1, max_iters=2)
+        (want,) = inner
+        assert rep.method == "annihilation-vc"
+        for field in dataclasses.fields(ReconReport):
+            if field.name != "method":
+                assert getattr(rep, field.name) == getattr(want, field.name), field.name
 
     def test_symmetric_lowrank_route_improves_on_zero_fill(self):
         sig, mask, masked = self.pf_case()
