@@ -274,9 +274,6 @@ class Filter:
         k = _axes_int(k, "k")
         return complex(self.taps[tuple(ki + self.L for ki in k)])
 
-    def k_vectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.arange(-self.L, self.P + 1) for _ in range(self.dims))
-
 
 @dataclass(frozen=True, eq=False)
 class MultiFilter:

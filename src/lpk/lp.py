@@ -7,12 +7,15 @@ filter dotted with a row gives the joint prediction residual at that
 position, so least-squares fits, pattern-aware interpolation kernels, and
 nullspace filter banks are all small dense problems over this matrix.
 
-The Gram route works on the analytic scene instead of its samples: for a
-phantom made of intervals, ``g[m] = (1/B^2) integral |rho(x)|^2
-exp(+i 2 pi x m / B) dx`` has a closed form, the Hermitian matrix
-``G[k, n] = g[n - k]`` expresses the spatial energy ``(1/B) integral
-|rho h|^2`` of any tap sequence as ``(1/B) h^H G h``, and its smallest
-eigenvectors are the best-annihilating unit-norm sequences.
+One Parseval convention links samples and space.  Taps ``h`` applied to
+the samples ``x[n] = integral rho(x) exp(-i 2 pi n x / B) dx`` leave a
+response energy over all ``n`` of ``B integral |rho(x) H(x)|^2 dx``, with
+``H(x) = sum_k h[k] exp(+i 2 pi k x / B)``; the identity checks compare it
+with what a finite grid sums.  For a phantom made of intervals,
+``g[m] = B integral |rho(x)|^2 exp(+i 2 pi x m / B) dx`` has a closed
+form, the Hermitian ``G[k, n] = g[n - k]`` gives the energy as
+``h^H G h``, and its smallest eigenvectors are the best-annihilating
+unit-norm sequences.
 
 Pattern-aware interpolation (one kernel per local sampling pattern, as in
 GRAPPA) keeps each pattern's filters as one read-only ``[Q, Q, *W]`` tap
@@ -624,10 +627,10 @@ def _squared_boxcar_phantom(phantom: Phantom) -> Phantom:
 def gram_operator(phantom: Phantom, L: int, P: int) -> GramOperator:
     """Closed-form ``G[k, n] = g[n - k]`` for an interval phantom, 1D.
 
-    ``g[m] = (1/B^2) integral |rho(x)|^2 exp(+i 2 pi x m / B) dx`` is
-    evaluated exactly by squaring the interval decomposition (pairwise
-    overlaps are intervals again).  ``(1/B) h^H G h`` equals the spatial
-    energy ``(1/B) integral |rho(x) h(x)|^2 dx`` of any tap vector.
+    ``g[m] = B integral |rho(x)|^2 exp(+i 2 pi x m / B) dx`` is evaluated
+    exactly by squaring the interval decomposition (pairwise overlaps are
+    intervals again).  ``h^H G h`` is the response energy of any tap
+    vector over every index, ``B integral |rho(x) H(x)|^2 dx``.
     """
     if phantom.dims != 1:
         raise ValueError("gram_operator is 1D only")
@@ -637,7 +640,7 @@ def gram_operator(phantom: Phantom, L: int, P: int) -> GramOperator:
     width = L + P + 1
     b = phantom.fov[0]
     m = np.arange(-(width - 1), width)
-    g = samples_at(sq, (-m,)) / b**2
+    g = b * samples_at(sq, (-m,))
     idx = np.subtract.outer(np.arange(width), np.arange(width))  # k - n
     G = g[(width - 1) - idx]  # g[n - k]
     return GramOperator(G, L, P, b)
@@ -648,7 +651,8 @@ def smallest_eigensequences(gram: GramOperator, count: int) -> FilterBank:
 
     Eigenvectors of the Gram operator for the ``count`` smallest
     eigenvalues, each phase-normalized so its first nonzero component is
-    positive real; residuals are the eigenvalues themselves, ascending.
+    positive real.  Residuals are the eigenvalues, ascending: response
+    energies over every index, which an identity check's lhs approaches.
     """
     width = gram.L + gram.P + 1
     if not 1 <= count <= width:
@@ -700,13 +704,12 @@ def _tail(c_tot: float, kmax: int, grid: KGrid, L: int, P: int) -> float:
     return c_tot**2 * (1.0 / (hi_v - kmax) + 1.0 / (-lo_v - kmax))
 
 
-def _lhs_energy(sample_fns, filters, grid: KGrid, chunk: int = 1 << 20) -> float:
+def _lhs_energy(sample_fns, taps, L: int, P: int, grid: KGrid, chunk: int = 1 << 20) -> float:
     """Sum of |summed filter responses|^2 over the valid range, in chunks.
 
     ``sample_fns[j]`` maps a consecutive index array to closed-form
-    samples convolved with ``filters[j]``; all filters share (L, P).
+    samples convolved with the tap array ``taps[j]`` on ``[-L, P]``.
     """
-    L, P = filters[0].L, filters[0].P
     lo, hi = grid.n_min[0] + P, grid.n_max[0] - L
     if lo > hi:
         raise ValueError("grid too small for the filter")
@@ -716,12 +719,40 @@ def _lhs_energy(sample_fns, filters, grid: KGrid, chunk: int = 1 << 20) -> float
         stop = min(start + chunk - 1, hi)
         n_ext = np.arange(start - P, stop + L + 1)
         resp = None
-        for fn, filt in zip(sample_fns, filters):
-            r = np.convolve(fn(n_ext), filt.taps, mode="valid")
+        for fn, t in zip(sample_fns, taps):
+            r = np.convolve(fn(n_ext), t, mode="valid")
             resp = r if resp is None else resp + r
         total += float(np.sum(np.abs(resp) ** 2))
         start = stop + 1
     return total
+
+
+def _energy_identity(
+    sample_fns, profiles, taps, L: int, P: int, phantoms, grid: KGrid,
+    c_tot: float, kmax: int, quadrature_points: int,
+) -> IdentityCheck:
+    """Both sides of ``sum_n |sum_j (h_j * x_j)[n]|^2 = B integral |sum_j H_j u_j|^2``.
+
+    ``sample_fns[j]`` maps consecutive indices to the closed-form samples
+    of the profile ``u_j = profiles[j](x, mid)``, filtered by ``taps[j]`` on
+    ``[-L, P]``.  lhs sums the grid's valid range; rhs integrates over
+    ``[-B/2, B/2]`` split at the phantoms' support edges; the tail bound is
+    :func:`_tail` for responses with ``|r[n]| <= c_tot / (|n| - kmax)``.
+    """
+    for p in phantoms:
+        _ph._check_fov(p, grid)
+    b = phantoms[0].fov[0]
+    lhs = _lhs_energy(sample_fns, taps, L, P, grid)
+
+    k = np.arange(-L, P + 1)
+    edges = merge_edges([e for p in phantoms for e in p.support_edges()], -b / 2, b / 2)
+
+    def integrand(x, mid):
+        basis = np.exp(2j * np.pi * np.multiply.outer(x, k) / b)
+        return np.abs(sum((basis @ t) * u(x, mid) for t, u in zip(taps, profiles))) ** 2
+
+    rhs = b * float(piecewise_quad(integrand, edges, points=quadrature_points))
+    return IdentityCheck(lhs, rhs, _tail(c_tot, kmax, grid, L, P))
 
 
 def check_annihilation_identity(
@@ -733,28 +764,20 @@ def check_annihilation_identity(
     """Compare truncated response energy with the spatial energy integral.
 
     lhs sums ``|sum_k h[k] rho[n-k]|^2`` over every valid ``n`` in the
-    grid; rhs integrates ``(1/B) |rho(x) h(x)|^2`` by edge-aligned
-    quadrature with ``h(x) = (1/B) sum_k h[k] exp(+i 2 pi k x / B)``.
-    The reported tail bound dominates the part of the infinite sum the
-    grid truncates away.
+    grid; rhs integrates ``B |rho(x) H(x)|^2`` by edge-aligned quadrature
+    with ``H(x) = sum_k h[k] exp(+i 2 pi k x / B)``, so both sides equal
+    the response energy over every ``n`` up to what the grid leaves out.
+    The reported tail bound dominates that part of the infinite sum.
     """
     if phantom.dims != 1 or grid.dims != 1 or filt.dims != 1:
         raise ValueError("identity check is 1D only")
-    b = phantom.fov[0]
-    lhs = _lhs_energy([lambda n: samples_at(phantom, (n,))], [filt], grid)
-
-    k = np.arange(-filt.L, filt.P + 1)
-    edges = merge_edges(phantom.support_edges(), -b / 2, b / 2)
-
-    def integrand(x, mid):
-        rho = _ph.spatial_profile(phantom, x, mid)
-        h = (np.exp(2j * np.pi * np.multiply.outer(x, k) / b) @ filt.taps) / b
-        return np.abs(rho * h) ** 2
-
-    rhs = float(piecewise_quad(integrand, edges, points=quadrature_points)) / b
-
     c_tot = float(np.sum(np.abs(filt.taps))) * _decay_constant(phantom)
-    return IdentityCheck(lhs, rhs, _tail(c_tot, max(filt.L, filt.P), grid, filt.L, filt.P))
+    return _energy_identity(
+        [lambda n: samples_at(phantom, (n,))],
+        [lambda x, mid: _ph.spatial_profile(phantom, x, mid)],
+        [filt.taps], filt.L, filt.P, (phantom,), grid,
+        c_tot, max(filt.L, filt.P), quadrature_points,
+    )
 
 
 def bank_to_json(bank: FilterBank) -> dict:

@@ -11,9 +11,11 @@ valid-range convolution; an undersampled one by the annihilation
 solve (``recon._bank_solve``): the separator relations are one filter
 bank over the stacked slices, and the data term sees the slices summed.
 
-The identity checks mirror the single-image one: a truncated response
-energy on the sample side against a quadrature energy integral on the
-spatial side, with an explicit bound on the truncated tail.
+The identity checks run on the single-image one's routine
+(``lp._energy_identity``): a truncated response energy on the sample side
+against ``B integral |sum_j H_j u_j|^2`` on the spatial side, ``u_j`` the
+profiles the filtered samples come from (``c_q rho`` per channel; the
+slice sum and the target slice), with a bound on the truncated tail.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import (
     conv_apply, conv_response,
 )
 from .lp import (
-    IdentityCheck, _decay_constant as _decay, _lhs_energy, _ridge_solve, _tail, build_calib_matrix,
+    IdentityCheck, _decay_constant as _decay, _energy_identity, _ridge_solve, build_calib_matrix,
 )
 from .phantom import (
     Modulator,
@@ -42,7 +44,7 @@ from .phantom import (
     samples_at,
     spatial_profile,
 )
-from .quadrature import merge_edges, piecewise_quad
+from .quadrature import piecewise_quad  # noqa: F401  bench/layers.py wraps lpk.multi:piecewise_quad
 from .recon import ReconReport, _bank_solve
 
 
@@ -339,15 +341,6 @@ def sms_separate_coils(
     )
 
 
-def _spatial_filter(filt: Filter, b: float):
-    k = np.arange(-filt.L, filt.P + 1)
-
-    def h(x):
-        return (np.exp(2j * np.pi * np.multiply.outer(x, k) / b) @ filt.taps) / b
-
-    return h
-
-
 def check_multichannel_identity(
     phantom: Phantom,
     sensitivities: Sequence[Modulator],
@@ -359,7 +352,8 @@ def check_multichannel_identity(
 
     lhs sums ``|sum_q sum_k h_q[k] x_q[n-k]|^2`` over the grid's valid
     indices with each channel's samples closed-form; rhs integrates
-    ``(1/B) |rho(x)|^2 |sum_q c_q(x) h_q(x)|^2``.
+    ``B |sum_q H_q(x) c_q(x) rho(x)|^2`` with
+    ``H_q(x) = sum_k h_q[k] exp(+i 2 pi k x / B)``.
     """
     sens = tuple(sensitivities)
     if phantom.dims != 1 or grid.dims != 1:
@@ -368,24 +362,13 @@ def check_multichannel_identity(
         raise ValueError("one modulator per filter channel required")
     b = phantom.fov[0]
 
-    fns = []
-    for c in sens:
-        def fn(n, c=c):
-            g = KGrid.window((int(n[0]),), (int(n[-1]),), (b,))
-            return modulated_samples(phantom, c, g).values
+    def sample_fn(c):
+        return lambda n: modulated_samples(
+            phantom, c, KGrid.window((int(n[0]),), (int(n[-1]),), (b,))
+        ).values
 
-        fns.append(fn)
-    lhs = _lhs_energy(fns, list(mfilt.filters), grid)
-
-    hs = [_spatial_filter(f, b) for f in mfilt.filters]
-    edges = merge_edges(phantom.support_edges(), -b / 2, b / 2)
-
-    def integrand(x, mid):
-        rho = spatial_profile(phantom, x, mid)
-        comb = sum(c.eval_spatial(x, (b,)) * h(x) for c, h in zip(sens, hs))
-        return np.abs(rho) ** 2 * np.abs(comb) ** 2
-
-    rhs = float(piecewise_quad(integrand, edges, points=quadrature_points)) / b
+    def profile(c):
+        return lambda x, mid: spatial_profile(phantom, x, mid) * c.eval_spatial(x, (b,))
 
     c_rho = _decay(phantom)
     c_tot = 0.0
@@ -394,11 +377,12 @@ def check_multichannel_identity(
         coeff_sum = float(np.sum(np.abs(c.coeffs)))
         norm1 = float(np.sum(np.abs(f.taps)))
         c_tot += norm1 * coeff_sum * c_rho / b
-        lo = abs(c.n_min[0])
-        hi = abs(c.n_min[0] + len(c.coeffs) - 1)
-        m_max = max(m_max, lo, hi)
-    kmax = max(mfilt.L, mfilt.P) + m_max
-    return IdentityCheck(lhs, rhs, _tail(c_tot, kmax, grid, mfilt.L, mfilt.P))
+        m_max = max(m_max, abs(c.n_min[0]), abs(c.n_max[0]))
+    return _energy_identity(
+        [sample_fn(c) for c in sens], [profile(c) for c in sens],
+        [f.taps for f in mfilt.filters], mfilt.L, mfilt.P, (phantom,), grid,
+        c_tot, max(mfilt.L, mfilt.P) + m_max, quadrature_points,
+    )
 
 
 def check_superposition_identity(
@@ -411,45 +395,33 @@ def check_superposition_identity(
     """Separator error energy against its spatial integral.
 
     lhs sums ``|sum_k h[k] s[n-k] - x_m[n]|^2`` over valid indices with
-    ``s`` the summed slices; rhs integrates
-    ``(1/B) |h(x) s(x) - rho_m(x)|^2`` over the union of supports.
+    ``s`` the summed slices; rhs integrates ``B |H(x) s(x) - rho_m(x)|^2``
+    over the field of view with ``H(x) = sum_k h[k] exp(+i 2 pi k x / B)``.
     """
     slices = tuple(slices)
     if not 0 <= target < len(slices):
         raise ValueError("target slice out of range")
     if any(p.dims != 1 for p in slices) or grid.dims != 1:
         raise ValueError("identity check is 1D only")
-    b = slices[0].fov[0]
+    if any(p.fov != slices[0].fov for p in slices[1:]):
+        raise ValueError("slices must share the field of view")
 
     def sum_fn(n):
         return sum(samples_at(p, (n,)) for p in slices)
 
-    def tgt_fn(n):
-        return samples_at(slices[target], (n,))
+    def sum_profile(x, mid):
+        return sum(spatial_profile(p, x, mid) for p in slices)
 
-    width = filt.L + filt.P + 1
-    delta = np.zeros(width, dtype=np.complex128)
+    delta = np.zeros(filt.L + filt.P + 1, dtype=np.complex128)
     delta[filt.L] = -1.0
-    neg = Filter(delta, filt.L, filt.P)
-    lhs = _lhs_energy([sum_fn, tgt_fn], [filt, neg], grid)
-
-    h = _spatial_filter(filt, b)
-    edges = []
-    for p in slices:
-        edges.extend(p.support_edges())
-    edges = merge_edges(edges, -b / 2, b / 2)
-
-    def integrand(x, mid):
-        s = sum(spatial_profile(p, x, mid) for p in slices)
-        rho_m = spatial_profile(slices[target], x, mid)
-        return np.abs(h(x) * s - rho_m) ** 2
-
-    rhs = float(piecewise_quad(integrand, edges, points=quadrature_points)) / b
-
     c_sum = sum(_decay(p) for p in slices)
     c_tot = float(np.sum(np.abs(filt.taps))) * c_sum + _decay(slices[target])
-    kmax = max(filt.L, filt.P)
-    return IdentityCheck(lhs, rhs, _tail(c_tot, kmax, grid, filt.L, filt.P))
+    return _energy_identity(
+        [sum_fn, lambda n: samples_at(slices[target], (n,))],
+        [sum_profile, lambda x, mid: spatial_profile(slices[target], x, mid)],
+        [filt.taps, delta], filt.L, filt.P, slices, grid,
+        c_tot, max(filt.L, filt.P), quadrature_points,
+    )
 
 
 def scene_to_json(scene) -> dict:

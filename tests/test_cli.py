@@ -20,9 +20,20 @@ def verify(capsys, *argv):
     return code, lines
 
 
-@pytest.mark.parametrize("theorem", [1, 2, 3])
-def test_default_grids_agree(capsys, theorem):
-    code, out = verify(capsys, "--theorem", str(theorem), "--strict")
+def theorems_at(*fovs):
+    """(theorem, fov) cases; at fov 1 theorem ``t`` keeps the plain id ``t``."""
+    return [
+        pytest.param(t, b, id=str(t) if b == 1.0 else f"{t}-fov{b:g}")
+        for b in fovs
+        for t in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("theorem,fov", theorems_at(1.0, 0.5, 2.0))
+def test_default_grids_agree(capsys, theorem, fov):
+    # Each scene scales with the field of view, so the verdict must not
+    # depend on it: one Parseval convention holds for every B.
+    code, out = verify(capsys, "--theorem", str(theorem), "--fov", str(fov), "--strict")
     assert code == 0
     assert out["agree"] == "true"
     rhs = float(out["rhs"])
@@ -32,15 +43,15 @@ def test_default_grids_agree(capsys, theorem):
         assert float(out["absolute"]) == 0.0
 
 
-@pytest.mark.parametrize("theorem", [1, 2, 3])
-def test_tail_bound_covers_what_the_grid_truncates(theorem):
+@pytest.mark.parametrize("theorem,fov", theorems_at(1.0, 2.0))
+def test_tail_bound_covers_what_the_grid_truncates(theorem, fov):
     # The valid range of the 1025 grid lies inside that of the 2^18 grid,
     # so the gap is the response energy the smaller grid leaves out, as
-    # far as 2^18 reaches.  The bounds are loose: the gaps are 2.2e-8, 0
-    # and 1.1e-5 against tails of 2.4e-3, 1.6e-3 and 3.6e-3.
+    # far as 2^18 reaches.  The bounds are loose: at fov 1 the gaps are
+    # 2.2e-8, 0 and 1.1e-5 against tails of 2.4e-3, 1.6e-3 and 3.6e-3.
     scene = getattr(lpk.cli, f"_theorem_scene_{theorem}")
-    small, _ = scene(argparse.Namespace(grid=1025, fov=None, L=4, P=4))
-    large, _ = scene(argparse.Namespace(grid=1 << 18, fov=None, L=4, P=4))
+    small, _ = scene(argparse.Namespace(grid=1025, fov=fov, L=4, P=4))
+    large, _ = scene(argparse.Namespace(grid=1 << 18, fov=fov, L=4, P=4))
     assert 0.0 <= large.lhs - small.lhs <= small.tail_bound
 
 

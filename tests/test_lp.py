@@ -562,16 +562,17 @@ class TestGramOperator:
         bank = smallest_eigensequences(gram_operator(boxcar(), 2, 2), 1)
         assert abs(bank.residuals[0] - oracle) <= 1e-10
 
-    def test_quadratic_form_equals_spatial_energy(self):
-        # (1/B) h^H G h equals the Theorem-1 rhs for unit-norm taps.
+    @pytest.mark.parametrize("fov", [1.0, 2.0])
+    def test_quadratic_form_equals_spatial_energy(self, fov):
+        # h^H G h equals the Theorem-1 rhs, B integral |rho H|^2, at any B.
         rng = np.random.default_rng(8)
-        ph = boxcar()
+        ph = boxcar(half=0.25 * fov, fov=fov)
         gram = gram_operator(ph, 2, 2)
         taps = rng.normal(size=5) + 1j * rng.normal(size=5)
         taps /= np.linalg.norm(taps)
-        quad = float((taps.conj() @ gram.matrix @ taps).real) / ph.fov[0]
+        quad = float((taps.conj() @ gram.matrix @ taps).real)
         chk = check_annihilation_identity(
-            ph, Filter(taps, 2, 2), centered_grid(513, 1.0)
+            ph, Filter(taps, 2, 2), centered_grid(513, fov)
         )
         assert abs(quad - chk.rhs) <= 1e-9
 
@@ -617,15 +618,20 @@ class TestAnnihilationIdentity:
         chk = check_annihilation_identity(
             ph, Filter(np.array([1.0]), 0, 0), centered_grid(513, 1.0)
         )
-        assert chk.rhs == pytest.approx(0.5, rel=1e-9)  # (1/B) integral |rho|^2
+        assert chk.rhs == pytest.approx(0.5, rel=1e-9)  # B integral |rho|^2
         rel = abs(chk.lhs - chk.rhs) / chk.rhs
         assert rel <= max(1e-6, chk.tail_bound / chk.rhs)
 
-    def test_eigensequence_matches_eigenvalue_to_tail(self):
-        ph = boxcar()
+    @pytest.mark.parametrize("fov", [1.0, 2.0])
+    def test_eigensequence_matches_eigenvalue_to_tail(self, fov):
+        ph = boxcar(half=0.25 * fov, fov=fov)
         bank = smallest_eigensequences(gram_operator(ph, 4, 4), 1)
         filt = bank.filters[0].filters[0]
-        chk = check_annihilation_identity(ph, filt, centered_grid(8193, 1.0))
+        chk = check_annihilation_identity(ph, filt, centered_grid(8193, fov))
+        # The eigenvalue is the spatial energy itself, to quadrature accuracy.
+        # At this grid the tail bound exceeds the eigenvalue, so the lhs
+        # comparison below cannot catch a wrong scale on its own.
+        assert abs(chk.rhs - bank.residuals[0]) <= 1e-8 * chk.rhs
         assert abs(chk.lhs - bank.residuals[0]) <= chk.tail_bound + 1e-9
         rel = abs(chk.lhs - chk.rhs) / chk.rhs
         assert rel <= max(1e-6, chk.tail_bound / chk.rhs)
@@ -648,6 +654,12 @@ class TestAnnihilationIdentity:
         assert chk.rhs < 0.05  # well below the 0.5 Parseval energy
         rel = abs(chk.lhs - chk.rhs) / chk.rhs
         assert rel <= max(1e-6, chk.tail_bound / chk.rhs)
+
+    def test_grid_fov_must_match_the_phantom(self):
+        with pytest.raises(ValueError, match="does not match grid fov"):
+            check_annihilation_identity(
+                boxcar(), Filter(np.array([1.0]), 0, 0), centered_grid(65, 2.0)
+            )
 
     def test_point_primitive_rejected(self):
         with pytest.raises(ValueError):

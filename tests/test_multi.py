@@ -1,6 +1,6 @@
 """Channel fits and slice separation: SMASH fits, separator fits, and
 both separation paths against direct convolution and the closed form;
-scene JSON round trips."""
+the channel and slice identity checks; scene JSON round trips."""
 
 import contextlib
 import json
@@ -15,6 +15,7 @@ from lpk.core import (
     Filter,
     GridMismatchError,
     KSignal,
+    MultiFilter,
     MultiKSignal,
     SamplingMask,
     centered_grid,
@@ -25,6 +26,8 @@ from lpk.harness import MaskSpec, gen_mask, make_sensitivities
 from lpk.multi import (
     MultiScene,
     SmsScene,
+    check_multichannel_identity,
+    check_superposition_identity,
     load_scene,
     save_scene,
     scene_from_json,
@@ -325,6 +328,35 @@ def test_coil_separation_is_the_per_coil_convolution_sum():
         # Two coils separate this scene far better than one coil does (0.10).
         ref = truth[m].stack()[:, lo:lo + valid.shape[0]]
         assert rel(out[m].stack(), ref) <= 0.03
+
+
+@pytest.mark.parametrize("b", [1.0, 2.0])
+def test_multichannel_identity_with_nonzero_energy(b):
+    # A filter that does not cancel the modulators leaves energy on both
+    # sides; they agree at any field of view B, well within a small tail.
+    phantom = Phantom((Primitive("boxcar", (0.1 * b,), (b / 4,), 1.0),), (b,))
+    sens = (
+        Modulator(b * np.array([1.0, 0.5j]), (0,)),
+        Modulator(b * np.array([0.3, 1.0, -0.4j]), (-1,)),
+    )
+    mf = MultiFilter((
+        Filter(np.array([0.2, 1.0, -0.5j]), 1, 1),
+        Filter(np.array([0.7j, -0.3, 0.1]), 1, 1),
+    ))
+    chk = check_multichannel_identity(phantom, sens, mf, centered_grid(1 << 16, b))
+    assert chk.tail_bound < 1e-3 * chk.rhs
+    assert abs(chk.lhs - chk.rhs) <= max(1e-6 * chk.rhs, chk.tail_bound)
+
+
+def test_superposition_identity_rejects_slices_on_other_fovs():
+    slices = (
+        Phantom((Primitive("boxcar", (0.0,), (0.04,), 1.0),), (1.0,)),
+        Phantom((Primitive("boxcar", (-0.45,), (0.04,), 1.0),), (2.0,)),
+    )
+    with pytest.raises(ValueError, match="slices must share the field of view"):
+        check_superposition_identity(
+            slices, 0, Filter(np.array([0.5, 0.5]), 1, 0), centered_grid(1024, 1.0)
+        )
 
 
 @st.composite
