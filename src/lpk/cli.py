@@ -181,7 +181,7 @@ def _cmd_fit(args) -> int:
         cm = build_calib_matrix(data, _calib_arg(args, data.grid), args.L, args.P)
         tgt = 0 if args.target is None else args.target
         mf, resid = fit_prediction_filter(cm, target=tgt, ridge=args.ridge)
-        bank = FilterBank((mf,), (resid,))
+        bank = FilterBank(mf.stack()[None], mf.L, mf.P, (resid,), (mf.anchor_channel,))
         print(f"residual {_fmt(resid)}")
     elif args.mode == "nullspace":
         data = _load_lpk(args.input)
@@ -191,7 +191,7 @@ def _cmd_fit(args) -> int:
             data, _calib_arg(args, data.grid), args.L, args.P,
             tau=args.tau, limit=args.limit,
         )
-        print(f"filters {len(bank.filters)}")
+        print(f"filters {len(bank.taps)}")
         print(f"residual {_fmt(bank.residuals[0])}")
     elif args.mode == "eigen":
         obj = _load_scene_doc(args.input)
@@ -210,7 +210,7 @@ def _cmd_fit(args) -> int:
             target=0 if args.target is None else args.target,
             fov=obj.phantom.fov[0], ridge=args.ridge,
         )
-        bank = FilterBank((mf,), (resid,))
+        bank = FilterBank(mf.stack()[None], mf.L, mf.P, (resid,), (mf.anchor_channel,))
         print(f"residual {_fmt(resid)}")
     elif args.mode == "sms-sep":
         obj = _load_scene_doc(args.input)
@@ -223,18 +223,18 @@ def _cmd_fit(args) -> int:
         targets = (
             range(len(slices)) if args.target is None else (args.target,)
         )
-        mfs, resids = [], []
+        taps, resids = [], []
         for tgt in targets:
             filt, rep = sms_fit_separator(
                 slices, tgt, args.L, args.P,
                 calib=_calib_arg(args, grid), mu=args.mu, ridge=args.ridge,
             )
-            # Single-channel wrapper so one format carries every fit flavor.
-            mfs.append(MultiFilter((filt,)))
+            taps.append(filt.taps)
             resids.append(rep.residual)
             print(f"slice {tgt} residual {_fmt(rep.residual)}")
             print(f"slice {tgt} leakage {_fmt(rep.leakage)}")
-        bank = FilterBank(tuple(mfs), tuple(resids))
+        # One single-channel filter per slice, so one format carries every fit flavor.
+        bank = FilterBank(np.stack(taps)[:, None], args.L, args.P, resids)
     else:
         raise _DataError(f"unknown fit mode {args.mode!r}")
     if args.out:
@@ -300,12 +300,9 @@ def _cmd_sms(args) -> int:
             bank = load_bank(args.filters)
         except OSError as exc:
             raise _DataError(f"cannot read {args.filters}: {exc}") from exc
-        seps = []
-        for mf in bank.filters:
-            if mf.q_count != 1:
-                raise _DataError("separator filters must be single-channel")
-            seps.append(mf.filters[0])
-        out, report = sms_separate(data, seps)
+        if bank.q_count != 1:
+            raise _DataError("separator filters must be single-channel")
+        out, report = sms_separate(data, [Filter(t, bank.L, bank.P) for t in bank.taps[:, 0]])
         print(f"slices {out.q_count}")
         print(f"converged {str(report.converged).lower()}")
         write_lpk(args.out, out)

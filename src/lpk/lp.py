@@ -17,11 +17,13 @@ form, the Hermitian ``G[k, n] = g[n - k]`` gives the energy as
 ``h^H G h``, and its smallest eigenvectors are the best-annihilating
 unit-norm sequences.
 
+Filters stay tap arrays from fit to file to solver.  A :class:`FilterBank`
+is one read-only ``[F, Q, *W]`` array checked once as a whole; its
+``filters`` are per-filter views for callers that take ``MultiFilter``s.
 Pattern-aware interpolation (one kernel per local sampling pattern, as in
 GRAPPA) keeps each pattern's filters as one read-only ``[Q, Q, *W]`` tap
 array, ``[m]`` the filter anchored at channel ``m``: the fit returns it
-and the imputation applies it as is, with no per-channel filter objects
-built and taken apart again.
+and the imputation applies it as is.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ from .core import (
     MultiFilter,
     MultiKSignal,
     SamplingMask,
+    _as_complex,
     _axes_int,
     _normalize_calib,
+    _unchecked,
 )
 from .phantom import Phantom, samples_at
 from .quadrature import merge_edges, piecewise_quad
@@ -200,6 +204,24 @@ def _ridge_solve(A: np.ndarray, y: np.ndarray, ridge: float | None):
     return coef, resid
 
 
+def _anchored_fit(A, shape, target: int, L: int, P: int, ridge, zeroed=frozenset()):
+    """``(filter, residual norm)`` of the ridge fit predicting channel
+    ``target``'s ``k = 0`` column of ``A`` (columns: the ``shape = [Q, *W]``
+    taps, channel-major) from every other column not in ``zeroed``."""
+    tgt = int(np.ravel_multi_index((target,) + (L,) * (len(shape) - 1), shape))
+    if tgt in zeroed:
+        raise ValueError("cannot zero the target tap")
+    free = [j for j in range(A.shape[1]) if j != tgt and j not in zeroed]
+    coef, resid = _ridge_solve(A[:, free], A[:, tgt], ridge)
+    taps = np.zeros(A.shape[1], dtype=np.complex128)
+    taps[free] = coef
+    taps[tgt] = -1.0
+    mf = MultiFilter(tuple(
+        Filter(t, L, P, anchor_fixed=(q == target)) for q, t in enumerate(taps.reshape(shape))
+    ))
+    return mf, resid
+
+
 def fit_prediction_filter(
     calib: CalibMatrix,
     target: int = 0,
@@ -228,59 +250,67 @@ def fit_prediction_filter(
     """
     if not 0 <= target < calib.q_count:
         raise ValueError(f"target channel {target} out of range")
-    tgt_col = calib.col_index(target, (0,) * calib.dims)
-    dead = {tgt_col}
-    for q, k in zeroed:
-        c = calib.col_index(q, k)
-        if c == tgt_col:
-            raise ValueError("cannot zero the target tap")
-        dead.add(c)
-    free = [j for j in range(calib.matrix.shape[1]) if j not in dead]
-    y = calib.matrix[:, tgt_col]
-    coef, resid = _ridge_solve(calib.matrix[:, free], y, ridge)
-    taps = np.zeros(calib.matrix.shape[1], dtype=np.complex128)
-    taps[free] = coef
-    taps[tgt_col] = -1.0
-    mf = MultiFilter(tuple(
-        Filter(t, calib.L, calib.P, anchor_fixed=(q == target))
-        for q, t in enumerate(taps.reshape((calib.q_count,) + calib.tap_shape))
-    ))
+    mf, resid = _anchored_fit(
+        calib.matrix, (calib.q_count,) + calib.tap_shape, target, calib.L, calib.P, ridge,
+        frozenset(calib.col_index(q, k) for q, k in zeroed),
+    )
     return mf, resid / np.sqrt(calib.rows)
 
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Joint filters with their calibration residuals; the nullspace
-    producers return them ascending, separators come in slice order."""
+    """Joint filters as one read-only ``[F, Q, *W]`` tap array, ``W = L + P + 1``
+    on 1 or 2 axes and ``taps[f, q]`` filter ``f`` on channel ``q``, each
+    filter nonzero on some channel, with one residual per filter: ascending
+    from the nullspace producers, in slice order for separators.
+    ``anchors[f]`` is the channel filter ``f`` predicts, its ``k = 0`` tap
+    there exactly -1, or None."""
 
-    filters: tuple[MultiFilter, ...]
+    taps: np.ndarray
+    L: int
+    P: int
     residuals: tuple[float, ...]
+    anchors: tuple[int | None, ...] | None = None
 
     def __post_init__(self):
-        filts = tuple(self.filters)
+        L, P = int(self.L), int(self.P)
+        if L < 0 or P < 0:
+            raise ValueError("L and P must be nonnegative")
+        taps = np.ascontiguousarray(self.taps, dtype=np.complex128)
+        if taps.ndim not in (3, 4) or 0 in taps.shape[:2]:
+            raise ValueError(f"taps must be a nonempty [F, Q, *W] array, got shape {taps.shape}")
+        dims = taps.ndim - 2
+        taps = _as_complex(taps, taps.shape[:2] + (L + P + 1,) * dims, "taps")
+        if not np.any(taps.reshape(len(taps), -1), axis=1).all():
+            raise ValueError("every filter needs a nonzero tap")
         res = tuple(float(r) for r in self.residuals)
-        if not filts:
-            raise ValueError("bank needs at least one filter")
-        if len(filts) != len(res):
-            raise ValueError("one residual per filter required")
-        f0 = filts[0]
-        for f in filts[1:]:
-            if (f.L, f.P, f.q_count, f.dims) != (f0.L, f0.P, f0.q_count, f0.dims):
-                raise ValueError("bank filters must share shape and channel count")
-        object.__setattr__(self, "filters", filts)
-        object.__setattr__(self, "residuals", res)
-
-    @property
-    def L(self) -> int:
-        return self.filters[0].L
-
-    @property
-    def P(self) -> int:
-        return self.filters[0].P
+        anchors = (None,) * len(taps) if self.anchors is None else tuple(
+            None if a is None else int(a) for a in self.anchors
+        )
+        if not len(res) == len(anchors) == len(taps):
+            raise ValueError("one residual and one anchor (or None) per filter required")
+        for f, a in enumerate(anchors):
+            if a is not None and not (0 <= a < taps.shape[1] and taps[(f, a) + (L,) * dims] == -1):
+                raise ValueError(f"filter {f} anchor {a}: not a channel with k=0 tap exactly -1")
+        fields = {"L": L, "P": P, "taps": taps, "residuals": res, "anchors": anchors}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def q_count(self) -> int:
-        return self.filters[0].q_count
+        return self.taps.shape[1]
+
+    @property
+    def filters(self) -> tuple[MultiFilter, ...]:
+        """Filter ``f`` as a :class:`MultiFilter` whose channel taps are
+        views of ``taps[f]``, built unchecked: the bank checked them."""
+        return tuple(
+            _unchecked(MultiFilter, filters=tuple(
+                _unchecked(Filter, taps=t, L=self.L, P=self.P, anchor_fixed=(q == a))
+                for q, t in enumerate(row)
+            ))
+            for row, a in zip(self.taps, self.anchors)
+        )
 
 
 def nullspace_filter_bank(
@@ -307,14 +337,8 @@ def nullspace_filter_bank(
     order = keep[np.argsort(s_full[keep])]
     if limit is not None:
         order = order[:limit]
-    filters = []
-    residuals = []
-    for j in order:
-        vec = np.conj(vh[j])
-        taps = vec.reshape((cm.q_count,) + cm.tap_shape)
-        filters.append(MultiFilter(tuple(Filter(t, cm.L, cm.P) for t in taps)))
-        residuals.append(float(s_full[j]) / np.sqrt(cm.rows))
-    return FilterBank(tuple(filters), tuple(residuals))
+    taps = np.conj(vh[order]).reshape((len(order), cm.q_count) + cm.tap_shape)
+    return FilterBank(taps, cm.L, cm.P, s_full[order] / np.sqrt(cm.rows))
 
 
 def pattern_signature(mask: SamplingMask, n, L: int, P: int) -> str:
@@ -658,16 +682,11 @@ def smallest_eigensequences(gram: GramOperator, count: int) -> FilterBank:
     if not 1 <= count <= width:
         raise ValueError(f"count must lie in [1, {width}]")
     vals, vecs = np.linalg.eigh(gram.matrix)
-    filters = []
-    residuals = []
-    for j in range(count):
-        v = vecs[:, j]
-        nz = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
-        lead = v[nz[0]]
-        v = v * (np.abs(lead) / lead)
-        filters.append(MultiFilter((Filter(v, gram.L, gram.P),)))
-        residuals.append(float(vals[j]))
-    return FilterBank(tuple(filters), tuple(residuals))
+    v = vecs[:, :count].T
+    mag = np.abs(v)
+    lead = v[np.arange(count), np.argmax(mag > 1e-12 * mag.max(axis=1, keepdims=True), axis=1)]
+    taps = v * (np.abs(lead) / lead)[:, None]
+    return FilterBank(taps[:, None], gram.L, gram.P, vals[:count])
 
 
 @dataclass(frozen=True)
@@ -781,40 +800,35 @@ def check_annihilation_identity(
 
 
 def bank_to_json(bank: FilterBank) -> dict:
-    def tap_list(f: Filter):
-        flat = f.taps.reshape(-1)
-        return [[v.real, v.imag] for v in flat]
-
+    """The ``.filters.json`` document: per filter its residual, anchor and
+    taps, a list of ``[re, im]`` pairs per channel in row-major order."""
+    pairs = bank.taps.view(np.float64).reshape(bank.taps.shape[:2] + (-1, 2)).tolist()
     return {
         "version": 1,
         "kind": "filterbank",
-        "dims": bank.filters[0].dims,
+        "dims": bank.taps.ndim - 2,
         "L": bank.L,
         "P": bank.P,
         "q_count": bank.q_count,
         "filters": [
-            {
-                "residual": r,
-                "anchor": mf.anchor_channel,
-                "taps": [tap_list(f) for f in mf.filters],
-            }
-            for mf, r in zip(bank.filters, bank.residuals)
+            {"residual": r, "anchor": a, "taps": t}
+            for t, r, a in zip(pairs, bank.residuals, bank.anchors)
         ],
     }
 
 
 def bank_from_json(doc: dict) -> FilterBank:
+    """The bank of a :func:`bank_to_json` document; ``ValueError`` if it is malformed."""
     L, P, dims = int(doc["L"]), int(doc["P"]), int(doc["dims"])
+    entries = doc["filters"]
+    pairs = np.array([e["taps"] for e in entries], dtype=np.float64)
     width = L + P + 1
-    shape = (width,) * dims
-    filters = []
-    for entry in doc["filters"]:
-        chans = []
-        for q, taps in enumerate(entry["taps"]):
-            arr = np.asarray([complex(re, im) for re, im in taps]).reshape(shape)
-            chans.append(Filter(arr, L, P, anchor_fixed=(q == entry.get("anchor"))))
-        filters.append(MultiFilter(tuple(chans)))
-    return FilterBank(tuple(filters), tuple(float(e["residual"]) for e in doc["filters"]))
+    if pairs.ndim != 4 or pairs.shape[2:] != (width**dims, 2):
+        raise ValueError(f"tap pairs of shape {pairs.shape} do not fit [-{L}, {P}] in {dims}D")
+    return FilterBank(
+        pairs.view(np.complex128).reshape(pairs.shape[:2] + (width,) * dims), L, P,
+        [e["residual"] for e in entries], [e.get("anchor") for e in entries],
+    )
 
 
 def save_bank(path, bank: FilterBank) -> None:

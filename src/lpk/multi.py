@@ -31,7 +31,8 @@ from .core import (
     conv_apply, conv_response,
 )
 from .lp import (
-    IdentityCheck, _decay_constant as _decay, _energy_identity, _ridge_solve, build_calib_matrix,
+    IdentityCheck, _anchored_fit, _decay_constant as _decay, _energy_identity, _ridge_solve,
+    build_calib_matrix,
 )
 from .phantom import (
     Modulator,
@@ -170,20 +171,7 @@ def smash_fit(
         for j in range(len(k)):
             cols.append(cvals * basis[:, j])
     A = np.stack(cols, axis=1)
-    width = L + P + 1
-    tgt = target * width + L
-    free = [j for j in range(A.shape[1]) if j != tgt]
-    coef, resid = _ridge_solve(A[:, free], A[:, tgt], ridge)
-    taps = np.zeros((len(sens), width), dtype=np.complex128)
-    flat = taps.reshape(-1)
-    flat[free] = coef
-    flat[tgt] = -1.0
-    mf = MultiFilter(
-        tuple(
-            Filter(taps[q], L, P, anchor_fixed=(q == target))
-            for q in range(len(sens))
-        )
-    )
+    mf, resid = _anchored_fit(A, (len(sens), L + P + 1), target, L, P, ridge)
     return mf, resid / np.sqrt(points)
 
 

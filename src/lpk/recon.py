@@ -22,7 +22,7 @@ Two complementary routes:
   ``annihilation-vc`` through it, and the undersampled
   ``multi.sms_separate``, whose data term sees the slices summed.  Each
   CG step applies the whole bank forward and back as one operator
-  (``_BankOperator``) on a stacked ``[F, Q, *W]`` tap array, with exact
+  (``_BankOperator``) on the bank's ``[F, Q, *W]`` tap array, with exact
   valid-range responses and no wraparound.  The operator has two exact
   evaluations, chosen once per solve from the size of the lifted window
   matrix: small matrices take one window gather (the gather of ``lift``)
@@ -426,7 +426,7 @@ _WINDOW_CELLS = 2**15
 
 
 class _BankOperator:
-    """A stacked ``[F, Q, *W]`` tap array applied jointly as one linear map.
+    """A bank's ``[F, Q, *W]`` tap array applied jointly as one linear map.
 
     The filter bank that ``_bank_solve`` minimizes the response of.
     ``W`` taps on every axis, ascending in ``k``;
@@ -679,7 +679,7 @@ def annihilation_recon(
         raise ValueError("lam must be nonnegative")
 
     x, report = _bank_solve(
-        np.stack([mf.stack() for mf in bank.filters]), ref.shape, ref, acq, lam, tol, max_iters,
+        bank.taps, ref.shape, ref, acq, lam, tol, max_iters,
         "annihilation-hard" if lam == 0.0 else "annihilation-soft",
     )
     return MultiKSignal.from_array(ms.grid, x), report

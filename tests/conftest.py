@@ -1,0 +1,31 @@
+"""Shared fixtures."""
+
+import sys
+
+import pytest
+
+import lpk.core
+from lpk.core import Filter, MultiFilter
+
+
+@pytest.fixture
+def no_filter_objects(monkeypatch):
+    """Make building a ``Filter`` or ``MultiFilter``, checked or not (through
+    ``_unchecked`` in any lpk module), fail the test: for paths that must
+    run on tap arrays alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Filter or MultiFilter was built on a tap-array path")
+
+    unchecked = lpk.core._unchecked
+
+    def guarded(cls, **fields):
+        if cls in (Filter, MultiFilter):
+            refuse()
+        return unchecked(cls, **fields)
+
+    for cls in (Filter, MultiFilter):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lpk" and hasattr(module, "_unchecked"):
+            monkeypatch.setattr(module, "_unchecked", guarded)

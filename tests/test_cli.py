@@ -11,7 +11,7 @@ import lpk.cli
 from lpk.cli import main
 from lpk.core import conv_apply
 from lpk.io import read_lpk
-from lpk.lp import IdentityCheck, load_bank
+from lpk.lp import IdentityCheck, bank_from_json, load_bank
 
 
 def verify(capsys, *argv):
@@ -329,6 +329,61 @@ def test_sms_separate_with_the_two_slice_bank_matches_conv_apply(capsys, sms_dir
         want = conv_apply(summed, mf.filters[0])
         assert ch.grid == want.grid
         assert np.array_equal(ch.values, want.values)
+
+
+def _nan_tap(doc):
+    doc["filters"][0]["taps"][0][1] = [float("nan"), 0.0]
+
+
+def _drop_tap(doc):
+    for entry in doc["filters"]:
+        entry["taps"][0].pop()
+
+
+def _ragged_taps(doc):
+    doc["filters"][1]["taps"][0].pop()
+
+
+def _anchor_off_minus_one(doc):
+    doc["filters"][0]["anchor"] = 0
+
+
+def _zero_filter(doc):
+    doc["filters"][1]["taps"] = [[[0.0, 0.0] for _ in ch] for ch in doc["filters"][1]["taps"]]
+
+
+def _two_channels(doc):
+    for entry in doc["filters"]:
+        entry["taps"].append(entry["taps"][0])
+
+
+# (corruption of a written separator bank, what the error says)
+BAD_BANKS = [
+    (_nan_tap, "non-finite"),
+    (_drop_tap, "do not fit"),
+    (_ragged_taps, ""),  # numpy's message
+    (_anchor_off_minus_one, "k=0 tap exactly -1"),
+    (_zero_filter, "nonzero tap"),
+    (_two_channels, "single-channel"),
+]
+
+
+@pytest.mark.parametrize("corrupt,message", BAD_BANKS, ids=[c.__name__[1:] for c, _ in BAD_BANKS])
+def test_sms_separate_rejects_a_corrupted_bank(capsys, sms_dir, tmp_path, corrupt, message):
+    bank_path, _ = fit_every_slice(capsys, sms_dir)
+    doc = json.loads(bank_path.read_text())
+    corrupt(doc)
+    if corrupt is not _two_channels:
+        with pytest.raises(ValueError, match=message or None):
+            bank_from_json(json.loads(json.dumps(doc)))
+    bad = tmp_path / "bad.filters.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "sms", "separate", str(sms_dir / "scene-sum.lpk"),
+        "--filters", str(bad), "--out", str(tmp_path / "x.lpk"),
+    )
+    assert code == 2 and message in err
+    assert not (tmp_path / "x.lpk").exists()
 
 
 def test_sms_errors(capsys, sms_dir, tmp_path):

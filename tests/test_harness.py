@@ -9,14 +9,12 @@ built on its path.
 """
 
 import csv
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import lpk.core
-from lpk.core import Filter, MultiFilter, MultiKSignal, SamplingMask, centered_grid, zero_fill
+from lpk.core import MultiKSignal, SamplingMask, centered_grid, zero_fill
 from lpk.harness import (
     ENGINES,
     MaskSpec,
@@ -66,26 +64,9 @@ class TestInterpEngine:
         oracle.discard("0" * 25)
         assert set(fit_interpolation_filters(measured, mask, 2, 2)) == oracle
 
-    def test_builds_no_filter_objects(self, monkeypatch):
+    def test_builds_no_filter_objects(self, no_filter_objects):
         """Fit, imputation and engine run on tap arrays alone: building a
         ``Filter`` or ``MultiFilter``, checked or not, fails the test."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Filter or MultiFilter was built on the interp path")
-
-        unchecked = lpk.core._unchecked
-
-        def guarded(cls, **fields):
-            if cls in (Filter, MultiFilter):
-                refuse()
-            return unchecked(cls, **fields)
-
-        for cls in (Filter, MultiFilter):
-            monkeypatch.setattr(cls, "__post_init__", refuse)
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "lpk" and hasattr(module, "_unchecked"):
-                monkeypatch.setattr(module, "_unchecked", guarded)
-
         measured, mask = small_2d_case(0)
         L, P = 1, 2
         fmap = fit_interpolation_filters(measured, mask, L, P)

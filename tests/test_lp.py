@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpk.core import Filter, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask, centered_grid
+from lpk.core import Filter, KGrid, KSignal, MultiKSignal, SamplingMask, centered_grid
 from lpk.lp import (
+    FilterBank,
     SingularFitError,
     UncoveredPatternError,
     build_calib_matrix,
@@ -32,6 +33,7 @@ from lpk.lp import (
     save_bank,
     smallest_eigensequences,
 )
+from lpk.recon import annihilation_recon
 from lpk.phantom import Phantom, Primitive, fourier_samples, samples_at
 
 
@@ -706,8 +708,145 @@ class TestNullspaceFilterBank:
         bank = nullspace_filter_bank(sig, None, 1, 1, tau=1e-12)
         assert len(bank.filters) >= 1
 
+    def test_zero_channel_runs_from_fit_to_file(self, tmp_path):
+        """An all-zero channel leaves nullspace vectors that vanish on the
+        other channel; the bank must still fit, solve, save and load, and
+        ``lpk fit`` must write it."""
+        from lpk.cli import main
+        from lpk.io import write_lpk
+
+        g = centered_grid(32, 1.0)
+        data = MultiKSignal.from_array(
+            g, np.stack([fourier_samples(boxcar(), g).values, np.zeros(32)])
+        )
+        bank = nullspace_filter_bank(data, None, 0, 1)
+        flat = bank.taps.reshape(len(bank.taps), bank.q_count, -1)
+        assert not np.all(flat.any(axis=2))  # some filter is zero on a channel
+        mask = SamplingMask(g, np.arange(32) % 2 == 0)
+        est, _ = annihilation_recon(data, mask, bank, max_iters=20)
+        assert np.array_equal(est.stack()[:, mask.acquired], data.stack()[:, mask.acquired])
+        save_bank(tmp_path / "z.filters.json", bank)
+        back = load_bank(tmp_path / "z.filters.json")
+        assert back.taps.tobytes() == bank.taps.tobytes()
+        assert back.residuals == bank.residuals
+        write_lpk(tmp_path / "z.lpk", data)
+        assert main([
+            "fit", str(tmp_path / "z.lpk"), "--mode", "nullspace", "--L", "0", "--P", "1",
+            "--out", str(tmp_path / "cli.filters.json"),
+        ]) == 0
+
+    def test_fit_solve_and_file_build_no_filter_objects(self, no_filter_objects, tmp_path):
+        sig = self.two_point_signal()
+        data = MultiKSignal.from_array(sig.grid, np.stack([sig.values, 0.5j * sig.values]))
+        bank = nullspace_filter_bank(data, None, 1, 2)
+        mask = SamplingMask(sig.grid, np.arange(32) % 3 != 1)
+        annihilation_recon(data, mask, bank, max_iters=5)
+        save_bank(tmp_path / "b.filters.json", bank)
+        assert load_bank(tmp_path / "b.filters.json").taps.tobytes() == bank.taps.tobytes()
+
+
+class TestFilterBank:
+    @staticmethod
+    def fields(**change):
+        """A valid one-filter, two-channel bank anchored at channel 0, changed."""
+        base = dict(
+            taps=np.array([[[-1.0, 0.5j], [0.25, 0.0]]]), L=0, P=1, residuals=(0.1,), anchors=(0,)
+        )
+        return {**base, **change}
+
+    @pytest.mark.parametrize("change,match", [
+        (dict(L=-1, P=2), "nonnegative"),
+        (dict(taps=np.ones((1, 2))), r"nonempty \[F, Q, \*W\]"),
+        (dict(taps=np.ones((1, 1, 2, 2, 2))), r"nonempty \[F, Q, \*W\]"),
+        (dict(taps=np.ones((0, 2, 2)), residuals=(), anchors=()), r"nonempty \[F, Q, \*W\]"),
+        (dict(taps=np.ones((1, 0, 2))), r"nonempty \[F, Q, \*W\]"),
+        (dict(taps=-np.ones((1, 2, 3))), "has shape"),
+        (dict(taps=-np.ones((1, 2, 2, 3))), "has shape"),
+        (dict(taps=np.array([[[-1.0, np.nan], [0.0, 0.0]]])), "non-finite"),
+        (dict(taps=np.array([[[-1.0, 0.0], [np.inf, 0.0]]])), "non-finite"),
+        (dict(taps=np.zeros((1, 2, 2)), anchors=None), "nonzero tap"),
+        (dict(residuals=(0.1, 0.2)), "one residual"),
+        (dict(anchors=(0, None)), "one anchor"),
+        (dict(anchors=(2,)), "not a channel"),
+        (dict(anchors=(1,)), "k=0 tap exactly -1"),
+    ])
+    def test_rejects(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            FilterBank(**self.fields(**change))
+
+    def test_a_filter_may_be_zero_on_some_channels(self):
+        taps = np.array([[[0.0, 0.0], [0.25, 1j]], [[-1.0, 0.5], [0.0, 0.0]]])
+        bank = FilterBank(taps, 0, 1, (0.0, 0.1), (None, 0))
+        assert bank.anchors == (None, 0)
+
+    def test_holds_a_read_only_copy_and_views_it(self):
+        f = self.fields()
+        bank = FilterBank(**f)
+        f["taps"][0, 0, 1] = 7.0
+        assert bank.taps[0, 0, 1] == 0.5j and not bank.taps.flags.writeable
+        assert (bank.L, bank.P, bank.q_count, bank.taps.shape) == (0, 1, 2, (1, 2, 2))
+        (mf,) = bank.filters
+        assert (mf.L, mf.P, mf.anchor_channel) == (0, 1, 0)
+        for q, filt in enumerate(mf.filters):
+            assert np.shares_memory(filt.taps, bank.taps)
+            assert np.array_equal(filt.taps, bank.taps[0, q])
+        unanchored = FilterBank(**self.fields(anchors=None))
+        assert unanchored.anchors == (None,)
+        assert unanchored.filters[0].anchor_channel is None
+
+
+# Golden ``.filters.json`` documents, one per kind of bank ``lpk fit``
+# writes.  The format is fixed: these bytes must not change.  The taps are
+# exact literals, not fits, so the documents pin the layout (filter, then
+# channel, then row-major taps as [re, im]) and not a LAPACK build.
+GOLDEN_BANKS = [
+    pytest.param(
+        lambda: FilterBank(np.array([[[-1.0, 0.1 + 0.2 - 0.3j]]]), 0, 1, (1 / 3,), (0,)),
+        {"L": 0, "P": 1, "dims": 1, "filters": [
+            {"anchor": 0, "residual": 0.3333333333333333,
+             "taps": [[[-1.0, 0.0], [0.30000000000000004, -0.3]]]},
+        ], "kind": "filterbank", "q_count": 1, "version": 1},
+        id="predict",
+    ),
+    pytest.param(
+        lambda: FilterBank(np.array([[
+            [[0.6, -0.0], [0.0, 0.8j]], [[-1 / 3, 2.5e-17 - 1j], [-0.0j, 1e-300]],
+        ]]), 0, 1, (0.0,)),
+        {"L": 0, "P": 1, "dims": 2, "filters": [
+            {"anchor": None, "residual": 0.0, "taps": [
+                [[0.6, 0.0], [-0.0, 0.0], [0.0, 0.0], [0.0, 0.8]],
+                [[-0.3333333333333333, 0.0], [2.5e-17, -1.0], [-0.0, -0.0], [1e-300, 0.0]],
+            ]},
+        ], "kind": "filterbank", "q_count": 2, "version": 1},
+        id="nullspace-2ch-2d",
+    ),
+    pytest.param(
+        lambda: FilterBank(
+            np.array([[[0.25, complex(0.5, -0.0), 0.25j]], [[-0.5, 1 / 7, -0.125 + 2.0j]]]),
+            1, 1, (5.25774769689e-3, 5.19662775565e-3),
+        ),
+        {"L": 1, "P": 1, "dims": 1, "filters": [
+            {"anchor": None, "residual": 0.00525774769689,
+             "taps": [[[0.25, 0.0], [0.5, -0.0], [0.0, 0.25]]]},
+            {"anchor": None, "residual": 0.00519662775565,
+             "taps": [[[-0.5, 0.0], [0.14285714285714285, 0.0], [-0.125, 2.0]]]},
+        ], "kind": "filterbank", "q_count": 1, "version": 1},
+        id="sms-sep",
+    ),
+]
+
 
 class TestBankJson:
+    @pytest.mark.parametrize("make,golden", GOLDEN_BANKS)
+    def test_file_matches_the_golden_document(self, tmp_path, make, golden):
+        bank = make()
+        path = tmp_path / "g.filters.json"
+        save_bank(path, bank)
+        assert path.read_text(encoding="utf-8") == json.dumps(golden, sort_keys=True, indent=1) + "\n"
+        back = load_bank(path)
+        assert back.taps.tobytes() == bank.taps.tobytes()
+        assert (back.residuals, back.anchors) == (bank.residuals, bank.anchors)
+
     def test_round_trip(self, tmp_path):
         sig = TestNullspaceFilterBank.two_point_signal()
         bank = nullspace_filter_bank(sig, None, 1, 2)
@@ -726,7 +865,7 @@ class TestBankJson:
         mf, resid = fit_prediction_filter(cm, ridge=0.0)
         from lpk.lp import FilterBank
 
-        bank = FilterBank((mf,), (resid,))
+        bank = FilterBank(mf.stack()[None], mf.L, mf.P, (resid,), (mf.anchor_channel,))
         path = tmp_path / "a.filters.json"
         save_bank(path, bank)
         back = load_bank(path)
@@ -743,24 +882,22 @@ class TestBankJson:
         L, P = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
         q_count = data.draw(st.integers(1, 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        filters = []
+        filters, anchors = [], []
         for _ in range(data.draw(st.integers(1, 4))):
             taps = rng.normal(size=(q_count,) + (L + P + 1,) * dims) * (1 - 0.5j)
             anchor = data.draw(st.sampled_from([None] + list(range(q_count))))
             if anchor is not None:
                 taps[(anchor,) + (L,) * dims] = -1.0
-            filters.append(MultiFilter(tuple(
-                Filter(t, L, P, anchor_fixed=(q == anchor)) for q, t in enumerate(taps)
-            )))
+            filters.append(taps)
+            anchors.append(anchor)
         residuals = tuple(np.sort(rng.random(len(filters))))
-        bank = FilterBank(tuple(filters), residuals)
+        bank = FilterBank(np.stack(filters), L, P, residuals, tuple(anchors))
         # Through JSON text, as save_bank and load_bank carry it.
         back = bank_from_json(json.loads(json.dumps(bank_to_json(bank))))
-        assert (back.L, back.P, back.q_count) == (bank.L, bank.P, bank.q_count)
+        assert (back.L, back.P, back.taps.shape) == (bank.L, bank.P, bank.taps.shape)
         assert back.residuals == bank.residuals
-        for a, b in zip(back.filters, bank.filters, strict=True):
-            assert a.stack().tobytes() == b.stack().tobytes()
-            assert a.anchor_channel == b.anchor_channel
+        assert back.anchors == bank.anchors
+        assert back.taps.tobytes() == bank.taps.tobytes()
 
 
 class TestExponentialAnnihilation:

@@ -10,10 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import lpk.recon
 from lpk.core import (
-    Filter,
     KGrid,
     KSignal,
-    MultiFilter,
     MultiKSignal,
     SamplingMask,
     centered_grid,
@@ -582,10 +580,7 @@ class TestAnnihilationRecon:
 
     def test_anchor_only_bank_gives_zero_fill(self, masked_two_point):
         _, mask, masked = masked_two_point
-        bank = FilterBank(
-            (MultiFilter((Filter(np.array([-1.0]), 0, 0, anchor_fixed=True),)),),
-            (0.0,),
-        )
+        bank = FilterBank(np.array([[[-1.0]]]), 0, 0, (0.0,), (0,))
         out, rep = annihilation_recon(masked, mask, bank, tol=1e-12, max_iters=50)
         assert rep.iterations == 0
         assert np.array_equal(out.channels[0].values, masked.values)
@@ -635,62 +630,45 @@ class TestAnnihilationRecon:
         )
 
 
-def direct_forward(x, bank):
+def direct_forward(x, taps):
     """Per-(filter, channel) valid-mode convolutions, summed over channels."""
     return np.array([
-        sum(
-            scipy.signal.convolve(x[q], f.taps, mode="valid", method="direct")
-            for q, f in enumerate(mf.filters)
-        )
-        for mf in bank.filters
+        sum(scipy.signal.convolve(x[q], t, mode="valid", method="direct") for q, t in enumerate(row))
+        for row in taps
     ])
 
 
-def direct_adjoint(resps, bank, shape):
+def direct_adjoint(resps, taps, shape):
     """Full-mode convolutions with the conjugate-reversed taps."""
     grad = np.zeros(shape, dtype=np.complex128)
-    for mf, r in zip(bank.filters, resps):
-        for q, f in enumerate(mf.filters):
-            rev = np.conj(f.taps[(slice(None, None, -1),) * f.taps.ndim])
+    for row, r in zip(taps, resps):
+        for q, t in enumerate(row):
+            rev = np.conj(t[(slice(None, None, -1),) * t.ndim])
             grad[q] += scipy.signal.convolve(r, rev, mode="full", method="direct")
     return grad
-
-
-def stacked(bank):
-    """A bank's taps as the ``[F, Q, *W]`` array ``_BankOperator`` takes."""
-    return np.stack([mf.stack() for mf in bank.filters])
 
 
 class DirectBank:
     """Drop-in for ``_BankOperator`` that runs the direct loops."""
 
     def __init__(self, taps, shape):
-        width = taps.shape[-1]
-        self.bank = FilterBank(
-            tuple(MultiFilter(tuple(Filter(t, width - 1, 0) for t in row)) for row in taps),
-            (0.0,) * len(taps),
-        )
+        self.taps = taps
         self.shape = tuple(shape)
 
     def forward(self, x):
-        return direct_forward(x, self.bank)
+        return direct_forward(x, self.taps)
 
     def adjoint(self, resp):
-        return direct_adjoint(resp, self.bank, self.shape)
+        return direct_adjoint(resp, self.taps, self.shape)
 
 
 def random_bank(rng, F, Q, L, P, dims):
     shape = (L + P + 1,) * dims
-    return FilterBank(
-        tuple(
-            MultiFilter(tuple(
-                Filter(rng.normal(size=shape) + 1j * rng.normal(size=shape), L, P)
-                for _ in range(Q)
-            ))
-            for _ in range(F)
-        ),
-        (0.0,) * F,
-    )
+    taps = [
+        [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(Q)]
+        for _ in range(F)
+    ]
+    return FilterBank(np.array(taps), L, P, (0.0,) * F)
 
 
 def cplx(rng, shape):
@@ -719,7 +697,7 @@ FORCING = {"window": 2**62, "fft": 0}
 def forced_operator(evaluation, bank, shape):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpk.recon, "_WINDOW_CELLS", FORCING[evaluation])
-        op = _BankOperator(stacked(bank), shape)
+        op = _BankOperator(bank.taps, shape)
     assert op.evaluation == evaluation
     return op
 
@@ -792,9 +770,9 @@ class TestBankOperator:
     def test_matches_direct_loops(self, case):
         rng, bank, shape = case
         x = cplx(rng, shape)
-        want_fwd = direct_forward(x, bank)
+        want_fwd = direct_forward(x, bank.taps)
         r = cplx(rng, want_fwd.shape)
-        want_adj = direct_adjoint(r, bank, shape)
+        want_adj = direct_adjoint(r, bank.taps, shape)
         for evaluation in FORCING:
             op = forced_operator(evaluation, bank, shape)
             got = op.forward(x)
@@ -825,17 +803,17 @@ class TestBankOperator:
     ])
     def test_bench_shapes_keep_their_evaluation(self, shape, L, P, F, evaluation):
         bank = random_bank(np.random.default_rng(0), F, shape[0], L, P, len(shape) - 1)
-        assert _BankOperator(stacked(bank), shape).evaluation == evaluation
+        assert _BankOperator(bank.taps, shape).evaluation == evaluation
 
     def test_mismatches_rejected(self):
         rng = np.random.default_rng(0)
         bank2d = random_bank(rng, 2, 3, 1, 2, 2)
         with pytest.raises(ValueError, match="2D"):
-            _BankOperator(stacked(bank2d), (3, 16))
+            _BankOperator(bank2d.taps, (3, 16))
         with pytest.raises(ValueError, match="channels"):
-            _BankOperator(stacked(bank2d), (2, 8, 8))
+            _BankOperator(bank2d.taps, (2, 8, 8))
         with pytest.raises(ValueError, match="width"):
-            _BankOperator(stacked(bank2d), (3, 8, 3))
+            _BankOperator(bank2d.taps, (3, 8, 3))
         g = centered_grid(16, 1.0)
         data = MultiKSignal.from_array(g, cplx(rng, (3, 16)))
         mask = SamplingMask(g, np.arange(16) % 2 == 0)
