@@ -19,7 +19,6 @@ from .core import (
     Filter,
     KSignal,
     MultiFilter,
-    MultiKSignal,
     SamplingMask,
     centered_grid,
     zero_fill,
@@ -28,10 +27,11 @@ from .harness import ENGINES, MaskSpec, add_noise, gen_mask, nrmse, run_experime
 from .io import LpkFormatError, read_lpk, write_lpk
 from .lp import (
     FilterBank,
+    _as_multi,
+    bank_from_json,
     build_calib_matrix,
     fit_prediction_filter,
     gram_operator,
-    load_bank,
     nullspace_filter_bank,
     save_bank,
     smallest_eigensequences,
@@ -102,11 +102,25 @@ def _load_lpk(path):
         raise _DataError(f"{path}: {exc}") from exc
 
 
+def _from_doc(path, build, doc):
+    """``build(doc)``, with a document of the wrong structure (a missing
+    field, a list where an object belongs, a bad value) a data error that
+    names ``path``."""
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise _DataError(f"{path}: missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise _DataError(f"{path}: malformed document: {exc}") from exc
+    except ValueError as exc:
+        raise _DataError(f"{path}: {exc}") from exc
+
+
 def _load_scene_doc(path):
     doc = _load_json(path)
     if isinstance(doc, dict) and doc.get("kind") in ("scene", "sms-scene"):
-        return scene_from_json(doc)
-    return phantom_from_json(doc)
+        return _from_doc(path, scene_from_json, doc)
+    return _from_doc(path, phantom_from_json, doc)
 
 
 def _signal_grid(args, fallback_fov=None):
@@ -267,9 +281,7 @@ def _cmd_recon(args) -> int:
     for note in report.notes:
         print(f"note {note}")
     if args.truth:
-        truth = _load_lpk(args.truth)
-        if isinstance(truth, KSignal):
-            truth = MultiKSignal((truth,))
+        truth = _as_multi(_load_lpk(args.truth))
         print(f"nrmse {_fmt(nrmse(est, truth))}")
     if args.out:
         write_lpk(args.out, est)
@@ -296,10 +308,7 @@ def _cmd_sms(args) -> int:
         data = _load_lpk(args.inputs[0])
         if not isinstance(data, KSignal):
             raise _DataError("separate expects a single-channel signal")
-        try:
-            bank = load_bank(args.filters)
-        except OSError as exc:
-            raise _DataError(f"cannot read {args.filters}: {exc}") from exc
+        bank = _from_doc(args.filters, bank_from_json, _load_json(args.filters))
         if bank.q_count != 1:
             raise _DataError("separator filters must be single-channel")
         out, report = sms_separate(data, [Filter(t, bank.L, bank.P) for t in bank.taps[:, 0]])
@@ -398,10 +407,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _load_json(args.config)
+    if not isinstance(config, dict):
+        raise _DataError(f"{args.config}: an experiment config is a JSON object")
     if args.timing:
-        config = dict(config)
-        config["timing"] = True
-    doc = run_experiment(config, out_dir=args.out)
+        config = dict(config, timing=True)
+    # Cases fail one by one inside the run, so a ValueError is the config's.
+    try:
+        doc = run_experiment(config, out_dir=args.out)
+    except ValueError as exc:
+        raise _DataError(f"{args.config}: {exc}") from exc
     for row in doc["rows"]:
         value = "nan" if np.isnan(row["nrmse"]) else _fmt(row["nrmse"])
         print(

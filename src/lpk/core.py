@@ -2,9 +2,11 @@
 
 All data in this package lives on integer index grids: a signal stores one
 complex double per index ``n`` with ``n_min <= n <= n_max`` along each axis.
-Filters store taps ``h[k]`` for ``k in [-L, P]`` and act by discrete
-convolution restricted to the fully-covered (valid) output range, so no
-wraparound or zero-padding assumption ever enters a prediction residual.
+A channel stack stores its samples ``x_q[n]`` as one ``[Q, *N]`` array, so
+functions that take either kind act on ``values`` alone.  Filters store
+taps ``h[k]`` for ``k in [-L, P]`` and act by discrete convolution
+restricted to the fully-covered (valid) output range, so no wraparound or
+zero-padding assumption ever enters a prediction residual.
 
 Everything here is a plain immutable value type; operations return new
 objects and never mutate their inputs, so instances are safe to share
@@ -14,7 +16,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy import signal as _sps
@@ -182,51 +184,60 @@ class KSignal:
     def at(self, n) -> complex:
         return complex(self.values[self.grid.pos(n)])
 
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MultiKSignal:
-    """Channel stack of :class:`KSignal` objects on one shared grid."""
+    """Channel stack on one shared grid: ``values`` is one read-only
+    ``[Q, *N]`` array, the stack ``x_q[n]`` every solver works on.
 
-    channels: tuple[KSignal, ...]
+    ``MultiKSignal(channels)`` checks that the :class:`KSignal` channels
+    share a grid and stacks them once; :meth:`from_array` checks a
+    ``[Q, *N]`` stack as one array.  ``channels`` are views of
+    ``values[q]``.
+    """
 
-    def __post_init__(self):
-        chans = tuple(self.channels)
+    grid: KGrid
+    values: np.ndarray
+
+    def __init__(self, channels):
+        chans = tuple(channels)
         if not chans:
             raise ValueError("at least one channel required")
-        for ch in chans[1:]:
-            if ch.grid != chans[0].grid:
-                raise GridMismatchError("channels must share one grid")
-        object.__setattr__(self, "channels", chans)
+        if any(ch.grid != chans[0].grid for ch in chans[1:]):
+            raise GridMismatchError("channels must share one grid")
+        stacked = np.stack([ch.values for ch in chans])
+        object.__setattr__(self, "grid", chans[0].grid)
+        object.__setattr__(self, "values", _as_complex(stacked, stacked.shape, "values"))
 
     @classmethod
     def from_array(cls, grid: KGrid, stacked) -> "MultiKSignal":
-        """Channels from a ``[Q, *shape]`` stack, validated as one array;
-        each channel's values are a read-only view of the checked copy."""
+        """The stack of a ``[Q, *shape]`` array, checked as one array."""
         stacked = np.asarray(stacked, dtype=np.complex128)
         if stacked.shape[1:] != grid.shape:
             raise ValueError(f"stacked shape {stacked.shape} does not match grid {grid.shape}")
         if not len(stacked):
             raise ValueError("at least one channel required")
-        stacked = _as_complex(stacked, stacked.shape, "values")
-        chans = tuple(_unchecked(KSignal, grid=grid, values=s) for s in stacked)
-        return _unchecked(cls, channels=chans)
+        return _unchecked(cls, grid=grid, values=_as_complex(stacked, stacked.shape, "values"))
 
     @property
-    def grid(self) -> KGrid:
-        return self.channels[0].grid
+    def channels(self) -> tuple[KSignal, ...]:
+        return tuple(_unchecked(KSignal, grid=self.grid, values=v) for v in self.values)
 
     @property
     def q_count(self) -> int:
-        return len(self.channels)
+        return len(self.values)
 
     def stack(self) -> np.ndarray:
-        return np.stack([ch.values for ch in self.channels])
+        """A writable copy of ``values``."""
+        return self.values.copy()
 
-    def energy(self) -> float:
-        return float(sum(ch.energy() for ch in self.channels))
+
+def _like(data, values):
+    """``values`` on ``data``'s grid, as the kind of signal ``data`` is: a
+    :class:`KSignal`, or a :class:`MultiKSignal` for a ``[Q, *N]`` stack."""
+    if isinstance(data, MultiKSignal):
+        return MultiKSignal.from_array(data.grid, values)
+    return KSignal(data.grid, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,11 +402,9 @@ def zero_fill(data: Union[KSignal, MultiKSignal], mask: SamplingMask):
 
     Idempotent: applying twice equals applying once.
     """
-    if isinstance(data, MultiKSignal):
-        return MultiKSignal(tuple(zero_fill(ch, mask) for ch in data.channels))
     if data.grid != mask.grid:
         raise GridMismatchError("data and mask grids differ")
-    return KSignal(data.grid, np.where(mask.acquired, data.values, 0.0))
+    return _like(data, np.where(mask.acquired, data.values, 0.0))
 
 
 def conv_apply(data: KSignal, filt: Filter) -> KSignal:

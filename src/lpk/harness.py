@@ -23,15 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    KGrid,
-    KSignal,
-    MultiKSignal,
-    SamplingMask,
-    centered_grid,
-    zero_fill,
-)
+from .core import KGrid, SamplingMask, _like, centered_grid, zero_fill
 from .lp import (
+    _as_multi,
     fit_interpolation_filters,
     interpolate_missing,
     missing_patterns,
@@ -177,24 +171,16 @@ def add_noise(data, sigma: float, seed: int):
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
         return data
-    single = isinstance(data, KSignal)
-    ms = MultiKSignal((data,)) if single else data
-    rng = np.random.default_rng(seed)
-    s = sigma / np.sqrt(2.0)
-    out = []
-    for sig in ms.channels:
-        noise = s * (
-            rng.standard_normal(sig.values.shape)
-            + 1j * rng.standard_normal(sig.values.shape)
-        )
-        out.append(KSignal(sig.grid, sig.values + noise))
-    return out[0] if single else MultiKSignal(tuple(out))
+    lead = data.values.shape[: -data.grid.dims]
+    # Per channel a real block, then an imaginary block.
+    z = np.random.default_rng(seed).standard_normal(lead + (2,) + data.grid.shape)
+    re, im = np.moveaxis(z, len(lead), 0)
+    return _like(data, data.values + sigma / np.sqrt(2.0) * (re + 1j * im))
 
 
 def nrmse(estimate, truth) -> float:
     """``||estimate - truth|| / ||truth||``; infinity when truth is all zero."""
-    est = estimate.stack() if isinstance(estimate, MultiKSignal) else estimate.values
-    tru = truth.stack() if isinstance(truth, MultiKSignal) else truth.values
+    est, tru = estimate.values, truth.values
     if est.shape != tru.shape:
         raise ValueError("estimate and truth shapes differ")
     denom = float(np.linalg.norm(tru))
@@ -203,29 +189,9 @@ def nrmse(estimate, truth) -> float:
     return float(np.linalg.norm(est - tru)) / denom
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Scores of one reconstruction against the known truth."""
-
-    nrmse: float
-    per_channel: tuple[float, ...] = ()
-    conditioning: float | None = None
-
-
-def score(estimate: MultiKSignal, truth: MultiKSignal, report: ReconReport | None = None) -> Metrics:
-    per = tuple(nrmse(e, t) for e, t in zip(estimate.channels, truth.channels))
-    return Metrics(
-        nrmse=nrmse(estimate, truth),
-        per_channel=per,
-        conditioning=None if report is None else report.conditioning,
-    )
-
-
 def _engine_zero_fill(measured, mask, params):
     out = zero_fill(measured, mask if isinstance(mask, SamplingMask) else mask[0])
-    if isinstance(out, KSignal):
-        out = MultiKSignal((out,))
-    return out, ReconReport(method="zero-fill", iterations=0, converged=True)
+    return _as_multi(out), ReconReport(method="zero-fill", iterations=0, converged=True)
 
 
 def _engine_interp(measured, mask, params):
@@ -243,9 +209,8 @@ def _engine_interp(measured, mask, params):
     passes = int(params.get("passes", 4))
     max_resid = float(params.get("max_resid", 0.05))
     gain_ratio = float(params.get("gain_ratio", 50.0))
-    ms = measured if isinstance(measured, MultiKSignal) else MultiKSignal((measured,))
-    grid = ms.grid
-    cur = MultiKSignal.from_array(grid, np.where(mask.acquired, ms.stack(), 0.0))
+    cur = zero_fill(_as_multi(measured), mask)
+    grid = cur.grid
     eff = mask.acquired.copy()
     done = 0
     for done in range(1, passes + 1):
@@ -291,7 +256,7 @@ def _engine_annihilation(measured, mask, params):
     max_iters = int(params.get("max_iters", 500))
     if mask.calib is None:
         raise ValueError("annihilation engine needs a calibration region")
-    ms = measured if isinstance(measured, MultiKSignal) else MultiKSignal((measured,))
+    ms = _as_multi(measured)
     # One relation per channel by default, mirroring per-channel kernels.
     limit = params.get("limit", ms.q_count)
     bank = nullspace_filter_bank(
@@ -382,15 +347,11 @@ def write_pgm(path, magnitude: np.ndarray) -> None:
 
 def image_magnitude(data) -> np.ndarray:
     """Root-sum-of-squares spatial magnitude of (multi-channel) samples."""
-    ms = data if isinstance(data, MultiKSignal) else MultiKSignal((data,))
-    grid = ms.grid
-    acc = np.zeros(grid.shape)
-    for sig in ms.channels:
-        # Roll index n to array slot n mod N so ifftn sees DFT ordering.
-        shifted = np.roll(sig.values, grid.n_min, axis=tuple(range(grid.dims)))
-        img = np.fft.ifftn(shifted)
-        acc += np.abs(np.fft.fftshift(img)) ** 2
-    return np.sqrt(acc)
+    ms = _as_multi(data)
+    axes = tuple(range(1, ms.grid.dims + 1))
+    # Roll index n to array slot n mod N so ifftn sees DFT ordering.
+    img = np.fft.ifftn(np.roll(ms.values, ms.grid.n_min, axis=axes), axes=axes)
+    return np.sqrt(np.sum(np.abs(np.fft.fftshift(img, axes=axes)) ** 2, axis=0))
 
 
 def _method_entry(m) -> tuple[str, dict]:
@@ -406,38 +367,44 @@ def run_experiment(config: dict, out_dir=None) -> dict:
     Config keys: ``scene`` (registry name, path, or inline document),
     ``grid`` (size or per-axis list), ``fov``, ``mask`` (spec fields),
     ``methods`` (names or ``{"name": ..., params}``), ``sigmas``,
-    ``seeds``, optional ``timing`` to record wall time.  Per-case
-    failures are recorded and the run continues.
+    ``seeds``, optional ``timing`` to record wall time.  A config of
+    the wrong structure raises ``ValueError``; per-case failures are
+    recorded and the run continues.
 
     Returns the report document; with ``out_dir`` also writes
     ``report.json``, ``report.csv``, and per-case PGM renderings for 2D
     scenes.  Each row's ``notes`` joins its report's notes with ``"; "``
     (empty when there are none).
     """
-    scene, scene_label = resolve_scene(config["scene"])
-    if not isinstance(scene, MultiScene):
-        raise ValueError("experiments run on multi-channel scenes")
+    try:
+        scene, scene_label = resolve_scene(config["scene"])
+        if not isinstance(scene, MultiScene):
+            raise ValueError("experiments run on multi-channel scenes")
+        shape = config["grid"]
+        fov = config.get("fov", 1.0)
+        grid = centered_grid(shape, fov)
+        mask_cfg = dict(config["mask"])
+        spec = MaskSpec(
+            kind=mask_cfg.pop("kind"),
+            r=int(mask_cfg.pop("accel", mask_cfg.pop("r", 1))),
+            calib=mask_cfg.pop("calib", None),
+            pf=mask_cfg.pop("pf", None),
+            seed=int(mask_cfg.pop("seed", 0)),
+            stencil=mask_cfg.pop("stencil", None),
+        )
+        if mask_cfg:
+            raise ValueError(f"unknown mask fields: {sorted(mask_cfg)}")
+        mask = gen_mask(spec, grid)
+        methods = [_method_entry(m) for m in config.get("methods", [])]
+        sigmas = [float(s) for s in config.get("sigmas", [0.0])]
+        seeds = [int(s) for s in config.get("seeds", [0])]
+        timing = bool(config.get("timing", False))
+    except KeyError as exc:
+        raise ValueError(f"experiment config lacks field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed experiment config: {exc}") from exc
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    shape = config["grid"]
-    fov = config.get("fov", 1.0)
-    grid = centered_grid(shape, fov)
-    mask_cfg = dict(config["mask"])
-    spec = MaskSpec(
-        kind=mask_cfg.pop("kind"),
-        r=int(mask_cfg.pop("accel", mask_cfg.pop("r", 1))),
-        calib=mask_cfg.pop("calib", None),
-        pf=mask_cfg.pop("pf", None),
-        seed=int(mask_cfg.pop("seed", 0)),
-        stencil=mask_cfg.pop("stencil", None),
-    )
-    if mask_cfg:
-        raise ValueError(f"unknown mask fields: {sorted(mask_cfg)}")
-    mask = gen_mask(spec, grid)
-    methods = [_method_entry(m) for m in config.get("methods", [])]
-    sigmas = [float(s) for s in config.get("sigmas", [0.0])]
-    seeds = [int(s) for s in config.get("seeds", [0])]
-    timing = bool(config.get("timing", False))
 
     if not methods:
         warnings.warn("empty method list; emitting an empty table", stacklevel=2)

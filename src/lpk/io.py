@@ -67,11 +67,9 @@ def _header(obj: _Payload) -> dict:
 
 
 def _payload(obj: _Payload) -> bytes:
-    if isinstance(obj, KSignal):
-        return np.ascontiguousarray(obj.values, dtype="<c16").tobytes()
-    if isinstance(obj, MultiKSignal):
-        return b"".join(_payload(ch) for ch in obj.channels)
-    return np.ascontiguousarray(obj.acquired, dtype=np.uint8).tobytes()
+    if isinstance(obj, SamplingMask):
+        return np.ascontiguousarray(obj.acquired, dtype=np.uint8).tobytes()
+    return np.ascontiguousarray(obj.values, dtype="<c16").tobytes()
 
 
 def write_lpk(path, obj: _Payload) -> None:

@@ -177,7 +177,7 @@ def build_calib_matrix(data, calib=None, L: int = 0, P: int = 1) -> CalibMatrix:
     """
     ms = _as_multi(data)
     calib = _checked_calib(ms.grid, calib, L, P)
-    region = ms.stack()[(slice(None),) + tuple(
+    region = ms.values[(slice(None),) + tuple(
         slice(lo - glo, hi - glo + 1) for (lo, hi), glo in zip(calib, ms.grid.n_min)
     )]
     return CalibMatrix(_window_rows(region, L, P), ms.grid, calib, L, P, ms.q_count)
@@ -503,7 +503,7 @@ def interpolate_missing(
     ms = _as_multi(data)
     if ms.grid != mask.grid:
         raise GridMismatchError("data and mask grids differ")
-    stacked = ms.stack()
+    stacked = ms.values
     out = stacked.copy()
     if mask.acquired.all():
         return MultiKSignal.from_array(ms.grid, out)

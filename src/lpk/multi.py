@@ -27,12 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    Filter, GridMismatchError, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask,
+    Filter, GridMismatchError, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask, _like,
     conv_apply, conv_response,
 )
 from .lp import (
-    IdentityCheck, _anchored_fit, _decay_constant as _decay, _energy_identity, _ridge_solve,
-    build_calib_matrix,
+    IdentityCheck, _anchored_fit, _as_multi, _decay_constant as _decay, _energy_identity,
+    _ridge_solve, build_calib_matrix,
 )
 from .phantom import (
     Modulator,
@@ -113,24 +113,19 @@ def sms_slice_samples(scene: SmsScene, grid: KGrid):
 
 
 def sms_superpose(slices):
-    """Sum per-slice data into the observed superposed samples."""
+    """Sum per-slice data into the observed superposed samples.
+
+    Every slice must be the same kind of signal on the same grid with the
+    same channel count.
+    """
     slices = tuple(slices)
     if len(slices) < 2:
         raise ValueError("superposition needs at least two slices")
-    if isinstance(slices[0], KSignal):
-        acc = slices[0].values.copy()
-        for s in slices[1:]:
-            if s.grid != slices[0].grid:
-                raise ValueError("slices must share the grid")
-            acc = acc + s.values
-        return KSignal(slices[0].grid, acc)
-    out = []
-    for c in range(slices[0].q_count):
-        acc = slices[0].channels[c].values.copy()
-        for s in slices[1:]:
-            acc = acc + s.channels[c].values
-        out.append(KSignal(slices[0].grid, acc))
-    return MultiKSignal(tuple(out))
+    first = slices[0]
+    # Same grid and same values shape: a KSignal's values lack the channel axis.
+    if any(s.grid != first.grid or s.values.shape != first.values.shape for s in slices[1:]):
+        raise ValueError("slices must share the signal kind, grid and channel count")
+    return _like(first, sum((s.values for s in slices[1:]), first.values))
 
 
 def smash_fit(
@@ -196,7 +191,7 @@ def sms_fit_separator(
 ) -> tuple[Filter, SeparatorReport]:
     """Single-coil separator: the one-coil case of :func:`sms_fit_separator_coils`."""
     mf, report = sms_fit_separator_coils(
-        [MultiKSignal((s,)) for s in slices], target, 0, L, P, calib, mu, ridge
+        [_as_multi(s) for s in slices], target, 0, L, P, calib, mu, ridge
     )
     return mf.filters[0], report
 

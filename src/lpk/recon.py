@@ -172,7 +172,7 @@ def virtual_conjugate(data) -> MultiKSignal:
             "grid is asymmetric; unpaired edge indices of the conjugate copy are zero-filled",
             stacklevel=2,
         )
-    return MultiKSignal.from_array(ms.grid, _with_mirrors(ms.stack(), ms.grid))
+    return MultiKSignal.from_array(ms.grid, _with_mirrors(ms.values, ms.grid))
 
 
 def reflect_mask(mask: SamplingMask) -> SamplingMask:
@@ -283,7 +283,7 @@ def lift(data, L: int, P: int, variant: str = "C") -> StructuredMatrix:
     ms = _as_multi(data)
     _check_lift(ms.grid, L, P, variant)
     index, _ = _lift_geometry(ms.grid, ms.q_count, L, P, variant)
-    matrix = _gather(ms.stack(), ms.grid, index, variant)
+    matrix = _gather(ms.values, ms.grid, index, variant)
     return StructuredMatrix(matrix, ms.grid, L, P, ms.q_count, variant)
 
 
@@ -339,7 +339,7 @@ def lowrank_complete(
     masks = _norm_masks(mask, q_count, grid)
     _check_lift(grid, L, P, variant)
     acq = np.array([m.acquired for m in masks])
-    ref = ms.stack()
+    ref = ms.values
     x = np.where(acq, ref, 0.0)
     ref_acq = ref[acq]
     index, count = _lift_geometry(grid, q_count, L, P, variant)
@@ -673,7 +673,7 @@ def annihilation_recon(
     ms = _as_multi(data)
     masks = _norm_masks(mask, ms.q_count, ms.grid)
     acq = np.array([m.acquired for m in masks])
-    ref = ms.stack()
+    ref = ms.values
 
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -720,9 +720,9 @@ def pf_recon(
     P = 0 if P is None else P
     if any(m.calib is None for m in masks):
         raise ValueError("annihilation-vc needs masks with a calibration region")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        aug = virtual_conjugate(ms)
+    # Mirrors that fall off the grid are zero here and unacquired in the
+    # reflected masks, so the solve fills them.
+    aug = MultiKSignal.from_array(ms.grid, _with_mirrors(ms.values, ms.grid))
     aug_masks = masks + [reflect_mask(m) for m in masks]
     # Fit where the calibration region overlaps its own mirror.
     rm = reflect_mask(masks[0])
@@ -738,5 +738,5 @@ def pf_recon(
     out, report = annihilation_recon(
         aug, aug_masks, bank, lam=0.0, tol=tol, max_iters=max_iters
     )
-    kept = MultiKSignal(tuple(out.channels[: ms.q_count]))
+    kept = MultiKSignal.from_array(ms.grid, out.values[: ms.q_count])
     return kept, replace(report, method="annihilation-vc")

@@ -409,6 +409,47 @@ def test_sms_errors(capsys, sms_dir, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+# Where each command reads a JSON document.
+DOC_COMMANDS = {
+    "sms": ["sms", "separate", "{sig}", "--filters", "{doc}", "--out", "{out}"],
+    "phantom": ["phantom", "{doc}", "--out", "{out}"],
+    "eigen": ["fit", "{doc}", "--mode", "eigen"],
+    "bench": ["bench", "{doc}"],
+}
+# JSON that parses but has the wrong structure: (command, document, message).
+MALFORMED = [
+    *[
+        (command, doc, message)
+        for command in ("sms", "phantom", "eigen")
+        for doc, message in (
+            ({"L": 2, "P": 2, "dims": 1}, "missing field"),
+            ([1, 2], "malformed document"),
+        )
+    ],
+    ("phantom", {"kind": "scene"}, "missing field 'phantom'"),
+    ("eigen", {"kind": "scene"}, "missing field 'phantom'"),
+    ("bench", {"grid": 32, "mask": {"kind": "full"}}, "lacks field 'scene'"),
+    ("bench", [1, 2], "an experiment config is a JSON object"),
+]
+
+
+@pytest.mark.parametrize("command,doc,message", MALFORMED)
+def test_malformed_document_is_a_data_error(capsys, tmp_path, command, doc, message):
+    from lpk.core import KSignal, centered_grid
+    from lpk.io import write_lpk
+
+    paths = {name: str(tmp_path / name) for name in ("sig.lpk", "doc.json", "out.lpk")}
+    write_lpk(paths["sig.lpk"], KSignal(centered_grid(16, 1.0), np.ones(16)))
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    argv = [
+        a.format(sig=paths["sig.lpk"], doc=paths["doc.json"], out=paths["out.lpk"])
+        for a in DOC_COMMANDS[command]
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths['doc.json']}: ") and message in err
+
+
 def test_bench_prints_one_row_per_case(capsys, tmp_path):
     config = {
         "scene": "demo1d",

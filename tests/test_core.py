@@ -120,6 +120,27 @@ class TestMultiKSignal:
         with pytest.raises(ValueError):
             MultiKSignal(())
 
+    def test_values_are_one_read_only_stack_the_channels_view(self):
+        g = centered_grid((4, 3), 1.0)
+        rng = np.random.default_rng(0)
+        arr = rng.standard_normal((2,) + g.shape) + 1j * rng.standard_normal((2,) + g.shape)
+        for ms in (
+            MultiKSignal.from_array(g, arr),
+            MultiKSignal(tuple(KSignal(g, a) for a in arr)),
+        ):
+            assert ms.values.shape == (2, 4, 3) and ms.values.dtype == np.complex128
+            assert not ms.values.flags.writeable
+            assert np.array_equal(ms.values, arr)
+            for q, ch in enumerate(ms.channels):
+                assert ch.grid == g
+                assert np.shares_memory(ch.values, ms.values)
+                assert np.array_equal(ch.values, arr[q])
+            # stack() stays a fresh writable copy.
+            copy = ms.stack()
+            assert copy.flags.writeable and not np.shares_memory(copy, ms.values)
+        # The input array is copied, not kept.
+        assert not np.shares_memory(MultiKSignal.from_array(g, arr).values, arr)
+
 
 class TestFilter:
     def test_tap_length_matches_support(self):

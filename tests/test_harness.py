@@ -42,6 +42,24 @@ def small_2d_case(seed):
     return zero_fill(truth, mask), mask
 
 
+@pytest.mark.parametrize("multi", [False, True])
+def test_add_noise_is_the_per_channel_draw(multi):
+    # Per channel a real draw, then an imaginary one, from one generator:
+    # the stream every benchmark input was drawn from.
+    truth = scene_samples(demo_scene_2d(), centered_grid((12, 10), 1.0))
+    data = truth if multi else truth.channels[1]
+    sigma, seed = 0.3, 17
+    rng = np.random.default_rng(seed)
+    s = sigma / np.sqrt(2.0)
+    want = [
+        ch.values + s * (rng.standard_normal(ch.values.shape) + 1j * rng.standard_normal(ch.values.shape))
+        for ch in (truth.channels if multi else (data,))
+    ]
+    got = add_noise(data, sigma, seed)
+    assert type(got) is type(data) and got.grid == data.grid
+    assert (got.stack() if multi else got.values).tobytes() == np.array(want).tobytes()
+
+
 class TestInterpEngine:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("params", [{}, {"passes": 1}])

@@ -330,6 +330,24 @@ def test_coil_separation_is_the_per_coil_convolution_sum():
         assert rel(out[m].stack(), ref) <= 0.03
 
 
+def test_superpose_rejects_slices_of_another_kind_grid_or_coil_count():
+    grid = centered_grid(32, 1.0)
+    scene = SmsScene(bench_slices(), make_sensitivities(3, 2, seed=3))
+    three = sms_slice_samples(scene, grid)
+    two = MultiKSignal(three[0].channels[:2])
+    other_fov = MultiKSignal.from_array(centered_grid(32, 2.0), three[1].values)
+    for slices in (
+        (two, three[1]),  # a 3-coil slice after a 2-coil one
+        (three[0], other_fov),  # coil stacks on fov 1 and fov 2
+        (three[0].channels[0], MultiKSignal(three[1].channels[:1])),  # KSignal, then a stack
+    ):
+        with pytest.raises(ValueError):
+            sms_superpose(slices)
+    summed = sms_superpose(three)
+    assert summed.q_count == 3
+    assert np.array_equal(summed.values, three[0].values + three[1].values)
+
+
 @pytest.mark.parametrize("b", [1.0, 2.0])
 def test_multichannel_identity_with_nonzero_energy(b):
     # A filter that does not cancel the modulators leaves energy on both
