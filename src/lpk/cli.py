@@ -102,6 +102,14 @@ def _load_lpk(path):
         raise _DataError(f"{path}: {exc}") from exc
 
 
+def _load_samples(path):
+    """The samples in the ``.lpk`` file ``path``; a mask there is a data error."""
+    data = _load_lpk(path)
+    if isinstance(data, SamplingMask):
+        raise _DataError(f"{path}: expected samples, not a mask")
+    return data
+
+
 def _from_doc(path, build, doc):
     """``build(doc)``, with a document of the wrong structure (a missing
     field, a list where an object belongs, a bad value) a data error that
@@ -164,9 +172,7 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    data = _load_lpk(args.input)
-    if isinstance(data, SamplingMask):
-        raise _DataError(f"{args.input} holds a mask, not samples")
+    data = _load_samples(args.input)
     spec = _mask_spec(args)
     mask = gen_mask(spec, data.grid)
     noisy = add_noise(data, args.sigma, args.seed)
@@ -189,18 +195,14 @@ def _calib_arg(args, grid):
 
 def _cmd_fit(args) -> int:
     if args.mode == "predict":
-        data = _load_lpk(args.input)
-        if isinstance(data, SamplingMask):
-            raise _DataError("fit needs sample data, not a mask")
+        data = _load_samples(args.input)
         cm = build_calib_matrix(data, _calib_arg(args, data.grid), args.L, args.P)
         tgt = 0 if args.target is None else args.target
         mf, resid = fit_prediction_filter(cm, target=tgt, ridge=args.ridge)
-        bank = FilterBank(mf.stack()[None], mf.L, mf.P, (resid,), (mf.anchor_channel,))
+        bank = FilterBank(mf.taps[None], mf.L, mf.P, (resid,), (mf.anchor_channel,))
         print(f"residual {_fmt(resid)}")
     elif args.mode == "nullspace":
-        data = _load_lpk(args.input)
-        if isinstance(data, SamplingMask):
-            raise _DataError("fit needs sample data, not a mask")
+        data = _load_samples(args.input)
         bank = nullspace_filter_bank(
             data, _calib_arg(args, data.grid), args.L, args.P,
             tau=args.tau, limit=args.limit,
@@ -224,7 +226,7 @@ def _cmd_fit(args) -> int:
             target=0 if args.target is None else args.target,
             fov=obj.phantom.fov[0], ridge=args.ridge,
         )
-        bank = FilterBank(mf.stack()[None], mf.L, mf.P, (resid,), (mf.anchor_channel,))
+        bank = FilterBank(mf.taps[None], mf.L, mf.P, (resid,), (mf.anchor_channel,))
         print(f"residual {_fmt(resid)}")
     elif args.mode == "sms-sep":
         obj = _load_scene_doc(args.input)
@@ -258,12 +260,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_recon(args) -> int:
-    data = _load_lpk(args.input)
-    if isinstance(data, SamplingMask):
-        raise _DataError(f"{args.input} holds a mask, not samples")
+    data = _load_samples(args.input)
     mask = _load_lpk(args.mask)
     if not isinstance(mask, SamplingMask):
         raise _DataError(f"{args.mask} does not hold a mask")
+    truth = _as_multi(_load_samples(args.truth)) if args.truth else None
     if args.engine not in ENGINES:
         raise _DataError(f"unknown engine {args.engine!r}")
     params = {"L": args.L, "P": args.P, "tol": args.tol}
@@ -280,8 +281,7 @@ def _cmd_recon(args) -> int:
     print(f"converged {str(report.converged).lower()}")
     for note in report.notes:
         print(f"note {note}")
-    if args.truth:
-        truth = _as_multi(_load_lpk(args.truth))
+    if truth is not None:
         print(f"nrmse {_fmt(nrmse(est, truth))}")
     if args.out:
         write_lpk(args.out, est)
@@ -293,9 +293,7 @@ def _cmd_recon(args) -> int:
 
 def _cmd_sms(args) -> int:
     if args.action == "superpose":
-        parts = [_load_lpk(p) for p in args.inputs]
-        if any(isinstance(p, SamplingMask) for p in parts):
-            raise _DataError("superpose needs sample data, not masks")
+        parts = [_load_samples(p) for p in args.inputs]
         out = sms_superpose(parts)
         write_lpk(args.out, out)
         print(f"wrote {args.out}")
@@ -337,12 +335,7 @@ def _theorem_scene_2(args):
         Modulator(np.array([b]), (0,)),
         Modulator(np.array([b]), (1,)),
     )
-    mf = MultiFilter(
-        (
-            Filter(np.array([0.0, 1.0]), 0, 1),
-            Filter(np.array([-1.0, 0.0]), 0, 1),
-        )
-    )
+    mf = MultiFilter.from_array(np.array([[0.0, 1.0], [-1.0, 0.0]]), 0, 1)
     grid = centered_grid(args.grid, b)
     return check_multichannel_identity(phantom, sens, mf, grid), None
 

@@ -6,7 +6,10 @@ A channel stack stores its samples ``x_q[n]`` as one ``[Q, *N]`` array, so
 functions that take either kind act on ``values`` alone.  Filters store
 taps ``h[k]`` for ``k in [-L, P]`` and act by discrete convolution
 restricted to the fully-covered (valid) output range, so no wraparound or
-zero-padding assumption ever enters a prediction residual.
+zero-padding assumption ever enters a prediction residual.  A joint
+filter stores its channels' taps as one ``[Q, *W]`` array, and one
+routine checks every tap array: a filter's ``[*W]``, a joint filter's
+``[Q, *W]`` and a bank's ``[F, Q, *W]``.
 
 Everything here is a plain immutable value type; operations return new
 objects and never mutate their inputs, so instances are safe to share
@@ -161,12 +164,12 @@ def _unchecked(cls, **fields):
 
 
 def _as_complex(values, shape, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+    """A read-only C-ordered copy of ``values``, checked for shape and finiteness."""
+    arr = np.array(values, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ValueError(f"{name} contains non-finite entries")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -240,6 +243,38 @@ def _like(data, values):
     return KSignal(data.grid, values)
 
 
+def _check_taps(taps, L, P, lead: int) -> tuple[np.ndarray, int, int]:
+    """``(taps, L, P)`` checked, ``taps`` a read-only copy: the one check of
+    every tap array.  ``L, P >= 0``; ``lead`` nonempty leading axes (the
+    ``[*W]``, ``[Q, *W]`` or ``[F, Q, *W]`` layout), then 1 or 2 tap axes of
+    width ``L + P + 1``; finite; each filter nonzero on some channel."""
+    L, P = int(L), int(P)
+    if L < 0 or P < 0:
+        raise ValueError("L and P must be nonnegative")
+    taps = np.asarray(taps, dtype=np.complex128)
+    if taps.ndim - lead not in (1, 2) or 0 in taps.shape[:lead]:
+        raise ValueError(
+            f"taps must be a nonempty {('[*W]', '[Q, *W]', '[F, Q, *W]')[lead]} array, "
+            f"got shape {taps.shape}"
+        )
+    taps = _as_complex(taps, taps.shape[:lead] + (L + P + 1,) * (taps.ndim - lead), "taps")
+    per_filter = taps.reshape(taps.shape[: max(lead - 1, 0)] + (-1,))
+    if not np.all(np.any(per_filter, axis=-1)):
+        raise ValueError("every filter needs a nonzero tap")
+    return taps, L, P
+
+
+def _check_anchor(taps: np.ndarray, L: int, anchor, name: str = "filter") -> int | None:
+    """``anchor`` as a channel of the one-filter ``[Q, *W]`` array ``taps``
+    whose ``k = 0`` tap is exactly -1, or None."""
+    if anchor is None:
+        return None
+    a = int(anchor)
+    if not (0 <= a < len(taps) and taps[(a,) + (L,) * (taps.ndim - 1)] == -1):
+        raise ValueError(f"{name} anchor {a}: not a channel with k=0 tap exactly -1")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Filter:
     """Prediction/annihilation taps ``h[k]`` for ``k in [-L, P]`` per axis.
@@ -256,26 +291,10 @@ class Filter:
     anchor_fixed: bool = False
 
     def __post_init__(self):
-        L, P = int(self.L), int(self.P)
-        if L < 0 or P < 0:
-            raise ValueError("L and P must be nonnegative")
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "P", P)
-        taps = np.asarray(self.taps, dtype=np.complex128)
-        if taps.ndim not in (1, 2):
-            raise ValueError("taps must be 1D or 2D")
-        width = L + P + 1
-        if taps.shape != (width,) * taps.ndim:
-            raise ValueError(f"taps shape {taps.shape} does not match [-{L}, {P}]")
-        if not np.all(np.isfinite(taps.view(np.float64))):
-            raise ValueError("taps contain non-finite entries")
-        if not np.any(taps):
-            raise ValueError("at least one tap must be nonzero")
-        if self.anchor_fixed and taps[(L,) * taps.ndim] != -1:
-            raise ValueError("anchor_fixed requires the k=0 tap to equal -1 exactly")
-        taps = taps.copy()
-        taps.setflags(write=False)
-        object.__setattr__(self, "taps", taps)
+        taps, L, P = _check_taps(self.taps, self.L, self.P, 0)
+        if self.anchor_fixed:
+            _check_anchor(taps[None], L, 0)
+        self.__dict__.update(taps=taps, L=L, P=P)
 
     @property
     def dims(self) -> int:
@@ -286,54 +305,56 @@ class Filter:
         return complex(self.taps[tuple(ki + self.L for ki in k)])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MultiFilter:
-    """One filter per channel, sharing a common ``[-L, P]`` support.
+    """One joint filter: a read-only ``[Q, *W]`` tap array, ``taps[q]`` the
+    taps on channel ``q`` over the shared ``[-L, P]`` support.
 
-    At most one channel may carry the ``anchor_fixed`` convention; that
-    channel is the prediction target of the joint relation
-    ``sum_q sum_k h_q[k] x_q[n-k] ~ 0``.
+    ``anchor_channel``, if not None, is the channel whose ``k = 0`` tap is
+    exactly -1: the prediction target of the joint relation
+    ``sum_q sum_k h_q[k] x_q[n-k] ~ 0``.  ``MultiFilter(filters)`` stacks
+    one :class:`Filter` per channel, at most one of them ``anchor_fixed``;
+    :meth:`from_array` takes the stack as it is.  Either checks the stack
+    once, and ``filters`` are views of ``taps[q]``.
     """
 
-    filters: tuple[Filter, ...]
+    taps: np.ndarray
+    L: int
+    P: int
+    anchor_channel: int | None
 
-    def __post_init__(self):
-        filts = tuple(self.filters)
-        if not filts:
-            raise ValueError("at least one channel filter required")
-        f0 = filts[0]
-        for f in filts[1:]:
-            if (f.L, f.P, f.dims) != (f0.L, f0.P, f0.dims):
-                raise ValueError("channel filters must share L, P, and dims")
-        if sum(f.anchor_fixed for f in filts) > 1:
-            raise ValueError("at most one channel may carry the anchor")
-        object.__setattr__(self, "filters", filts)
+    def __init__(self, filters):
+        filts = tuple(filters)
+        anchors = [q for q, f in enumerate(filts) if f.anchor_fixed]
+        if not filts or len({(f.L, f.P) for f in filts}) > 1 or len(anchors) > 1:
+            raise ValueError("channel filters must share L and P, at most one anchored")
+        taps = np.stack([f.taps for f in filts])
+        anchor = anchors[0] if anchors else None
+        self.__dict__.update(vars(MultiFilter.from_array(taps, filts[0].L, filts[0].P, anchor)))
+
+    @classmethod
+    def from_array(cls, taps, L: int, P: int, anchor: int | None = None) -> "MultiFilter":
+        """The joint filter of a ``[Q, *W]`` tap array, checked as one array."""
+        taps, L, P = _check_taps(taps, L, P, 1)
+        return _unchecked(
+            cls, taps=taps, L=L, P=P, anchor_channel=_check_anchor(taps, L, anchor)
+        )
 
     @property
     def q_count(self) -> int:
-        return len(self.filters)
-
-    @property
-    def L(self) -> int:
-        return self.filters[0].L
-
-    @property
-    def P(self) -> int:
-        return self.filters[0].P
+        return len(self.taps)
 
     @property
     def dims(self) -> int:
-        return self.filters[0].dims
+        return self.taps.ndim - 1
 
     @property
-    def anchor_channel(self) -> int | None:
-        for q, f in enumerate(self.filters):
-            if f.anchor_fixed:
-                return q
-        return None
-
-    def stack(self) -> np.ndarray:
-        return np.stack([f.taps for f in self.filters])
+    def filters(self) -> tuple[Filter, ...]:
+        """Channel ``q`` as a :class:`Filter` viewing ``taps[q]``."""
+        return tuple(
+            _unchecked(Filter, taps=t, L=self.L, P=self.P, anchor_fixed=(q == self.anchor_channel))
+            for q, t in enumerate(self.taps)
+        )
 
 
 def _normalize_calib(calib, grid: KGrid):
@@ -431,11 +452,12 @@ def conv_response(data: MultiKSignal, mf: MultiFilter) -> KSignal:
     """Joint response ``sum_q sum_k h_q[k] x_q[n-k]`` on the valid range."""
     if mf.q_count != data.q_count:
         raise ValueError("filter channel count does not match data")
-    parts = [conv_apply(ch, f) for ch, f in zip(data.channels, mf.filters)]
-    total = parts[0].values.copy()
-    for p in parts[1:]:
-        total = total + p.values
-    return KSignal(parts[0].grid, total)
+    if mf.dims != data.grid.dims:
+        raise ValueError("filter dims do not match data dims")
+    parts = [
+        _sps.convolve(x, h, mode="valid", method="direct") for x, h in zip(data.values, mf.taps)
+    ]
+    return KSignal(data.grid.valid_for(mf.L, mf.P), sum(parts[1:], parts[0]))
 
 
 def signals_allclose(a: KSignal, b: KSignal, rtol=1e-12, atol=1e-12) -> bool:

@@ -326,8 +326,12 @@ def resolve_scene(entry):
     if isinstance(entry, str):
         if entry in _NAMED_SCENES:
             return _NAMED_SCENES[entry](), entry
-        with open(entry, "r", encoding="utf-8") as fh:
-            return scene_from_json(json.load(fh)), entry
+        try:
+            with open(entry, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read scene {entry}: {exc}") from exc
+        return scene_from_json(doc), entry
     return scene_from_json(entry), str(entry.get("kind", "scene"))
 
 

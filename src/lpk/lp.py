@@ -17,9 +17,11 @@ form, the Hermitian ``G[k, n] = g[n - k]`` gives the energy as
 ``h^H G h``, and its smallest eigenvectors are the best-annihilating
 unit-norm sequences.
 
-Filters stay tap arrays from fit to file to solver.  A :class:`FilterBank`
-is one read-only ``[F, Q, *W]`` array checked once as a whole; its
-``filters`` are per-filter views for callers that take ``MultiFilter``s.
+Filters stay tap arrays from fit to file to solver.  The anchored fits
+return a ``MultiFilter`` built from one ``[Q, *W]`` array.  A
+:class:`FilterBank` is one read-only ``[F, Q, *W]`` array, checked once as
+a whole by the tap check filters share; its ``filters`` are
+``MultiFilter`` views of ``taps[f]``.
 Pattern-aware interpolation (one kernel per local sampling pattern, as in
 GRAPPA) keeps each pattern's filters as one read-only ``[Q, Q, *W]`` tap
 array, ``[m]`` the filter anchored at channel ``m``: the fit returns it
@@ -43,8 +45,9 @@ from .core import (
     MultiFilter,
     MultiKSignal,
     SamplingMask,
-    _as_complex,
     _axes_int,
+    _check_anchor,
+    _check_taps,
     _normalize_calib,
     _unchecked,
 )
@@ -216,10 +219,7 @@ def _anchored_fit(A, shape, target: int, L: int, P: int, ridge, zeroed=frozenset
     taps = np.zeros(A.shape[1], dtype=np.complex128)
     taps[free] = coef
     taps[tgt] = -1.0
-    mf = MultiFilter(tuple(
-        Filter(t, L, P, anchor_fixed=(q == target)) for q, t in enumerate(taps.reshape(shape))
-    ))
-    return mf, resid
+    return MultiFilter.from_array(taps.reshape(shape), L, P, target), resid
 
 
 def fit_prediction_filter(
@@ -273,28 +273,15 @@ class FilterBank:
     anchors: tuple[int | None, ...] | None = None
 
     def __post_init__(self):
-        L, P = int(self.L), int(self.P)
-        if L < 0 or P < 0:
-            raise ValueError("L and P must be nonnegative")
-        taps = np.ascontiguousarray(self.taps, dtype=np.complex128)
-        if taps.ndim not in (3, 4) or 0 in taps.shape[:2]:
-            raise ValueError(f"taps must be a nonempty [F, Q, *W] array, got shape {taps.shape}")
-        dims = taps.ndim - 2
-        taps = _as_complex(taps, taps.shape[:2] + (L + P + 1,) * dims, "taps")
-        if not np.any(taps.reshape(len(taps), -1), axis=1).all():
-            raise ValueError("every filter needs a nonzero tap")
+        taps, L, P = _check_taps(self.taps, self.L, self.P, 2)
         res = tuple(float(r) for r in self.residuals)
-        anchors = (None,) * len(taps) if self.anchors is None else tuple(
-            None if a is None else int(a) for a in self.anchors
-        )
+        anchors = (None,) * len(taps) if self.anchors is None else tuple(self.anchors)
         if not len(res) == len(anchors) == len(taps):
             raise ValueError("one residual and one anchor (or None) per filter required")
-        for f, a in enumerate(anchors):
-            if a is not None and not (0 <= a < taps.shape[1] and taps[(f, a) + (L,) * dims] == -1):
-                raise ValueError(f"filter {f} anchor {a}: not a channel with k=0 tap exactly -1")
-        fields = {"L": L, "P": P, "taps": taps, "residuals": res, "anchors": anchors}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        anchors = tuple(
+            _check_anchor(t, L, a, f"filter {f}") for f, (t, a) in enumerate(zip(taps, anchors))
+        )
+        self.__dict__.update(L=L, P=P, taps=taps, residuals=res, anchors=anchors)
 
     @property
     def q_count(self) -> int:
@@ -302,14 +289,11 @@ class FilterBank:
 
     @property
     def filters(self) -> tuple[MultiFilter, ...]:
-        """Filter ``f`` as a :class:`MultiFilter` whose channel taps are
-        views of ``taps[f]``, built unchecked: the bank checked them."""
+        """Filter ``f`` as a :class:`MultiFilter` viewing ``taps[f]``, built
+        unchecked: the bank checked it."""
         return tuple(
-            _unchecked(MultiFilter, filters=tuple(
-                _unchecked(Filter, taps=t, L=self.L, P=self.P, anchor_fixed=(q == a))
-                for q, t in enumerate(row)
-            ))
-            for row, a in zip(self.taps, self.anchors)
+            _unchecked(MultiFilter, taps=t, L=self.L, P=self.P, anchor_channel=a)
+            for t, a in zip(self.taps, self.anchors)
         )
 
 

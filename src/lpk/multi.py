@@ -250,9 +250,7 @@ def sms_fit_separator_coils(
     repro = float(np.linalg.norm(cm_sum.matrix @ coef - y)) / np.sqrt(rows)
     leak_sq = sum(float(np.sum(np.abs(m @ coef) ** 2)) for m in leak_mats)
     leakage = np.sqrt(leak_sq / (rows * max(len(leak_mats), 1)))
-    width = L + P + 1
-    taps = coef.reshape(q, width)
-    mf = MultiFilter(tuple(Filter(taps[c], L, P) for c in range(q)))
+    mf = MultiFilter.from_array(coef.reshape(q, L + P + 1), L, P)
     return mf, SeparatorReport(repro, float(leakage), mu, rows)
 
 
@@ -354,16 +352,14 @@ def check_multichannel_identity(
         return lambda x, mid: spatial_profile(phantom, x, mid) * c.eval_spatial(x, (b,))
 
     c_rho = _decay(phantom)
-    c_tot = 0.0
-    m_max = 0
-    for c, f in zip(sens, mfilt.filters):
-        coeff_sum = float(np.sum(np.abs(c.coeffs)))
-        norm1 = float(np.sum(np.abs(f.taps)))
-        c_tot += norm1 * coeff_sum * c_rho / b
-        m_max = max(m_max, abs(c.n_min[0]), abs(c.n_max[0]))
+    c_tot = sum(
+        float(np.sum(np.abs(t))) * float(np.sum(np.abs(c.coeffs))) * c_rho / b
+        for c, t in zip(sens, mfilt.taps)
+    )
+    m_max = max(max(abs(c.n_min[0]), abs(c.n_max[0])) for c in sens)
     return _energy_identity(
         [sample_fn(c) for c in sens], [profile(c) for c in sens],
-        [f.taps for f in mfilt.filters], mfilt.L, mfilt.P, (phantom,), grid,
+        mfilt.taps, mfilt.L, mfilt.P, (phantom,), grid,
         c_tot, max(mfilt.L, mfilt.P) + m_max, quadrature_points,
     )
 

@@ -10,9 +10,10 @@ from lpk.core import Filter, MultiFilter
 
 @pytest.fixture
 def no_filter_objects(monkeypatch):
-    """Make building a ``Filter`` or ``MultiFilter``, checked or not (through
-    ``_unchecked`` in any lpk module), fail the test: for paths that must
-    run on tap arrays alone."""
+    """Make building a ``Filter`` or ``MultiFilter``, checked or not (by
+    either constructor, ``MultiFilter.from_array``, or ``_unchecked`` in any
+    lpk module), fail the test: for paths that must run on tap arrays
+    alone."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a Filter or MultiFilter was built on a tap-array path")
@@ -25,7 +26,8 @@ def no_filter_objects(monkeypatch):
         return unchecked(cls, **fields)
 
     for cls in (Filter, MultiFilter):
-        monkeypatch.setattr(cls, "__post_init__", refuse)
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(MultiFilter, "from_array", refuse)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "lpk" and hasattr(module, "_unchecked"):
             monkeypatch.setattr(module, "_unchecked", guarded)

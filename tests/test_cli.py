@@ -218,6 +218,37 @@ def test_fit_errors(capsys, sampled, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+# Every place a command reads samples: a mask there exits 2 naming the file.
+MASK_AS_SAMPLES = {
+    "recon-input": ["recon", "{mask}", "--mask", "{mask}"],
+    "recon-truth": ["recon", "{meas}", "--mask", "{mask}", "--truth", "{mask}"],
+    "sample": ["sample", "{mask}", "--out", "{out}"],
+    "fit-predict": ["fit", "{mask}", "--mode", "predict"],
+    "fit-nullspace": ["fit", "{mask}", "--mode", "nullspace"],
+    "sms-superpose": ["sms", "superpose", "{meas}", "{mask}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("argv", MASK_AS_SAMPLES.values(), ids=MASK_AS_SAMPLES.keys())
+def test_a_mask_given_as_samples_is_a_data_error(capsys, sampled, tmp_path, argv):
+    paths = {"mask": str(sampled / "mask.lpk"), "meas": str(sampled / "meas.lpk"),
+             "out": str(tmp_path / "out.lpk")}
+    code, lines, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert code == 2 and lines == []
+    assert err.startswith(f"error: {paths['mask']}: expected samples, not a mask")
+    assert not (tmp_path / "out.lpk").exists()
+
+
+def test_bench_with_a_missing_scene_file_is_a_data_error(capsys, tmp_path):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(
+        {"scene": str(tmp_path / "absent.json"), "grid": 32, "mask": {"kind": "full"}}
+    ))
+    code, lines, err = run(capsys, "bench", str(config))
+    assert code == 2 and lines == []
+    assert err.startswith(f"error: {config}: cannot read scene {tmp_path / 'absent.json'}: ")
+
+
 def sms_slices():
     from lpk.phantom import Phantom, Primitive
 

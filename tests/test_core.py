@@ -185,6 +185,68 @@ class TestMultiFilter:
         mf = MultiFilter((a, Filter(np.ones(2), 0, 1)))
         assert mf.anchor_channel == 0
 
+    def test_stacks_the_filters_into_one_read_only_array(self):
+        a = Filter(np.array([-1.0, 0.5j]), 0, 1, anchor_fixed=True)
+        b = Filter(np.array([0.25, 0.0]), 0, 1)
+        mf = MultiFilter([a, b])
+        assert np.array_equal(mf.taps, np.stack([a.taps, b.taps]))
+        assert not mf.taps.flags.writeable and not np.shares_memory(mf.taps, a.taps)
+        assert (mf.L, mf.P, mf.q_count, mf.dims, mf.anchor_channel) == (0, 1, 2, 1, 0)
+
+    def test_from_array_copies_once_and_views_its_channels(self):
+        taps = np.zeros((2, 3, 3), dtype=complex)
+        taps[1, 1, 1] = -1.0
+        mf = MultiFilter.from_array(taps, 1, 1, anchor=1)
+        taps[1, 0, 0] = 5.0
+        assert mf.taps[1, 0, 0] == 0 and not mf.taps.flags.writeable
+        assert (mf.q_count, mf.dims, mf.anchor_channel) == (2, 2, 1)
+        # A joint filter may be zero on a channel, as long as it is nonzero on one.
+        for q, f in enumerate(mf.filters):
+            assert np.shares_memory(f.taps, mf.taps) and np.array_equal(f.taps, mf.taps[q])
+            assert (f.L, f.P, f.anchor_fixed) == (1, 1, q == 1)
+        assert MultiFilter.from_array(taps, 1, 1).anchor_channel is None
+
+
+def test_strided_and_transposed_inputs_are_stored_c_ordered():
+    # The finiteness check views the complex array as float64 pairs, which
+    # needs a contiguous last axis; inputs need not have one.
+    x = np.arange(16) * (1 + 1j)
+    sig = KSignal(grid1d(-4, 3), x[::2])
+    taps = np.arange(9.0).reshape(3, 3) - 4.0
+    filt = Filter(taps.T, 1, 1)
+    mf = MultiFilter.from_array(np.stack([taps, taps])[:, ::-1], 1, 1)
+    for arr, want in ((sig.values, x[::2]), (filt.taps, taps.T), (mf.taps[0], taps[::-1])):
+        assert arr.flags.c_contiguous and np.array_equal(arr, want)
+
+
+# Every way of building taps runs one check: (per-channel taps, L, P, anchored, message).
+BAD_TAPS = [
+    (np.ones(2), -1, 2, False, "nonnegative"),
+    (np.ones((2, 2, 2)), 0, 1, False, "nonempty"),
+    (np.array(1.0), 0, 0, False, "nonempty"),
+    (np.ones(3), 0, 1, False, "has shape"),
+    (np.ones((2, 3)), 0, 1, False, "has shape"),
+    (np.array([1.0, np.nan]), 0, 1, False, "non-finite"),
+    (np.array([np.inf, 1.0]), 0, 1, False, "non-finite"),
+    (np.zeros(3), 1, 1, False, "nonzero tap"),
+    (np.array([1.0, 1.0]), 0, 1, True, "k=0 tap exactly -1"),
+]
+
+
+@pytest.mark.parametrize("taps,L,P,anchored,message", BAD_TAPS)
+def test_filter_multifilter_and_bank_share_one_tap_check(taps, L, P, anchored, message):
+    from lpk.lp import FilterBank
+
+    anchor = 0 if anchored else None
+    builds = [
+        lambda: Filter(taps, L, P, anchor_fixed=anchored),
+        lambda: MultiFilter.from_array(taps[None], L, P, anchor),
+        lambda: FilterBank(taps[None, None], L, P, (0.0,), (anchor,)),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestSamplingMask:
     def test_acquired_length_checked(self):
@@ -346,6 +408,23 @@ class TestConvResponse:
         out = conv_response(ms, MultiFilter((f1, f2)))
         expect = conv_apply(ms.channels[0], f1).values + conv_apply(ms.channels[1], f2).values
         assert np.allclose(out.values, expect)
+
+    def test_2d_response_is_the_sum_of_channel_convolutions(self):
+        g = KGrid((-3, -2), (3, 4), (1.0, 1.0))
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 7, 7)) + 1j * rng.normal(size=(3, 7, 7))
+        taps = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        out = conv_response(MultiKSignal.from_array(g, x), MultiFilter.from_array(taps, 0, 1))
+        expect = sum(
+            conv_apply(KSignal(g, x[q]), Filter(taps[q], 0, 1)).values for q in range(3)
+        )
+        assert out.grid == g.valid_for(0, 1)
+        assert np.allclose(out.values, expect, rtol=1e-13, atol=1e-13)
+
+    def test_dims_mismatch(self):
+        ms = MultiKSignal.from_array(grid1d(-3, 3), np.ones((1, 7)))
+        with pytest.raises(ValueError, match="dims"):
+            conv_response(ms, MultiFilter.from_array(np.ones((1, 2, 2)), 0, 1))
 
     def test_channel_count_mismatch(self):
         g = grid1d(-3, 3)

@@ -12,11 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpk.core import Filter, KGrid, KSignal, MultiKSignal, SamplingMask, centered_grid
+from lpk.core import (
+    Filter, KGrid, KSignal, MultiKSignal, SamplingMask, centered_grid, conv_response,
+)
+from lpk.harness import add_noise, demo_scene_1d
 from lpk.lp import (
     FilterBank,
     SingularFitError,
     UncoveredPatternError,
+    _decay_constant,
     build_calib_matrix,
     check_annihilation_identity,
     extrapolate,
@@ -33,6 +37,7 @@ from lpk.lp import (
     save_bank,
     smallest_eigensequences,
 )
+from lpk.multi import scene_samples
 from lpk.recon import annihilation_recon
 from lpk.phantom import Phantom, Primitive, fourier_samples, samples_at
 
@@ -192,6 +197,19 @@ class TestFitPredictionFilter:
         cm = build_calib_matrix(sig, None, 0, 2)
         mf, resid = fit_prediction_filter(cm, ridge=1e-6)
         assert resid == 0.0
+
+    def test_zero_channel_gets_zero_taps(self):
+        # An all-zero channel predicts nothing: its taps are exactly zero and
+        # the other channel's are the fit on that channel alone.
+        g = centered_grid(32, 1.0)
+        sig = fourier_samples(boxcar(), g)
+        data = MultiKSignal.from_array(g, np.stack([sig.values, np.zeros(32)]))
+        mf, resid = fit_prediction_filter(build_calib_matrix(data, ((-8, 7),), 1, 2))
+        alone, alone_resid = fit_prediction_filter(build_calib_matrix(sig, ((-8, 7),), 1, 2))
+        assert mf.anchor_channel == 0 and mf.taps.shape == (2, 4)
+        assert np.all(mf.taps[1] == 0)
+        assert np.allclose(mf.taps[0], alone.taps[0], rtol=1e-9, atol=1e-12)
+        assert resid == pytest.approx(alone_resid, rel=1e-9)
 
 
 class TestExtrapolate:
@@ -671,6 +689,33 @@ class TestAnnihilationIdentity:
                 centered_grid(64, 1.0),
             )
 
+    @pytest.mark.parametrize("kind,center,half", [
+        ("boxcar", 0.1, 0.12), ("ellipse", 0.1, 0.07), ("ellipse", -0.2, 0.3),
+        ("ellipse", 0.0, 0.02),
+    ])
+    @pytest.mark.parametrize("fov", [1.0, 2.0])
+    def test_decay_constant_bounds_every_sample(self, kind, center, half, fov):
+        ph = Phantom((Primitive(kind, (center * fov,), (half * fov,), 0.6 + 0.2j),), (fov,))
+        n = np.concatenate([np.arange(-20000, 0), np.arange(1, 20001)])
+        scaled = np.abs(samples_at(ph, (n,))) * np.abs(n)
+        c = _decay_constant(ph)
+        assert np.max(scaled) <= c
+        # Tight enough to matter: the worst sample reaches about half of it
+        # (0.48 for ellipses; 0.998 for the boxcar).
+        assert np.max(scaled) >= 0.45 * c
+
+    @pytest.mark.parametrize("grid", [33, 65, 257])
+    def test_tail_bound_covers_the_truncated_ellipse_energy(self, grid):
+        # A narrow ellipse keeps a large share of its energy past a small
+        # grid: 6.9% of the bound at 33 points, 0.7% at 257.
+        ph = Phantom((Primitive("ellipse", (0.1,), (0.02,), 0.6),), (1.0,))
+        filt = Filter(np.array([1.0]), 0, 0)
+        small = check_annihilation_identity(ph, filt, centered_grid(grid, 1.0))
+        large = check_annihilation_identity(ph, filt, centered_grid(1 << 18, 1.0))
+        gap = large.lhs - small.lhs
+        assert 0.0 < gap <= small.tail_bound
+        assert gap >= 0.005 * small.tail_bound
+
 
 class TestNullspaceFilterBank:
     @staticmethod
@@ -681,7 +726,6 @@ class TestNullspaceFilterBank:
     def test_filters_annihilate_exactly_low_rank_data(self):
         sig = self.two_point_signal()
         bank = nullspace_filter_bank(sig, None, 0, 2)
-        from lpk.core import conv_response
 
         ms = MultiKSignal((sig,))
         for mf in bank.filters:
@@ -691,7 +735,7 @@ class TestNullspaceFilterBank:
     def test_orthonormal_and_ascending(self):
         sig = self.two_point_signal()
         bank = nullspace_filter_bank(sig, None, 2, 2)
-        V = np.stack([mf.stack().reshape(-1) for mf in bank.filters])
+        V = np.stack([mf.taps.reshape(-1) for mf in bank.filters])
         assert V.shape[0] == 3  # width 5 minus rank 2
         gram = V.conj() @ V.T
         assert np.max(np.abs(gram - np.eye(len(V)))) <= 1e-10
@@ -701,6 +745,23 @@ class TestNullspaceFilterBank:
         sig = self.two_point_signal()
         bank = nullspace_filter_bank(sig, None, 2, 2, limit=1)
         assert len(bank.filters) == 1
+
+    def test_residuals_are_the_rms_response_over_the_calibration_block(self):
+        # Noisy 4-channel data on a 24-sample block: 20 windows for 20 taps,
+        # so every singular value, and every residual, is nonzero.
+        g = centered_grid(64, 1.0)
+        data = add_noise(scene_samples(demo_scene_1d(), g), 1e-3, 1)
+        lo, hi = -12, 11
+        bank = nullspace_filter_bank(data, ((lo, hi),), 2, 2, tau=1.0)
+        block = MultiKSignal.from_array(
+            KGrid.window((lo,), (hi,), g.fov), data.values[:, lo - g.n_min[0]:hi - g.n_min[0] + 1]
+        )
+        rms = []
+        for mf in bank.filters:
+            resp = conv_response(block, mf).values
+            rms.append(np.linalg.norm(resp) / np.sqrt(resp.size))
+        assert len(rms) == 20 and min(rms) > 1e-8 * max(rms)
+        assert np.allclose(bank.residuals, rms, rtol=1e-9, atol=1e-12 * max(rms))
 
     def test_always_returns_at_least_one(self):
         rng = np.random.default_rng(9)
@@ -856,7 +917,7 @@ class TestBankJson:
         assert back.L == bank.L and back.P == bank.P
         assert back.residuals == bank.residuals
         for a, b in zip(back.filters, bank.filters):
-            assert np.array_equal(a.stack(), b.stack())
+            assert np.array_equal(a.taps, b.taps)
             assert a.anchor_channel == b.anchor_channel
 
     def test_anchor_round_trips(self, tmp_path):
@@ -865,7 +926,7 @@ class TestBankJson:
         mf, resid = fit_prediction_filter(cm, ridge=0.0)
         from lpk.lp import FilterBank
 
-        bank = FilterBank(mf.stack()[None], mf.L, mf.P, (resid,), (mf.anchor_channel,))
+        bank = FilterBank(mf.taps[None], mf.L, mf.P, (resid,), (mf.anchor_channel,))
         path = tmp_path / "a.filters.json"
         save_bank(path, bank)
         back = load_bank(path)

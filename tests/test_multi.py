@@ -73,6 +73,19 @@ def test_single_coil_fit_is_the_one_coil_case(target, mu):
     assert report == coils_report
 
 
+def test_zero_coil_gets_zero_separator_taps():
+    # A coil that sees nothing in any slice contributes nothing: its taps
+    # are exactly zero and the live coil's are the single-coil fit.
+    slices = two_slices()
+    coils = [MultiKSignal.from_array(s.grid, np.stack([s.values, 0 * s.values])) for s in slices]
+    mf, report = sms_fit_separator_coils(coils, 0, 0, 2, 1, ((-8, 8),), 0.5)
+    alone, alone_report = sms_fit_separator(slices, 0, 2, 1, ((-8, 8),), 0.5)
+    assert mf.taps.shape == (2, 4) and mf.anchor_channel is None
+    assert np.all(mf.taps[1] == 0)
+    assert np.allclose(mf.taps[0], alone.taps, rtol=1e-9, atol=1e-12)
+    assert report.residual == pytest.approx(alone_report.residual, rel=1e-9)
+
+
 def test_negative_mu_is_rejected_by_both_fits():
     slices = two_slices()
     with pytest.raises(ValueError, match="mu"):
@@ -159,6 +172,29 @@ def test_undersampled_separation_recovers_the_bench_scene():
     assert (capped.converged, capped.iterations) == (False, 5)
     (note,) = capped.notes
     assert note.startswith("CG stopped at the iteration cap (5); relative residual ")
+
+
+@pytest.mark.parametrize("lam,max_iters", [(1.0, 1), (1.0, 4), (1.0, 500), (0.1, 500)])
+def test_joint_separation_trace_ends_at_its_objective(lam, max_iters):
+    # The objective recomputed at the returned slices with the public
+    # convolution: summed data consistency where acquired, plus lam times
+    # each separator relation conv(sum, f_m) - x_m over the valid range.
+    # A capped run returns that step's CG iterate.
+    grid = centered_grid(64, 1.0)
+    truth = sms_slice_samples(SmsScene(bench_slices()), grid)
+    summed = sms_superpose(truth)
+    mask = gen_mask(MaskSpec("uniform", 2, 12), grid)
+    seps = [sms_fit_separator(truth, m, 2, 2, mask.calib)[0] for m in range(2)]
+    out, report = sms_separate(summed, seps, mask, lam=lam, max_iters=max_iters)
+    total = KSignal(grid, out.values.sum(axis=0))
+    data_term = np.sum(np.abs(total.values - summed.values)[mask.acquired] ** 2)
+    relations = sum(
+        np.sum(np.abs(conv_apply(total, f).values - out.values[m, f.P:64 - f.L]) ** 2)
+        for m, f in enumerate(seps)
+    )
+    trace = report.objective_trace
+    assert len(trace) == report.iterations + 1
+    assert abs(trace[-1] - (data_term + lam * relations)) <= 1e-9 * trace[0]
 
 
 def test_bench_separators_bound_the_joint_split():

@@ -15,6 +15,7 @@ from lpk.core import (
     MultiKSignal,
     SamplingMask,
     centered_grid,
+    conv_response,
     zero_fill,
 )
 from lpk.harness import MaskSpec, add_noise, demo_scene_1d, demo_scene_2d, gen_mask
@@ -562,6 +563,25 @@ class TestAnnihilationRecon:
         tr = np.array(rep.objective_trace)
         slack = 1e-12 * max(tr[0], 1.0)
         assert np.all(np.diff(tr) <= slack)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("max_iters", [1, 3, 500])
+    def test_objective_trace_ends_at_the_objective_of_the_estimate(self, lam, max_iters):
+        # Recomputed at the returned estimate with the public convolution:
+        # the bank's response energy (hard), or the acquired-sample misfit
+        # plus lam times it (soft).  A capped run returns that step's CG
+        # iterate, so the short runs check the first trace entries too.
+        g = centered_grid(64, 1.0)
+        mask = gen_mask(MaskSpec("uniform", 2, 12), g)
+        data = zero_fill(add_noise(scene_samples(demo_scene_1d(), g), 1e-3, 2), mask)
+        bank = nullspace_filter_bank(data, mask.calib, 2, 2, limit=4)
+        est, rep = annihilation_recon(data, mask, bank, lam=lam, max_iters=max_iters)
+        energy = sum(np.sum(np.abs(conv_response(est, mf).values) ** 2) for mf in bank.filters)
+        misfit = np.sum(np.abs(est.values - data.values)[:, mask.acquired] ** 2)
+        objective = energy if lam == 0.0 else misfit + lam * energy
+        trace = rep.objective_trace
+        assert len(trace) == rep.iterations + 1
+        assert abs(trace[-1] - objective) <= 1e-9 * trace[0]
 
     def test_acquired_entries_untouched(self, masked_two_point):
         sig, mask, masked = masked_two_point
