@@ -267,14 +267,11 @@ def _cmd_recon(args) -> int:
     truth = _as_multi(_load_samples(args.truth)) if args.truth else None
     if args.engine not in ENGINES:
         raise _DataError(f"unknown engine {args.engine!r}")
-    params = {"L": args.L, "P": args.P, "tol": args.tol}
-    if args.max_iters is not None:
-        # interp caps its refit passes; the solvers cap their iterations.
-        params["passes" if args.engine == "interp" else "max_iters"] = args.max_iters
-    if args.rank is not None:
-        params["rank"] = args.rank
-    if args.lam is not None:
-        params["lam"] = args.lam
+    params = {"L": args.L, "P": args.P, "tol": args.tol, "rank": args.rank, "lam": args.lam}
+    # interp caps its refit passes; the solvers cap their iterations.
+    params["passes" if args.engine == "interp" else "max_iters"] = args.max_iters
+    # Only the flags given reach the engine, which rejects a key it lacks.
+    params = {key: value for key, value in params.items() if value is not None}
     est, report = ENGINES[args.engine](data, mask, params)
     print(f"engine {args.engine}")
     print(f"iterations {report.iterations}")
@@ -409,10 +406,11 @@ def _cmd_bench(args) -> int:
         doc = run_experiment(config, out_dir=args.out)
     except ValueError as exc:
         raise _DataError(f"{args.config}: {exc}") from exc
-    for row in doc["rows"]:
+    for row, case in zip(doc["rows"], doc["cases"]):
         value = "nan" if np.isnan(row["nrmse"]) else _fmt(row["nrmse"])
+        error = "" if case["error"] is None else f" error {case['error']}"
         print(
-            f"{row['method']} sigma {row['sigma']:g} seed {row['seed']} nrmse {value}"
+            f"{row['method']} sigma {row['sigma']:g} seed {row['seed']} nrmse {value}{error}"
         )
     if args.out:
         print(f"wrote {args.out}/report.json")
@@ -465,11 +463,11 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="measured .lpk samples")
     p.add_argument("--mask", required=True, help="mask .lpk path")
     p.add_argument("--engine", default="lowrank", help="engine name (zero-fill, interp, annihilation, lowrank)")
-    p.add_argument("--L", type=int, default=2, help="future-side tap extent")
-    p.add_argument("--P", type=int, default=2, help="past-side tap extent")
+    p.add_argument("--L", type=int, default=None, help="future-side tap extent (default: the engine's own)")
+    p.add_argument("--P", type=int, default=None, help="past-side tap extent (default: the engine's own)")
     p.add_argument("--rank", type=int, default=None, help="lifted-matrix rank (lowrank engine)")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="soft consistency weight (annihilation engine)")
-    p.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
+    p.add_argument("--tol", type=float, default=None, help="solver tolerance (default: the engine's own)")
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap; passes for interp (default: the engine's own)")
     p.add_argument("--truth", default=None, help="reference .lpk for an nrmse line")
     p.add_argument("--strict", action="store_true", help="exit 3 if the solver did not converge")

@@ -2,9 +2,12 @@
 
 Masks come from a small declarative spec so any pattern is reproducible
 bit-exactly from (spec, grid).  Reconstruction engines live in a
-registry keyed by name; an experiment config fans out over methods,
-noise levels, and seeds, scores every case against the closed-form
-truth, and emits JSON + CSV tables (plus PGM renderings for 2D scenes).
+registry keyed by name.  An engine's signature (samples, one mask all
+channels share, keyword parameters with defaults) is the only place its
+parameters are declared, and a key it has no parameter for is an error.
+An experiment config fans out over methods, noise levels, and seeds,
+scores every case against the closed-form truth, and emits JSON + CSV
+tables (plus PGM renderings for 2D scenes).
 
 Undersampling acts along the first axis: in 2D a "sample" is a full
 line of constant row index, which is how acceleration is usually laid
@@ -14,6 +17,8 @@ out, and it keeps local patterns learnable.
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import json
 import os
 import time
@@ -189,12 +194,13 @@ def nrmse(estimate, truth) -> float:
     return float(np.linalg.norm(est - tru)) / denom
 
 
-def _engine_zero_fill(measured, mask, params):
-    out = zero_fill(measured, mask if isinstance(mask, SamplingMask) else mask[0])
-    return _as_multi(out), ReconReport(method="zero-fill", iterations=0, converged=True)
+def _engine_zero_fill(measured, mask):
+    return _as_multi(zero_fill(measured, mask)), ReconReport(method="zero-fill", iterations=0, converged=True)
 
 
-def _engine_interp(measured, mask, params):
+def _engine_interp(
+    measured, mask, L=2, P=2, ridge=None, passes=4, max_resid=0.05, gain_ratio=50.0
+):
     """Up to ``passes`` rounds of pattern fits and imputation.
 
     Each pass fits one ``[Q, Q, *W]`` tap array per local pattern of the
@@ -203,12 +209,6 @@ def _engine_interp(measured, mask, params):
     their samples (:func:`interpolate_missing`) and counts them as
     acquired for the next pass.
     """
-    L = int(params.get("L", 2))
-    P = int(params.get("P", 2))
-    ridge = params.get("ridge")
-    passes = int(params.get("passes", 4))
-    max_resid = float(params.get("max_resid", 0.05))
-    gain_ratio = float(params.get("gain_ratio", 50.0))
     cur = zero_fill(_as_multi(measured), mask)
     grid = cur.grid
     eff = mask.acquired.copy()
@@ -247,44 +247,42 @@ def _engine_interp(measured, mask, params):
     )
 
 
-def _engine_annihilation(measured, mask, params):
-    L = int(params.get("L", 2))
-    P = int(params.get("P", 2))
-    tau = float(params.get("tau", 0.05))
-    lam = float(params.get("lam", 0.0))
-    tol = float(params.get("tol", 1e-9))
-    max_iters = int(params.get("max_iters", 500))
+def _engine_annihilation(measured, mask, L=2, P=2, tau=0.05, lam=0.0, tol=1e-9, max_iters=500):
     if mask.calib is None:
         raise ValueError("annihilation engine needs a calibration region")
     ms = _as_multi(measured)
-    # One relation per channel by default, mirroring per-channel kernels.
-    limit = params.get("limit", ms.q_count)
-    bank = nullspace_filter_bank(
-        ms, mask.calib, L, P, tau=tau, limit=None if limit is None else int(limit)
-    )
+    # One relation per channel, mirroring per-channel kernels.
+    bank = nullspace_filter_bank(ms, mask.calib, L, P, tau=tau, limit=ms.q_count)
     return annihilation_recon(ms, mask, bank, lam=lam, tol=tol, max_iters=max_iters)
 
 
-def _engine_lowrank(measured, mask, params):
-    L = int(params.get("L", 2))
-    P = int(params.get("P", 2))
-    rank = params.get("rank")
-    tau = float(params.get("tau", 0.05))
-    variant = params.get("variant", "C")
-    tol = float(params.get("tol", 1e-9))
-    max_iters = int(params.get("max_iters", 100))
-    return lowrank_complete(
-        measured, mask, L=L, P=P,
-        rank=None if rank is None else int(rank),
-        tau=tau, variant=variant, tol=tol, max_iters=max_iters,
-    )
+@functools.wraps(lowrank_complete)
+def _engine_lowrank(*args, **kwargs):
+    # Looked up here at each call, so a wrapper installed on this
+    # module's ``lowrank_complete`` sees every engine run.
+    return lowrank_complete(*args, **kwargs)
+
+
+def _engine(name: str, fn: Callable) -> Callable:
+    """``fn(measured, mask, **params)`` as a ``(measured, mask, params)``
+    engine; a key ``fn`` has no parameter for is a ``ValueError``."""
+    signature = inspect.signature(fn)
+
+    def run(measured, mask, params):
+        try:
+            bound = signature.bind(measured, mask, **params)
+        except TypeError as exc:
+            raise ValueError(f"{name} engine: {exc}") from None
+        return fn(*bound.args, **bound.kwargs)
+
+    return run
 
 
 ENGINES: dict[str, Callable] = {
-    "zero-fill": _engine_zero_fill,
-    "interp": _engine_interp,
-    "annihilation": _engine_annihilation,
-    "lowrank": _engine_lowrank,
+    name: _engine(name, fn) for name, fn in (
+        ("zero-fill", _engine_zero_fill), ("interp", _engine_interp),
+        ("annihilation", _engine_annihilation), ("lowrank", _engine_lowrank),
+    )
 }
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -148,13 +148,9 @@ def _with_mirrors(x: np.ndarray, grid: KGrid) -> np.ndarray:
 
 def unpaired_positions(grid: KGrid) -> np.ndarray:
     """Boolean array marking indices n whose mirror -n falls off the grid."""
-    marks = np.zeros(grid.shape, dtype=bool)
-    for ax, (lo, hi) in enumerate(zip(grid.n_min, grid.n_max)):
-        n = np.arange(lo, hi + 1)
-        bad = (-n < lo) | (-n > hi)
-        shape = [1] * grid.dims
-        shape[ax] = len(n)
-        marks |= bad.reshape(shape)
+    dst, _ = _reflection(grid.n_min, grid.n_max)
+    marks = np.ones(grid.shape, dtype=bool)
+    marks[dst] = False
     return marks
 
 
@@ -287,19 +283,18 @@ def lift(data, L: int, P: int, variant: str = "C") -> StructuredMatrix:
     return StructuredMatrix(matrix, ms.grid, L, P, ms.q_count, variant)
 
 
-def _norm_masks(mask, q_count: int, grid: KGrid) -> list[SamplingMask]:
-    masks = [mask] * q_count if isinstance(mask, SamplingMask) else list(mask)
-    if len(masks) != q_count:
-        raise ValueError(f"expected {q_count} masks, got {len(masks)}")
-    for m in masks:
-        if m.grid != grid:
-            raise GridMismatchError("mask grid differs from data grid")
-    return masks
+def _shared_acquired(mask: SamplingMask, ms: MultiKSignal) -> np.ndarray:
+    """The ``[Q, *N]`` acquired view of the one mask all channels share."""
+    if not isinstance(mask, SamplingMask):
+        raise TypeError(f"expected one SamplingMask for all channels, not {type(mask).__name__}")
+    if mask.grid != ms.grid:
+        raise GridMismatchError("mask grid differs from data grid")
+    return np.broadcast_to(mask.acquired, ms.values.shape)
 
 
 def lowrank_complete(
     data,
-    mask,
+    mask: SamplingMask,
     L: int = 2,
     P: int = 2,
     rank: int | None = None,
@@ -317,7 +312,8 @@ def lowrank_complete(
     relative update falls below ``tol``.  The singular values are the
     square roots of the eigenvalues of the Hermitian Gram ``CᴴC``, and
     the truncation is ``(C V_r) V_rᴴ`` with ``V_r`` its leading
-    eigenvectors, which equals ``U_r S_r V_rᴴ`` of the thin SVD.  With
+    eigenvectors, which equals ``U_r S_r V_rᴴ`` of the thin SVD.  One
+    mask, a :class:`SamplingMask`, is shared by all channels.  With
     ``max_iters < 1`` no sweep runs and the zero-filled data come back;
     the variant and the window are checked against the grid either way.
 
@@ -336,9 +332,8 @@ def lowrank_complete(
     """
     ms = _as_multi(data)
     grid, q_count = ms.grid, ms.q_count
-    masks = _norm_masks(mask, q_count, grid)
+    acq = _shared_acquired(mask, ms)
     _check_lift(grid, L, P, variant)
-    acq = np.array([m.acquired for m in masks])
     ref = ms.values
     x = np.where(acq, ref, 0.0)
     ref_acq = ref[acq]
@@ -646,7 +641,7 @@ def _bank_solve(
 
 def annihilation_recon(
     data,
-    mask,
+    mask: SamplingMask,
     bank: FilterBank,
     lam: float = 0.0,
     tol: float = 1e-9,
@@ -663,7 +658,7 @@ def annihilation_recon(
 
     Args:
         data: measured samples (values at missing positions ignored).
-        mask: one mask shared by all channels, or one per channel.
+        mask: one mask shared by all channels.
         bank: annihilating filters, channel count matching the data.
 
     Returns:
@@ -671,8 +666,7 @@ def annihilation_recon(
         condition estimate of the normal system from the CG recursion.
     """
     ms = _as_multi(data)
-    masks = _norm_masks(mask, ms.q_count, ms.grid)
-    acq = np.array([m.acquired for m in masks])
+    acq = _shared_acquired(mask, ms)
     ref = ms.values
 
     if lam < 0:
@@ -687,7 +681,7 @@ def annihilation_recon(
 
 def pf_recon(
     data,
-    mask,
+    mask: SamplingMask,
     method: str = "annihilation-vc",
     L: int | None = None,
     P: int | None = None,
@@ -698,6 +692,7 @@ def pf_recon(
 ) -> tuple[MultiKSignal, ReconReport]:
     """Fill one-sided partial coverage using conjugate symmetry.
 
+    One mask, a :class:`SamplingMask`, is shared by all channels.
     ``"annihilation-vc"`` appends conjugate-mirrored channels (measured
     wherever the mirrored index was acquired), fits a nullspace filter
     bank on the calibration region, and solves the hard-constrained
@@ -707,36 +702,36 @@ def pf_recon(
     returned.
     """
     ms = _as_multi(data)
-    masks = _norm_masks(mask, ms.q_count, ms.grid)
     if method == "lowrank-S":
         out, report = lowrank_complete(
-            ms, masks, L=2 if L is None else L, P=2 if P is None else P,
+            ms, mask, L=2 if L is None else L, P=2 if P is None else P,
             rank=rank, tau=tau, variant="S", tol=tol, max_iters=max_iters,
         )
         return out, report
     if method != "annihilation-vc":
         raise ValueError("method must be 'annihilation-vc' or 'lowrank-S'")
+    acq = _shared_acquired(mask, ms)
     L = 0 if L is None else L
     P = 0 if P is None else P
-    if any(m.calib is None for m in masks):
-        raise ValueError("annihilation-vc needs masks with a calibration region")
-    # Mirrors that fall off the grid are zero here and unacquired in the
-    # reflected masks, so the solve fills them.
-    aug = MultiKSignal.from_array(ms.grid, _with_mirrors(ms.values, ms.grid))
-    aug_masks = masks + [reflect_mask(m) for m in masks]
+    if mask.calib is None:
+        raise ValueError("annihilation-vc needs a mask with a calibration region")
     # Fit where the calibration region overlaps its own mirror.
-    rm = reflect_mask(masks[0])
+    rm = reflect_mask(mask)
     if rm.calib is None:
         raise ValueError("calibration region does not cover its own mirror")
     calib = tuple(
         (max(a, c), min(b, d))
-        for (a, b), (c, d) in zip(masks[0].calib, rm.calib)
+        for (a, b), (c, d) in zip(mask.calib, rm.calib)
     )
     if any(lo > hi for lo, hi in calib):
         raise ValueError("calibration region does not straddle the center")
+    # Mirrors that fall off the grid are zero here and unacquired in the
+    # reflected mask, so the solve fills them.
+    aug = MultiKSignal.from_array(ms.grid, _with_mirrors(ms.values, ms.grid))
     bank = nullspace_filter_bank(aug, calib, L, P, tau=tau)
-    out, report = annihilation_recon(
-        aug, aug_masks, bank, lam=0.0, tol=tol, max_iters=max_iters
+    aug_acq = np.concatenate([acq, np.broadcast_to(rm.acquired, acq.shape)])
+    x, report = _bank_solve(
+        bank.taps, aug.values.shape, aug.values, aug_acq, 0.0, tol, max_iters,
+        "annihilation-vc",
     )
-    kept = MultiKSignal.from_array(ms.grid, out.values[: ms.q_count])
-    return kept, replace(report, method="annihilation-vc")
+    return MultiKSignal.from_array(ms.grid, x[: ms.q_count]), report

@@ -172,6 +172,23 @@ def test_capped_lowrank_fails_under_strict(capsys, sampled):
     assert "lowrank did not converge" in err
 
 
+# (engine, a flag it has no parameter for, the key that flag passes)
+REJECTED = [
+    ("lowrank", ["--max-iters", "3", "--lambda", "5"], "lam"),
+    ("annihilation", ["--max-iters", "3", "--rank", "2"], "rank"),
+    ("interp", ["--tol", "1e-6"], "tol"),
+    ("zero-fill", ["--max-iters", "3"], "max_iters"),
+]
+
+
+@pytest.mark.parametrize("engine,flags,key", REJECTED)
+def test_a_flag_the_engine_does_not_take_is_a_data_error(capsys, sampled, engine, flags, key):
+    code, out, err = recon(capsys, sampled, "--engine", engine, *flags)
+    assert code == 2
+    assert out == {}
+    assert err == f"error: {engine} engine: got an unexpected keyword argument {key!r}\n"
+
+
 def run(capsys, *argv):
     """Exit code, printed lines as (key, value) pairs, and stderr."""
     code = main(list(argv))
@@ -513,6 +530,26 @@ def test_bench_prints_one_row_per_case(capsys, tmp_path):
     doc = json.loads((out / "report.json").read_text())
     (note,) = doc["cases"][0]["report"]["notes"]
     assert note.startswith("CG stopped at the iteration cap (7);")
+
+
+def test_bench_prints_why_a_case_failed(capsys, tmp_path):
+    config = {
+        "scene": "demo1d",
+        "grid": 32,
+        "mask": {"kind": "uniform", "accel": 2, "calib": 8},
+        "methods": ["nosuch", {"name": "annihilation", "max_iter": 4}, "zero-fill"],
+    }
+    (tmp_path / "exp.json").write_text(json.dumps(config))
+    code = main(["bench", str(tmp_path / "exp.json")])
+    printed = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert printed[:2] == [
+        "annihilation sigma 0 seed 0 nrmse nan error ValueError: annihilation engine: "
+        "got an unexpected keyword argument 'max_iter'",
+        "nosuch sigma 0 seed 0 nrmse nan error ValueError: unknown engine 'nosuch'",
+    ]
+    assert printed[2].startswith("zero-fill sigma 0 seed 0 nrmse 0.")
+    assert len(printed) == 3
 
 
 def test_bench_errors(capsys, tmp_path):

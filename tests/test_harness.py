@@ -245,6 +245,32 @@ def test_experiment_rows_and_csv_carry_notes(tmp_path):
     }
 
 
+def test_a_key_the_engine_does_not_take_is_a_case_error():
+    config = {
+        "scene": "demo1d",
+        "grid": 32,
+        "mask": {"kind": "uniform", "accel": 2, "calib": 8},
+        "methods": [{"name": "annihilation", "max_iter": 4}, {"name": "annihilation", "max_iters": 4}],
+    }
+    doc = run_experiment(config)
+    bad, good = doc["cases"]
+    assert bad == {
+        "error": "ValueError: annihilation engine: got an unexpected keyword argument 'max_iter'",
+        "report": None,
+    }
+    assert good["error"] is None and good["report"]["iterations"] == 4
+
+
+@pytest.mark.parametrize("name", ["zero-fill", "interp", "annihilation", "lowrank"])
+def test_no_engine_takes_a_bank_limit(name):
+    # annihilation fits one filter per channel; lpk fit --limit caps a bank.
+    g = centered_grid(32, 1.0)
+    mask = gen_mask(MaskSpec("uniform", 2, 8), g)
+    measured = zero_fill(scene_samples(demo_scene_1d(), g), mask)
+    with pytest.raises(ValueError, match=f"^{name} engine: .*'limit'$"):
+        ENGINES[name](measured, mask, {"limit": 4})
+
+
 def test_registered_engine_runs_in_experiments(tmp_path):
     calls = []
 

@@ -638,6 +638,41 @@ class TestAnnihilationRecon:
         assert rep.converged
         assert rep.notes == ()
 
+    @pytest.mark.parametrize("evaluation,rtol", [("window", 1e-9), ("fft", 1e-2)])
+    def test_weakly_coupled_missing_sample_is_solved(self, evaluation, rtol, monkeypatch):
+        # Taps [1, d] couple the one missing sample x[0] to the acquired
+        # ones only through d, so ||b|| / ||grad0|| is about 1e-13: above
+        # the round-off guard of 64 eps, and an exact zero is wrong.  The
+        # minimizer of |x[0] + d y[-1]|^2 + |y[1] + d x[0]|^2 is closed form.
+        g = centered_grid(16, 1.0)
+        y = cplx(np.random.default_rng(0), 16)
+        acq = np.ones(16, dtype=bool)
+        acq[g.pos((0,))] = False
+        y[~acq] = 0.0
+        d = 1e-12
+        bank = FilterBank(np.array([[[1.0, d]]]), 0, 1, (0.0,))
+        monkeypatch.setattr(lpk.recon, "_WINDOW_CELLS", FORCING[evaluation])
+        out, rep = annihilation_recon(KSignal(g, y), SamplingMask(g, acq), bank, tol=1e-12)
+        at = lambda n: y[g.pos((n,))]  # noqa: E731
+        want = -d * (at(-1) + at(1)) / (1 + d * d)
+        assert rep.converged
+        assert out.values[0, g.pos((0,))] == pytest.approx(want, rel=rtol, abs=0.0)
+
+    @pytest.mark.parametrize("evaluation", ["window", "fft"])
+    def test_uncoupled_missing_samples_keep_the_zero_fill(self, evaluation, monkeypatch):
+        # Taps [1, 0, 0] make each response one sample, so no response
+        # mixes a missing sample with an acquired one and the gradient at
+        # the missing samples is exactly zero; the FFT evaluation leaves
+        # round-off there, which CG must not step on.
+        g = centered_grid(16, 1.0)
+        acq = np.arange(16) % 2 == 0
+        y = np.where(acq, cplx(np.random.default_rng(0), 16), 0.0)
+        bank = FilterBank(np.array([[[1.0, 0.0, 0.0]]]), 1, 1, (0.0,))
+        monkeypatch.setattr(lpk.recon, "_WINDOW_CELLS", FORCING[evaluation])
+        out, rep = annihilation_recon(KSignal(g, y), SamplingMask(g, acq), bank, tol=1e-12)
+        assert (rep.iterations, rep.converged) == (0, True)
+        assert np.array_equal(out.values[0], y)
+
     def test_non_positive_curvature_is_named(self):
         # Indefinite diag(2, -1): one step goes through, the next has pᴴAp < 0.
         a = np.array([2.0, -1.0])
@@ -866,13 +901,13 @@ class TestBankOperator:
         self.recon_against_direct(lam, "window", monkeypatch)
 
 
-@pytest.mark.parametrize(
-    "n_min,n_max",
-    [
-        ((-4,), (4,)), ((-4,), (3,)), ((-3,), (5,)), ((0,), (5,)), ((1,), (4,)),
-        ((-5,), (-1,)), ((-5,), (0,)), ((-2, 0), (3, 4)), ((-3, -5), (2, -1)), ((-2, 1), (2, 3)),
-    ],
-)
+REFLECTION_GRIDS = [
+    ((-4,), (4,)), ((-4,), (3,)), ((-3,), (5,)), ((0,), (5,)), ((1,), (4,)),
+    ((-5,), (-1,)), ((-5,), (0,)), ((-2, 0), (3, 4)), ((-3, -5), (2, -1)), ((-2, 1), (2, 3)),
+]
+
+
+@pytest.mark.parametrize("n_min,n_max", REFLECTION_GRIDS)
 def test_reflection_matches_the_per_index_loop(n_min, n_max):
     grid = KGrid.window(n_min, n_max, (1.0,) * len(n_min))
     x = cplx(np.random.default_rng(3), (2,) + grid.shape)
@@ -882,6 +917,15 @@ def test_reflection_matches_the_per_index_loop(n_min, n_max):
         if grid.contains(mirror):
             want[(slice(None),) + idx] = x[(slice(None),) + grid.pos(mirror)]
     assert lpk.recon._reflect_values(x, grid).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_min,n_max", REFLECTION_GRIDS)
+def test_unpaired_positions_match_the_per_index_loop(n_min, n_max):
+    grid = KGrid.window(n_min, n_max, (1.0,) * len(n_min))
+    want = np.zeros(grid.shape, dtype=bool)
+    for idx in np.ndindex(grid.shape):
+        want[idx] = not grid.contains(tuple(-(i + lo) for i, lo in zip(idx, grid.n_min)))
+    assert np.array_equal(unpaired_positions(grid), want)
 
 
 class TestVirtualConjugate:
@@ -939,6 +983,33 @@ class TestReflectMask:
         assert not r.acquired.any()
 
 
+def two_channels_two_masks():
+    """Two channels whose masks differ; the second one's calibration block
+    is off center and misses indices -1..1."""
+    g = centered_grid(32, 1.0)
+    data = MultiKSignal.from_array(g, cplx(np.random.default_rng(1), (2, 32)))
+    m0 = gen_mask(MaskSpec("random", 2, 8, seed=0), g)
+    n = np.arange(-16, 16)
+    acq = (n % 2 == 0) | ((n >= 4) & (n <= 11))
+    m1 = SamplingMask(g, acq, ((4, 11),))
+    return zero_fill(data, m0), m0, m1
+
+
+@pytest.mark.parametrize("solve", [
+    lambda data, masks: lowrank_complete(data, masks, max_iters=1),
+    lambda data, masks: annihilation_recon(
+        data, masks, random_bank(np.random.default_rng(0), 2, 2, 1, 1, 1), max_iters=1
+    ),
+    lambda data, masks: pf_recon(data, masks, method="annihilation-vc"),
+    lambda data, masks: pf_recon(data, masks, method="lowrank-S", max_iters=1),
+], ids=["lowrank", "annihilation", "pf-annihilation-vc", "pf-lowrank-S"])
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_one_mask_per_channel_is_a_type_error(solve, kind):
+    data, m0, m1 = two_channels_two_masks()
+    with pytest.raises(TypeError, match="one SamplingMask"):
+        solve(data, kind([m0, m1]))
+
+
 class TestPfRecon:
     @staticmethod
     def pf_case():
@@ -973,20 +1044,19 @@ class TestPfRecon:
     def test_report_is_the_inner_solve_report_renamed(self, monkeypatch):
         _, mask, masked = self.pf_case()
         inner = []
-        solve = lpk.recon.annihilation_recon
+        solve = lpk.recon._bank_solve
 
         def spy(*args, **kwargs):
             out = solve(*args, **kwargs)
             inner.append(out[1])
             return out
 
-        monkeypatch.setattr(lpk.recon, "annihilation_recon", spy)
+        monkeypatch.setattr(lpk.recon, "_bank_solve", spy)
         _, rep = pf_recon(masked, mask, method="annihilation-vc", L=1, P=1, max_iters=2)
         (want,) = inner
         assert rep.method == "annihilation-vc"
         for field in dataclasses.fields(ReconReport):
-            if field.name != "method":
-                assert getattr(rep, field.name) == getattr(want, field.name), field.name
+            assert getattr(rep, field.name) == getattr(want, field.name), field.name
 
     def test_symmetric_lowrank_route_improves_on_zero_fill(self):
         sig, mask, masked = self.pf_case()
