@@ -433,7 +433,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="apply a sampling mask and optional noise")
     p.add_argument("input", help="input .lpk samples")
-    p.add_argument("--mask-kind", default="uniform", help="mask kind (full, lowres, uniform, random, random_pf, random_nocalib, random_pf_nocalib)")
+    p.add_argument("--mask-kind", default="uniform", help="mask kind (full, lowres, uniform, random, random_pf); --calib 0 leaves out the calibration block")
     p.add_argument("--accel", type=int, default=1, help="acceleration factor R")
     p.add_argument("--calib", type=int, default=None, help="calibration width (default: an eighth of the grid)")
     p.add_argument("--pf", type=float, default=None, help="partial-coverage fraction in (0.5, 1]")

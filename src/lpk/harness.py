@@ -41,16 +41,7 @@ from .multi import MultiScene, scene_from_json, scene_samples
 from .phantom import Phantom, Primitive, make_sensitivities
 from .recon import ReconReport, annihilation_recon, lowrank_complete, report_to_json
 
-MASK_KINDS = (
-    "full",
-    "lowres",
-    "uniform",
-    "random",
-    "random_pf",
-    "random_nocalib",
-    "random_pf_nocalib",
-    "stencil",
-)
+MASK_KINDS = ("full", "lowres", "uniform", "random", "random_pf", "stencil")
 
 
 @dataclass(frozen=True)
@@ -58,8 +49,8 @@ class MaskSpec:
     """Declarative sampling pattern; every field is reproducibility input.
 
     ``calib`` and ``pf`` may be None to pick the defaults at generation
-    time (an eighth of the grid, and 9/16).  Kinds ending in
-    ``_nocalib`` reject a nonzero calib width.
+    time (an eighth of the grid, and 9/16); ``calib=0`` leaves the
+    calibration block out.
     """
 
     kind: str
@@ -75,14 +66,12 @@ class MaskSpec:
         if self.r < 1:
             raise ValueError("acceleration must be at least 1")
         if self.pf is not None:
-            if self.kind not in ("random_pf", "random_pf_nocalib"):
-                raise ValueError("pf fraction applies to *_pf kinds only")
+            if self.kind != "random_pf":
+                raise ValueError("pf fraction applies to random_pf only")
             if not 0.5 < self.pf <= 1.0:
                 raise ValueError("pf fraction must lie in (0.5, 1]")
         if self.calib is not None and self.calib < 0:
             raise ValueError("calib width must be nonnegative")
-        if self.kind.endswith("_nocalib") and self.calib:
-            raise ValueError(f"{self.kind} must not carry a calib width")
         if self.kind == "stencil" and self.stencil is None:
             raise ValueError("stencil kind needs a bitmap")
 
@@ -107,14 +96,14 @@ def gen_mask(spec: MaskSpec, grid: KGrid) -> SamplingMask:
     Rules act on first-axis indices (full lines in 2D): ``uniform``
     keeps every r-th line counted from index 0, ``random`` draws
     ``ceil(lines / r)`` lines without replacement, ``lowres`` keeps the
-    centered ``1/r`` fraction, and the ``_pf`` variants first restrict
+    centered ``1/r`` fraction, and ``random_pf`` first restricts
     candidates to ``n >= n_max - round(pf * lines) + 1``.  The calib
-    block (centered, all axes) is forced on afterwards except for
-    ``_nocalib`` kinds.  ``stencil`` uses the supplied bitmap verbatim.
+    block (centered, all axes) is forced on afterwards unless
+    ``calib=0``.  ``stencil`` uses the supplied bitmap verbatim.
     """
     size0 = grid.shape[0]
     n0 = np.arange(grid.n_min[0], grid.n_max[0] + 1)
-    want_calib = not spec.kind.endswith("_nocalib") and spec.kind != "stencil"
+    want_calib = spec.kind != "stencil"
     cw = spec.calib if spec.calib is not None else (size0 // 8 if want_calib else 0)
     if cw > min(grid.shape):
         raise ValueError(f"calib width {cw} exceeds grid extent {min(grid.shape)}")
@@ -133,7 +122,7 @@ def gen_mask(spec: MaskSpec, grid: KGrid) -> SamplingMask:
             sc = tuple(_calib_interval(spec.calib) for _ in range(grid.dims))
         return SamplingMask(grid, bitmap, sc)
 
-    if spec.kind in ("random_pf", "random_pf_nocalib"):
+    if spec.kind == "random_pf":
         f = spec.pf if spec.pf is not None else 9.0 / 16.0
         boundary = grid.n_max[0] - int(round(f * size0)) + 1
         keep = n0 >= boundary
@@ -265,14 +254,20 @@ def _engine_lowrank(*args, **kwargs):
 
 def _engine(name: str, fn: Callable) -> Callable:
     """``fn(measured, mask, **params)`` as a ``(measured, mask, params)``
-    engine; a key ``fn`` has no parameter for is a ``ValueError``."""
+    engine; a key ``fn`` has no parameter for, or a value other than an
+    integer for a parameter whose default is one, is a ``ValueError``."""
     signature = inspect.signature(fn)
+    int_keys = [k for k, p in signature.parameters.items() if type(p.default) is int]
 
     def run(measured, mask, params):
         try:
             bound = signature.bind(measured, mask, **params)
         except TypeError as exc:
             raise ValueError(f"{name} engine: {exc}") from None
+        for key in int_keys:
+            value = bound.arguments.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} engine: {key} must be an integer, got {value!r}")
         return fn(*bound.args, **bound.kwargs)
 
     return run
@@ -284,10 +279,6 @@ ENGINES: dict[str, Callable] = {
         ("annihilation", _engine_annihilation), ("lowrank", _engine_lowrank),
     )
 }
-
-
-def register_engine(name: str, fn: Callable) -> None:
-    ENGINES[name] = fn
 
 
 def demo_scene_1d() -> MultiScene:
@@ -388,7 +379,7 @@ def run_experiment(config: dict, out_dir=None) -> dict:
         mask_cfg = dict(config["mask"])
         spec = MaskSpec(
             kind=mask_cfg.pop("kind"),
-            r=int(mask_cfg.pop("accel", mask_cfg.pop("r", 1))),
+            r=int(mask_cfg.pop("accel", 1)),
             calib=mask_cfg.pop("calib", None),
             pf=mask_cfg.pop("pf", None),
             seed=int(mask_cfg.pop("seed", 0)),

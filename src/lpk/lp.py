@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -207,14 +207,12 @@ def _ridge_solve(A: np.ndarray, y: np.ndarray, ridge: float | None):
     return coef, resid
 
 
-def _anchored_fit(A, shape, target: int, L: int, P: int, ridge, zeroed=frozenset()):
+def _anchored_fit(A, shape, target: int, L: int, P: int, ridge):
     """``(filter, residual norm)`` of the ridge fit predicting channel
     ``target``'s ``k = 0`` column of ``A`` (columns: the ``shape = [Q, *W]``
-    taps, channel-major) from every other column not in ``zeroed``."""
+    taps, channel-major) from every other column."""
     tgt = int(np.ravel_multi_index((target,) + (L,) * (len(shape) - 1), shape))
-    if tgt in zeroed:
-        raise ValueError("cannot zero the target tap")
-    free = [j for j in range(A.shape[1]) if j != tgt and j not in zeroed]
+    free = [j for j in range(A.shape[1]) if j != tgt]
     coef, resid = _ridge_solve(A[:, free], A[:, tgt], ridge)
     taps = np.zeros(A.shape[1], dtype=np.complex128)
     taps[free] = coef
@@ -225,21 +223,18 @@ def _anchored_fit(A, shape, target: int, L: int, P: int, ridge, zeroed=frozenset
 def fit_prediction_filter(
     calib: CalibMatrix,
     target: int = 0,
-    zeroed: Iterable = (),
     ridge: float | None = None,
 ) -> tuple[MultiFilter, float]:
     """Fit the anchored prediction relation for one target channel.
 
     Solves ``min_a || A_free a - y ||^2 (+ ridge ||a||^2)`` where ``y`` is
     the target channel's ``k = 0`` column and ``A_free`` holds every
-    column not zeroed out, then packs the coefficients into a
+    other column, then packs the coefficients into a
     :class:`MultiFilter` with the target tap fixed at -1.
 
     Args:
         calib: assembled calibration matrix.
         target: channel index whose ``k = 0`` sample is predicted.
-        zeroed: ``(q, k)`` pairs forced to zero (taps on unacquired
-            offsets, for pattern-aware fits).
         ridge: Tikhonov weight; None picks ``1e-9 *`` the largest
             normal-equation diagonal, 0 demands an exact least-squares
             solve and raises :class:`SingularFitError` if rank-deficient.
@@ -251,8 +246,7 @@ def fit_prediction_filter(
     if not 0 <= target < calib.q_count:
         raise ValueError(f"target channel {target} out of range")
     mf, resid = _anchored_fit(
-        calib.matrix, (calib.q_count,) + calib.tap_shape, target, calib.L, calib.P, ridge,
-        frozenset(calib.col_index(q, k) for q, k in zeroed),
+        calib.matrix, (calib.q_count,) + calib.tap_shape, target, calib.L, calib.P, ridge
     )
     return mf, resid / np.sqrt(calib.rows)
 
@@ -707,7 +701,11 @@ def _tail(c_tot: float, kmax: int, grid: KGrid, L: int, P: int) -> float:
     return c_tot**2 * (1.0 / (hi_v - kmax) + 1.0 / (-lo_v - kmax))
 
 
-def _lhs_energy(sample_fns, taps, L: int, P: int, grid: KGrid, chunk: int = 1 << 20) -> float:
+# Indices per chunk of the sample-side energy sum, bounding its memory.
+_CHUNK = 1 << 20
+
+
+def _lhs_energy(sample_fns, taps, L: int, P: int, grid: KGrid) -> float:
     """Sum of |summed filter responses|^2 over the valid range, in chunks.
 
     ``sample_fns[j]`` maps a consecutive index array to closed-form
@@ -719,7 +717,7 @@ def _lhs_energy(sample_fns, taps, L: int, P: int, grid: KGrid, chunk: int = 1 <<
     total = 0.0
     start = lo
     while start <= hi:
-        stop = min(start + chunk - 1, hi)
+        stop = min(start + _CHUNK - 1, hi)
         n_ext = np.arange(start - P, stop + L + 1)
         resp = None
         for fn, t in zip(sample_fns, taps):
@@ -732,7 +730,7 @@ def _lhs_energy(sample_fns, taps, L: int, P: int, grid: KGrid, chunk: int = 1 <<
 
 def _energy_identity(
     sample_fns, profiles, taps, L: int, P: int, phantoms, grid: KGrid,
-    c_tot: float, kmax: int, quadrature_points: int,
+    c_tot: float, kmax: int,
 ) -> IdentityCheck:
     """Both sides of ``sum_n |sum_j (h_j * x_j)[n]|^2 = B integral |sum_j H_j u_j|^2``.
 
@@ -754,7 +752,7 @@ def _energy_identity(
         basis = np.exp(2j * np.pi * np.multiply.outer(x, k) / b)
         return np.abs(sum((basis @ t) * u(x, mid) for t, u in zip(taps, profiles))) ** 2
 
-    rhs = b * float(piecewise_quad(integrand, edges, points=quadrature_points))
+    rhs = b * float(piecewise_quad(integrand, edges))
     return IdentityCheck(lhs, rhs, _tail(c_tot, kmax, grid, L, P))
 
 
@@ -762,7 +760,6 @@ def check_annihilation_identity(
     phantom: Phantom,
     filt: Filter,
     grid: KGrid,
-    quadrature_points: int = 4096,
 ) -> IdentityCheck:
     """Compare truncated response energy with the spatial energy integral.
 
@@ -779,7 +776,7 @@ def check_annihilation_identity(
         [lambda n: samples_at(phantom, (n,))],
         [lambda x, mid: _ph.spatial_profile(phantom, x, mid)],
         [filt.taps], filt.L, filt.P, (phantom,), grid,
-        c_tot, max(filt.L, filt.P), quadrature_points,
+        c_tot, max(filt.L, filt.P),
     )
 
 

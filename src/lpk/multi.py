@@ -134,7 +134,6 @@ def smash_fit(
     P: int,
     target: int = 0,
     fov: float = 1.0,
-    points: int = 1024,
     ridge: float | None = None,
 ) -> tuple[MultiFilter, float]:
     """Fit channel/tap weights whose modulator combination cancels, 1D.
@@ -142,8 +141,8 @@ def smash_fit(
     Minimizes the spatial residual of
     ``sum_q sum_k h_q[k] c_q(x) exp(i 2 pi k x / B)`` with the target
     channel's ``k = 0`` weight anchored at -1, sampled on a uniform
-    spatial grid.  A small residual makes the filter annihilate the
-    samples of any object seen through these modulators, whatever the
+    1024-point spatial grid.  A small residual makes the filter annihilate
+    the samples of any object seen through these modulators, whatever the
     object.
 
     Returns:
@@ -157,6 +156,7 @@ def smash_fit(
         raise ValueError("fov must be positive")
     if not 0 <= target < len(sens):
         raise ValueError("target channel out of range")
+    points = 1024
     x = (np.arange(points) / points - 0.5) * b
     k = np.arange(-L, P + 1)
     basis = np.exp(2j * np.pi * np.multiply.outer(x, k) / b)
@@ -230,9 +230,8 @@ def sms_fit_separator_coils(
     summed = sms_superpose(slices)
     cm_sum = build_calib_matrix(summed, calib, L, P)
     rows = cm_sum.rows
-    row_n = cm_sum.row_index()[:, 0]
-    tgt = slices[target_slice].channels[target_coil]
-    y = tgt.values[row_n - tgt.grid.n_min[0]]
+    cm_t = build_calib_matrix(slices[target_slice], calib, L, P)
+    y = cm_t.matrix[:, cm_t.col_index(target_coil, (0,) * cm_t.dims)]
     blocks_a = [cm_sum.matrix]
     blocks_y = [y]
     leak_mats = []
@@ -250,7 +249,7 @@ def sms_fit_separator_coils(
     repro = float(np.linalg.norm(cm_sum.matrix @ coef - y)) / np.sqrt(rows)
     leak_sq = sum(float(np.sum(np.abs(m @ coef) ** 2)) for m in leak_mats)
     leakage = np.sqrt(leak_sq / (rows * max(len(leak_mats), 1)))
-    mf = MultiFilter.from_array(coef.reshape(q, L + P + 1), L, P)
+    mf = MultiFilter.from_array(coef.reshape((q,) + cm_sum.tap_shape), L, P)
     return mf, SeparatorReport(repro, float(leakage), mu, rows)
 
 
@@ -327,7 +326,6 @@ def check_multichannel_identity(
     sensitivities: Sequence[Modulator],
     mfilt: MultiFilter,
     grid: KGrid,
-    quadrature_points: int = 4096,
 ) -> IdentityCheck:
     """Joint response energy against its spatial integral, several channels.
 
@@ -360,7 +358,7 @@ def check_multichannel_identity(
     return _energy_identity(
         [sample_fn(c) for c in sens], [profile(c) for c in sens],
         mfilt.taps, mfilt.L, mfilt.P, (phantom,), grid,
-        c_tot, max(mfilt.L, mfilt.P) + m_max, quadrature_points,
+        c_tot, max(mfilt.L, mfilt.P) + m_max,
     )
 
 
@@ -369,7 +367,6 @@ def check_superposition_identity(
     target: int,
     filt: Filter,
     grid: KGrid,
-    quadrature_points: int = 4096,
 ) -> IdentityCheck:
     """Separator error energy against its spatial integral.
 
@@ -399,7 +396,7 @@ def check_superposition_identity(
         [sum_fn, lambda n: samples_at(slices[target], (n,))],
         [sum_profile, lambda x, mid: spatial_profile(slices[target], x, mid)],
         [filt.taps, delta], filt.L, filt.P, slices, grid,
-        c_tot, max(filt.L, filt.P), quadrature_points,
+        c_tot, max(filt.L, filt.P),
     )
 
 

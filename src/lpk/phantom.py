@@ -102,13 +102,13 @@ class Phantom:
     def dims(self) -> int:
         return len(self.fov)
 
-    def support_edges(self, axis: int = 0) -> list[float]:
-        """Discontinuity locations along one axis (1D quadrature splits here)."""
+    def support_edges(self) -> list[float]:
+        """Discontinuity locations along the first axis (1D quadrature splits here)."""
         edges = []
         for p in self.primitives:
             if p.kind == "point":
                 continue
-            edges.extend((p.center[axis] - p.extent[axis], p.center[axis] + p.extent[axis]))
+            edges.extend((p.center[0] - p.extent[0], p.center[0] + p.extent[0]))
         return edges
 
 
@@ -276,7 +276,6 @@ def modulated_samples(phantom: Phantom, modulator: Modulator, grid: KGrid) -> KS
 def quadrature_samples(
     phantom: Phantom,
     grid: KGrid,
-    points: int = 4096,
     modulator: Modulator | None = None,
 ) -> KSignal:
     """Numerical-quadrature route to (modulated) Fourier samples, 1D.
@@ -299,7 +298,7 @@ def quadrature_samples(
             rho = rho * modulator.eval_spatial(x, (b,))
         return rho[:, None] * np.exp(-2j * np.pi * np.multiply.outer(x, n) / b)
 
-    vals = piecewise_quad(integrand, edges, points=points)
+    vals = piecewise_quad(integrand, edges)
     return KSignal(grid, vals)
 
 
@@ -350,21 +349,21 @@ def make_phase_modulator(
     bandwidth: int,
     seed: int,
     fov: float = 1.0,
-    amplitude: float = 0.5,
 ) -> tuple[Modulator, Modulator]:
     """Unit-magnitude phase weighting and its complex conjugate, 1D.
 
     Draws a smooth real phase ``phi(x)`` of the given trigonometric
-    bandwidth, expands ``exp(i phi)`` in modulator coefficients, and
-    widens the expansion (up to 8 doublings) until the truncated series
-    has magnitude within 1e-3 of 1 on a 512-point grid.  The second
-    modulator carries the conjugate weighting: ``coeffs2[m] =
-    conj(coeffs1[-m])``.
+    bandwidth from normal coefficients of scale 0.5, expands ``exp(i phi)``
+    in modulator coefficients, and widens the expansion (up to 8 doublings)
+    until the truncated series has magnitude within 1e-3 of 1 on a
+    512-point grid.  The second modulator carries the conjugate
+    weighting: ``coeffs2[m] = conj(coeffs1[-m])``.
     """
     if bandwidth < 0:
         raise ValueError("bandwidth must be nonnegative")
     b = float(fov)
     rng = np.random.default_rng(seed)
+    amplitude = 0.5
     a0 = rng.normal() * amplitude
     ac = rng.normal(size=max(bandwidth, 1)) * amplitude
     bs = rng.normal(size=max(bandwidth, 1)) * amplitude

@@ -5,7 +5,9 @@ Integrands in this package are smooth between a known set of breakpoints
 segment is integrated by the composite trapezoid rule on nested dyadic
 node sets, then Richardson-extrapolated, so nodes align exactly with the
 edges and the only error left is far below the tolerances any caller
-checks against.
+checks against.  Every integral gets one fixed budget: ``POINTS``
+intervals spread over the segments by length (each share rounded up to a
+power of two, at least 16), extrapolated over up to ``LEVELS`` levels.
 
 Integrand callables receive ``(x, mid)`` where ``mid`` is the segment
 midpoint: membership of a set whose boundary touches a segment endpoint
@@ -18,11 +20,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+POINTS = 4096
+LEVELS = 5
 
-def merge_edges(edges: Sequence[float], lo: float, hi: float, tol: float = 0.0) -> np.ndarray:
-    """Sorted unique breakpoints clipped to ``[lo, hi]``, ends included."""
-    if tol <= 0.0:
-        tol = 1e-12 * max(abs(lo), abs(hi), 1.0)
+
+def merge_edges(edges: Sequence[float], lo: float, hi: float) -> np.ndarray:
+    """Sorted unique breakpoints clipped to ``[lo, hi]``, ends included;
+    breakpoints within ``1e-12`` of the range's scale merge into one."""
+    tol = 1e-12 * max(abs(lo), abs(hi), 1.0)
     pts = [lo, hi] + [float(e) for e in edges if lo < e < hi]
     pts.sort()
     out = [pts[0]]
@@ -52,22 +57,13 @@ def _segment_quad(fn, a: float, b: float, m: int, levels: int):
     return table[-1]
 
 
-def piecewise_quad(
-    fn: Callable,
-    edges: Sequence[float],
-    points: int = 4096,
-    levels: int = 5,
-):
+def piecewise_quad(fn: Callable, edges: Sequence[float]):
     """Integrate ``fn`` over the range spanned by ``edges``.
 
     Args:
         fn: callable ``(x, mid) -> array`` of shape ``(len(x), ...)``;
             must be smooth on each closed segment between breakpoints.
         edges: breakpoints, ascending; first and last bound the integral.
-        points: total interval budget distributed across segments by
-            length (each segment rounded up to a power of two, so the
-            effective node count is at least the budget).
-        levels: Richardson extrapolation depth.
 
     Returns:
         The integral, with the integrand's trailing shape.
@@ -80,9 +76,9 @@ def piecewise_quad(
     total = edges[-1] - edges[0]
     out = None
     for a, b in zip(edges[:-1], edges[1:]):
-        target = max(points * (b - a) / total, 16)
+        target = max(POINTS * (b - a) / total, 16)
         m = 1 << int(np.ceil(np.log2(target)))
-        depth = min(levels, int(np.log2(m)) + 1)
+        depth = min(LEVELS, int(np.log2(m)) + 1)
         part = _segment_quad(fn, float(a), float(b), m, depth)
         out = part if out is None else out + part
     return out

@@ -1,4 +1,4 @@
-"""Engine registry and experiment runner.
+"""Mask rules, engine registry and experiment runner.
 
 The ``interp`` engine is checked against per-index oracles: acquired
 samples pass through, convergence means full coverage, and the pattern
@@ -22,7 +22,6 @@ from lpk.harness import (
     demo_scene_1d,
     demo_scene_2d,
     gen_mask,
-    register_engine,
     run_experiment,
 )
 from lpk.lp import (
@@ -58,6 +57,64 @@ def test_add_noise_is_the_per_channel_draw(multi):
     got = add_noise(data, sigma, seed)
     assert type(got) is type(data) and got.grid == data.grid
     assert (got.stack() if multi else got.values).tobytes() == np.array(want).tobytes()
+
+
+class TestGenMask:
+    """The line rules of ``gen_mask``, each against its own oracle."""
+
+    @staticmethod
+    def lines(mask):
+        # The first-axis indices whose whole line is acquired.
+        rows = mask.acquired.reshape(mask.acquired.shape[0], -1).all(axis=1)
+        return list(np.flatnonzero(rows) + mask.grid.n_min[0])
+
+    def test_lowres_keeps_the_centered_fraction(self):
+        mask = gen_mask(MaskSpec("lowres", 4, 0), centered_grid((32, 6), 1.0))
+        assert self.lines(mask) == list(range(-4, 4))
+        assert mask.acquired.sum() == 8 * 6 and mask.calib is None
+
+    def test_uniform_keeps_every_rth_line_from_zero(self):
+        mask = gen_mask(MaskSpec("uniform", 3, 0), centered_grid(32, 1.0))
+        assert self.lines(mask) == list(range(-15, 16, 3))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_random_draws_a_ceiling_share_of_lines(self, seed):
+        grid = centered_grid(33, 1.0)
+        mask = gen_mask(MaskSpec("random", 4, 0, seed=seed), grid)
+        pick = np.random.default_rng(seed).choice(33, size=9, replace=False)
+        assert self.lines(mask) == sorted(pick - 16)
+
+    def test_random_pf_draws_past_its_boundary(self):
+        # n_max - round(0.75 * 32) + 1 = -8; ceil(24 / 2) lines from there.
+        mask = gen_mask(MaskSpec("random_pf", 2, 0, 0.75, seed=1), centered_grid(32, 1.0))
+        pick = np.random.default_rng(1).choice(24, size=12, replace=False)
+        assert self.lines(mask) == sorted(pick - 8)
+        with pytest.raises(ValueError, match="pf boundary -2 excludes the calibration block"):
+            gen_mask(MaskSpec("random_pf", 2, 8), centered_grid(32, 1.0))
+
+    def test_stencil_must_match_the_grid(self):
+        with pytest.raises(ValueError, match=r"stencil shape \(4,\) does not match grid \(8,\)"):
+            gen_mask(MaskSpec("stencil", stencil=(True,) * 4), centered_grid(8, 1.0))
+
+    @pytest.mark.parametrize("kind,pf", [("uniform", None), ("random", None), ("random_pf", 1.0), ("lowres", None)])
+    def test_calib_block_is_forced_on(self, kind, pf):
+        grid = centered_grid((16, 12), 1.0)
+        mask = gen_mask(MaskSpec(kind, 8, 6, pf, seed=2), grid)
+        assert mask.calib == ((-3, 2), (-3, 2))
+        assert mask.acquired[8 - 3:8 + 3, 6 - 3:6 + 3].all()
+        # The default width is an eighth of the first axis.
+        assert gen_mask(MaskSpec(kind, 8, None, pf, seed=2), grid).calib == ((-1, 0), (-1, 0))
+
+    def test_label_names_every_set_field(self):
+        assert MaskSpec("uniform", 2).label() == "uniform-R2"
+        assert MaskSpec("random_pf", 2, 8, 0.75, seed=3).label() == "random_pf-R2-C8-F0.75-S3"
+        assert MaskSpec("random", 3, 0).label() == "random-R3-C0-S0"
+
+
+def test_the_mask_config_takes_accel_only():
+    config = {"scene": "demo1d", "grid": 32, "mask": {"kind": "uniform", "r": 2}}
+    with pytest.raises(ValueError, match=r"unknown mask fields: \['r'\]"):
+        run_experiment(config)
 
 
 class TestInterpEngine:
@@ -261,6 +318,29 @@ def test_a_key_the_engine_does_not_take_is_a_case_error():
     assert good["error"] is None and good["report"]["iterations"] == 4
 
 
+def test_an_integer_parameter_given_as_a_float_is_a_case_error():
+    config = {
+        "scene": "demo1d",
+        "grid": 32,
+        "mask": {"kind": "uniform", "accel": 2, "calib": 8},
+        "methods": [
+            {"name": "interp", "passes": 2.0},
+            {"name": "annihilation", "L": 1.0},
+            {"name": "lowrank", "max_iters": 3.0},
+            {"name": "lowrank", "max_iters": True},
+            {"name": "lowrank", "max_iters": 3},
+        ],
+    }
+    errors = [case["error"] for case in run_experiment(config)["cases"]]
+    assert errors == [
+        "ValueError: annihilation engine: L must be an integer, got 1.0",
+        "ValueError: interp engine: passes must be an integer, got 2.0",
+        "ValueError: lowrank engine: max_iters must be an integer, got 3.0",
+        "ValueError: lowrank engine: max_iters must be an integer, got True",
+        None,
+    ]
+
+
 @pytest.mark.parametrize("name", ["zero-fill", "interp", "annihilation", "lowrank"])
 def test_no_engine_takes_a_bank_limit(name):
     # annihilation fits one filter per channel; lpk fit --limit caps a bank.
@@ -280,8 +360,7 @@ def test_registered_engine_runs_in_experiments(tmp_path):
 
     before = dict(ENGINES)
     try:
-        register_engine("toy", toy)
-        assert ENGINES["toy"] is toy
+        ENGINES["toy"] = toy
         config = {
             "scene": "demo1d",
             "grid": 32,

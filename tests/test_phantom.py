@@ -120,7 +120,7 @@ class TestQuadratureOracle:
     def test_closed_forms_match_quadrature(self, ph):
         g = centered_grid(33, 1.0)
         exact = fourier_samples(ph, g)
-        quad = quadrature_samples(ph, g, points=4096)
+        quad = quadrature_samples(ph, g)
         err = np.abs(exact.values - quad.values)
         scale = np.max(np.abs(exact.values))
         assert np.max(err) <= 1e-9 * scale
@@ -130,7 +130,7 @@ class TestQuadratureOracle:
         mod = Modulator(np.array([1.0, 0.5]), (0,))  # c(x) = (1 + 0.5 e^{i2pix})/B
         g = centered_grid(17, 1.0)
         exact = modulated_samples(ph, mod, g)
-        quad = quadrature_samples(ph, g, points=4096, modulator=mod)
+        quad = quadrature_samples(ph, g, modulator=mod)
         assert np.max(np.abs(exact.values - quad.values)) <= 1e-9
 
 

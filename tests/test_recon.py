@@ -1068,7 +1068,7 @@ class TestPfRecon:
     def test_needs_calibration_region(self):
         sig, _, _ = self.pf_case()
         g = sig.grid
-        mask = gen_mask(MaskSpec("random_pf_nocalib", r=1, pf=0.625, seed=0), g)
+        mask = gen_mask(MaskSpec("random_pf", r=1, calib=0, pf=0.625, seed=0), g)
         masked = KSignal(g, np.where(mask.acquired, sig.values, 0))
         with pytest.raises(ValueError, match="calibration"):
             pf_recon(masked, mask, method="annihilation-vc")
