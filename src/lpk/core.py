@@ -48,6 +48,14 @@ def _axes_float(value, name: str) -> tuple[float, ...]:
     return out
 
 
+def _integer(key: str, value):
+    """``value`` if it is an integer (not a bool), else a ``ValueError``
+    naming ``key``: a float is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class KGrid:
     """Integer index range per axis plus the field of view it discretizes.

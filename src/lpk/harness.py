@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import KGrid, SamplingMask, _like, centered_grid, zero_fill
+from .core import KGrid, SamplingMask, _integer, _like, centered_grid, zero_fill
 from .lp import (
     _as_multi,
     fit_interpolation_filters,
@@ -265,9 +265,7 @@ def _engine(name: str, fn: Callable) -> Callable:
         except TypeError as exc:
             raise ValueError(f"{name} engine: {exc}") from None
         for key in int_keys:
-            value = bound.arguments.get(key, 0)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} engine: {key} must be an integer, got {value!r}")
+            _integer(f"{name} engine: {key}", bound.arguments.get(key, 0))
         return fn(*bound.args, **bound.kwargs)
 
     return run
@@ -361,8 +359,10 @@ def run_experiment(config: dict, out_dir=None) -> dict:
     ``grid`` (size or per-axis list), ``fov``, ``mask`` (spec fields),
     ``methods`` (names or ``{"name": ..., params}``), ``sigmas``,
     ``seeds``, optional ``timing`` to record wall time.  A config of
-    the wrong structure raises ``ValueError``; per-case failures are
-    recorded and the run continues.
+    the wrong structure raises ``ValueError``, as does an integer field
+    (the mask's ``accel``, ``calib`` and ``seed``, each entry of
+    ``seeds``) given as a bool or a non-integer, naming the field;
+    per-case failures are recorded and the run continues.
 
     Returns the report document; with ``out_dir`` also writes
     ``report.json``, ``report.csv``, and per-case PGM renderings for 2D
@@ -377,12 +377,13 @@ def run_experiment(config: dict, out_dir=None) -> dict:
         fov = config.get("fov", 1.0)
         grid = centered_grid(shape, fov)
         mask_cfg = dict(config["mask"])
+        calib = mask_cfg.pop("calib", None)
         spec = MaskSpec(
             kind=mask_cfg.pop("kind"),
-            r=int(mask_cfg.pop("accel", 1)),
-            calib=mask_cfg.pop("calib", None),
+            r=_integer("mask accel", mask_cfg.pop("accel", 1)),
+            calib=None if calib is None else _integer("mask calib", calib),
             pf=mask_cfg.pop("pf", None),
-            seed=int(mask_cfg.pop("seed", 0)),
+            seed=_integer("mask seed", mask_cfg.pop("seed", 0)),
             stencil=mask_cfg.pop("stencil", None),
         )
         if mask_cfg:
@@ -390,7 +391,7 @@ def run_experiment(config: dict, out_dir=None) -> dict:
         mask = gen_mask(spec, grid)
         methods = [_method_entry(m) for m in config.get("methods", [])]
         sigmas = [float(s) for s in config.get("sigmas", [0.0])]
-        seeds = [int(s) for s in config.get("seeds", [0])]
+        seeds = [_integer(f"seeds[{i}]", s) for i, s in enumerate(config.get("seeds", [0]))]
         timing = bool(config.get("timing", False))
     except KeyError as exc:
         raise ValueError(f"experiment config lacks field {exc}") from exc

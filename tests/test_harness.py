@@ -117,6 +117,48 @@ def test_the_mask_config_takes_accel_only():
         run_experiment(config)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ({"accel": 2.5}, 2.5, "mask accel"),
+        ({"accel": True}, True, "mask accel"),
+        ({"calib": 8.0}, 8.0, "mask calib"),
+        ({"calib": False}, False, "mask calib"),
+        ({"seed": 1.7}, 1.7, "mask seed"),
+        ({"seed": True}, True, "mask seed"),
+        ({"seeds": [0, 1.5]}, 1.5, "seeds[1]"),
+        ({"seeds": [True]}, True, "seeds[0]"),
+    ],
+)
+def test_a_mask_integer_given_otherwise_names_its_key(field, value, message):
+    config = {
+        "scene": "demo1d",
+        "grid": 32,
+        "mask": {"kind": "random", "accel": 2, "calib": 8, "seed": 1},
+        "methods": ["zero-fill"],
+    }
+    if "seeds" in field:
+        config.update(field)
+    else:
+        config["mask"].update(field)
+    with pytest.raises(ValueError) as err:
+        run_experiment(config)
+    assert str(err.value) == f"{message} must be an integer, got {value!r}"
+
+
+def test_mask_integers_and_a_null_calib_run():
+    config = {
+        "scene": "demo1d",
+        "grid": 32,
+        "mask": {"kind": "random", "accel": 2, "calib": None, "seed": np.int64(1)},
+        "methods": ["zero-fill"],
+        "seeds": [0, np.int64(1)],
+    }
+    doc = run_experiment(config)
+    assert [row["mask"] for row in doc["rows"]] == ["random-R2-S1"] * 2
+    assert [case["error"] for case in doc["cases"]] == [None, None]
+
+
 class TestInterpEngine:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("params", [{}, {"passes": 1}])
@@ -339,6 +381,28 @@ def test_an_integer_parameter_given_as_a_float_is_a_case_error():
         "ValueError: lowrank engine: max_iters must be an integer, got True",
         None,
     ]
+
+
+def test_a_lowrank_rank_given_as_a_float_is_a_case_error():
+    config = {
+        "scene": "demo1d",
+        "grid": 32,
+        "mask": {"kind": "uniform", "accel": 2, "calib": 8},
+        "methods": [
+            {"name": "lowrank", "rank": 2.0, "max_iters": 3},
+            {"name": "lowrank", "rank": True, "max_iters": 3},
+            {"name": "lowrank", "rank": None, "max_iters": 3},
+            {"name": "lowrank", "rank": 2, "max_iters": 3},
+        ],
+    }
+    cases = run_experiment(config)["cases"]
+    assert [case["error"] for case in cases] == [
+        "ValueError: rank must be an integer, got 2.0",
+        "ValueError: rank must be an integer, got True",
+        None,
+        None,
+    ]
+    assert cases[3]["report"]["rank"] == 2 and cases[3]["report"]["iterations"] == 3
 
 
 @pytest.mark.parametrize("name", ["zero-fill", "interp", "annihilation", "lowrank"])

@@ -431,6 +431,13 @@ class TestLowrankComplete:
         with pytest.raises(ValueError):
             lowrank_complete(masked, mask, L=0, P=2, rank=7)
 
+    @pytest.mark.parametrize("rank", [2.0, True, "2"])
+    @pytest.mark.parametrize("max_iters", [0, 3])
+    def test_rank_other_than_an_integer_rejected(self, masked_two_point, rank, max_iters):
+        _, mask, masked = masked_two_point
+        with pytest.raises(ValueError, match=f"^rank must be an integer, got {rank!r}$"):
+            lowrank_complete(masked, mask, L=0, P=2, rank=rank, max_iters=max_iters)
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(case=sweep_cases())
     def test_gram_sweep_matches_svd_sweep(self, case):
@@ -461,20 +468,44 @@ class TestLowrankComplete:
         assert rep == ref
 
 
+class TestGramEigh:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=sweep_cases())
+    def test_matches_eigh_of_the_gemm_gram(self, case):
+        # sweep_cases lifts 1D and 2D data, variants C and S, to matrices
+        # with more and with fewer rows than columns.
+        data, _, kwargs = case
+        c = lift(data, kwargs["L"], kwargs["P"], kwargs["variant"]).matrix
+        lam, v = lpk.recon._gram_eigh(c)
+        want_lam, want_v = np.linalg.eigh(c.conj().T @ c)
+        want_lam, want_v = want_lam[::-1], want_v[:, ::-1]
+        assert np.max(np.abs(lam - want_lam)) <= 1e-13 * want_lam[0]
+        # Two Grams that differ by round-off fix a rank-r projector only up
+        # to about eps·λ_max over the gap below it, so projectors are
+        # compared where that gap is wide; in a wide matrix's round-off
+        # nullspace they may differ by O(1).
+        for r in range(1, len(lam)):
+            if want_lam[r - 1] - want_lam[r] > 1e-4 * want_lam[0]:
+                got = v[:, :r] @ v[:, :r].conj().T
+                want = want_v[:, :r] @ want_v[:, :r].conj().T
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def object_lowrank_complete(data, mask, L, P, rank, variant, max_iters, tau=0.05, tol=1e-9):
     """The Gram sweep with every lift and unlift through the public
     ``lift`` and ``StructuredMatrix.unlift``, rebuilding the signal
     objects each sweep: ``lowrank_complete`` must match it bitwise
-    whatever shortcuts its sweep takes."""
+    whatever shortcuts its sweep takes.  Its eigenpairs come from the
+    sweep's own ``_gram_eigh``, which ``TestGramEigh`` pins to
+    ``np.linalg.eigh``."""
     acq = mask.acquired
     ref = data.stack()
     x = np.where(acq, ref, 0.0)
     trace, converged, chosen, it = [], False, rank, 0
     for it in range(1, max_iters + 1):
         c = lift(MultiKSignal.from_array(data.grid, x), L, P, variant).matrix
-        lam, v = np.linalg.eigh(c.conj().T @ c)
-        v = v[:, ::-1]
-        s = np.sqrt(np.clip(lam[::-1], 0.0, None))[: min(c.shape)]
+        lam, v = lpk.recon._gram_eigh(c)
+        s = np.sqrt(np.clip(lam, 0.0, None))[: min(c.shape)]
         if chosen is None:
             chosen = min(max(1, int(np.sum(s > tau * s[0]))), len(s))
         vr = v[:, :chosen]
