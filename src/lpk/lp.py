@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from scipy import signal as _sps
 
 from .core import (
     Filter,
@@ -305,7 +306,7 @@ def nullspace_filter_bank(
     largest become bank filters (always at least the very smallest one),
     orthonormal by construction, residuals ascending.
     """
-    cm = data if isinstance(data, CalibMatrix) else build_calib_matrix(data, calib, L, P)
+    cm = build_calib_matrix(data, calib, L, P)
     _u, s, vh = np.linalg.svd(cm.matrix, full_matrices=True)
     n_cols = cm.matrix.shape[1]
     s_full = np.concatenate([s, np.zeros(n_cols - len(s))])
@@ -523,8 +524,9 @@ def extrapolate(seed: KSignal, coeffs: Filter, steps: int, direction: str = "+")
     """Run the pure prediction recursion beyond the seed range, 1D.
 
     With anchored taps on ``[0, P]`` the recursion is
-    ``x[n] = sum_{k=1..P} h[k] x[n-k]`` forward, or solved for the
-    earliest term backward (which needs ``h[P] != 0``).
+    ``x[n] = sum_{k=1..P} h[k] x[n-k]`` forward.  Backward is the same
+    recursion run forward on the reversed sequence with the taps
+    reversed, which solves for the earliest term (so needs ``h[P] != 0``).
 
     Returns:
         The ``steps`` new samples on the adjacent index window.
@@ -540,34 +542,21 @@ def extrapolate(seed: KSignal, coeffs: Filter, steps: int, direction: str = "+")
     P = coeffs.P
     if seed.grid.size < P:
         raise ValueError(f"seed holds {seed.grid.size} samples, needs at least P = {P}")
-    alpha = np.asarray(coeffs.taps[1:])  # h[1..P]
-    fov = seed.grid.fov
+    if direction not in ("+", "-"):
+        raise ValueError("direction must be '+' or '-'")
+    taps, values = coeffs.taps, seed.values
+    if direction == "-":
+        if P == 0 or taps[P] == 0:
+            raise ValueError("backward recursion needs a nonzero highest-order coefficient")
+        taps, values = taps[::-1], values[::-1]
+    # The all-pole filter 1 / (-taps) on zero input, started from the last
+    # P values (most recent first), continues the recursion.
+    zi = _sps.lfiltic([1.0], -taps, values[::-1][:P])
+    new = _sps.lfilter([1.0], -taps, np.zeros(steps, dtype=np.complex128), zi=zi)[0]
     lo, hi = seed.grid.n_min[0], seed.grid.n_max[0]
     if direction == "+":
-        buf = list(seed.values[len(seed.values) - P :]) if P else []
-        new = []
-        for _ in range(steps):
-            val = sum(alpha[k - 1] * buf[-k] for k in range(1, P + 1)) if P else 0.0
-            new.append(val)
-            buf.append(val)
-        return KSignal(KGrid.window((hi + 1,), (hi + steps,), fov), np.asarray(new, dtype=np.complex128))
-    if direction != "-":
-        raise ValueError("direction must be '+' or '-'")
-    if P == 0 or coeffs.taps[P] == 0:
-        raise ValueError("backward recursion needs a nonzero highest-order coefficient")
-    buf = list(seed.values[:P])
-    new = []
-    for _ in range(steps):
-        # Solve x[m] from x[m+P] = sum_{k=1..P} h[k] x[m+P-k].
-        acc = buf[-1]
-        for k in range(1, P):
-            acc = acc - alpha[k - 1] * buf[P - 1 - k]
-        val = acc / alpha[P - 1]
-        new.insert(0, val)
-        buf = [val] + buf[:-1]
-    return KSignal(
-        KGrid.window((lo - steps,), (lo - 1,), fov), np.asarray(new, dtype=np.complex128)
-    )
+        return KSignal(KGrid.window((hi + 1,), (hi + steps,), seed.grid.fov), new)
+    return KSignal(KGrid.window((lo - steps,), (lo - 1,), seed.grid.fov), new[::-1])
 
 
 def highpass_weight(data: KSignal) -> KSignal:

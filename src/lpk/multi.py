@@ -37,6 +37,7 @@ from .lp import (
 from .phantom import (
     Modulator,
     Phantom,
+    fourier_samples,
     modulated_samples,
     modulator_from_json,
     modulator_to_json,
@@ -101,9 +102,7 @@ def scene_samples(scene: MultiScene, grid: KGrid) -> MultiKSignal:
 def sms_slice_samples(scene: SmsScene, grid: KGrid):
     """Per-slice samples: a tuple of KSignal, or of MultiKSignal with coils."""
     if scene.sensitivities is None:
-        return tuple(
-            KSignal(grid, samples_at(p, grid.index_mesh())) for p in scene.slices
-        )
+        return tuple(fourier_samples(p, grid) for p in scene.slices)
     return tuple(
         MultiKSignal(
             tuple(modulated_samples(p, c, grid) for c in scene.sensitivities)

@@ -162,11 +162,7 @@ def fourier_samples(phantom: Phantom, grid: KGrid) -> KSignal:
         ``KSignal`` with one exact sample per index.
     """
     _check_fov(phantom, grid)
-    mesh = grid.index_mesh()
-    total = np.zeros(grid.shape, dtype=np.complex128)
-    for p in phantom.primitives:
-        total += primitive_samples(p, mesh, phantom.fov)
-    return KSignal(grid, total)
+    return KSignal(grid, samples_at(phantom, grid.index_mesh()))
 
 
 def samples_at(phantom: Phantom, mesh) -> np.ndarray:

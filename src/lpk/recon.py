@@ -20,8 +20,8 @@ Two complementary routes:
   that the total filter response energy is minimal, by conjugate
   gradients.  One routine, ``_bank_solve``, builds that solve, with the
   acquired samples as constraints or as a weighted data term, and
-  reports it.  It has three users: ``annihilation_recon``, ``pf_recon``'s
-  ``annihilation-vc`` through it, and the undersampled
+  reports it.  It has three users: ``annihilation_recon``, ``pf_recon``
+  over virtual conjugate channels, and the undersampled
   ``multi.sms_separate``, whose data term sees the slices summed.  Each
   CG step applies the whole bank forward and back as one operator
   (``_BankOperator``) on the bank's ``[F, Q, *W]`` tap array, with exact
@@ -35,9 +35,10 @@ Two complementary routes:
   report's ``notes``.
 
 Both come back with a :class:`ReconReport` describing what the solver
-did.  Conjugate-symmetry tricks (virtual conjugate channels, the
-symmetric lifting variant) let the same machinery fill one-sided partial
-coverage (``pf_recon``).
+did.  Conjugate symmetry lets the same machinery fill one-sided partial
+coverage: ``pf_recon`` solves the annihilation problem over virtual
+conjugate channels, and ``lowrank_complete(variant="S")`` is the
+symmetric low-rank route.
 """
 
 from __future__ import annotations
@@ -179,14 +180,13 @@ def reflect_mask(mask: SamplingMask) -> SamplingMask:
     acq = _reflect_values(mask.acquired, mask.grid, fill=False)
     calib = None
     if mask.calib is not None:
+        # The mirror of an acquired box, clipped to the grid, is acquired.
         refl = tuple(
             (max(-hi, lo_g), min(-lo, hi_g))
             for (lo, hi), lo_g, hi_g in zip(mask.calib, mask.grid.n_min, mask.grid.n_max)
         )
         if all(lo <= hi for lo, hi in refl):
-            sl = tuple(slice(lo - g, hi - g + 1) for (lo, hi), g in zip(refl, mask.grid.n_min))
-            if bool(np.all(acq[sl])):
-                calib = refl
+            calib = refl
     return SamplingMask(mask.grid, acq, calib)
 
 
@@ -601,11 +601,11 @@ def _bank_solve(
 ) -> tuple[np.ndarray, ReconReport]:
     """Fill a ``[Q, *N]`` stack so a ``[F, Q, *W]`` bank responds least.
 
-    The one CG solve behind ``annihilation_recon`` (and so ``pf_recon``'s
-    ``annihilation-vc``) and the undersampled ``multi.sms_separate``.  The
-    data ``y`` and mask ``acq`` are ``[G, *N]``, and the data term sees
-    each of the ``G`` equal runs of consecutive channels summed: ``G = Q``
-    is every channel itself, ``G = 1`` the slice sum.
+    The one CG solve behind ``annihilation_recon``, ``pf_recon`` and the
+    undersampled ``multi.sms_separate``.  The data ``y`` and mask ``acq``
+    are ``[G, *N]``, and the data term sees each of the ``G`` equal runs
+    of consecutive channels summed: ``G = Q`` is every channel itself,
+    ``G = 1`` the slice sum.
 
     With ``lam == 0`` (only ``G = Q``) acquired samples are constraints
     and CG runs over the missing ones, minimizing ``||H x||^2``.  With
@@ -708,54 +708,35 @@ def annihilation_recon(
 def pf_recon(
     data,
     mask: SamplingMask,
-    method: str = "annihilation-vc",
-    L: int | None = None,
-    P: int | None = None,
-    rank: int | None = None,
+    L: int = 0,
+    P: int = 0,
     tau: float = 0.05,
     tol: float = 1e-9,
     max_iters: int = 500,
 ) -> tuple[MultiKSignal, ReconReport]:
-    """Fill one-sided partial coverage using conjugate symmetry.
+    """Fill one-sided partial coverage with virtual conjugate channels.
 
-    One mask, a :class:`SamplingMask`, is shared by all channels.
-    ``"annihilation-vc"`` appends conjugate-mirrored channels (measured
-    wherever the mirrored index was acquired), fits a nullspace filter
-    bank on the calibration region, and solves the hard-constrained
-    annihilation problem over the augmented channel set.
-    ``"lowrank-S"`` runs alternating-projection completion on the
-    symmetric lifting.  Either way only the original channels are
-    returned.
+    One mask, a :class:`SamplingMask`, is shared by all channels.  The
+    conjugate-mirrored channels are appended (measured wherever the
+    mirrored index was acquired), a nullspace filter bank is fitted where
+    the calibration region overlaps its own mirror, and the
+    hard-constrained annihilation problem is solved over the augmented
+    channel set.  Only the original channels are returned.  The
+    symmetric low-rank route is ``lowrank_complete(variant="S")``.
     """
     ms = _as_multi(data)
-    if method == "lowrank-S":
-        out, report = lowrank_complete(
-            ms, mask, L=2 if L is None else L, P=2 if P is None else P,
-            rank=rank, tau=tau, variant="S", tol=tol, max_iters=max_iters,
-        )
-        return out, report
-    if method != "annihilation-vc":
-        raise ValueError("method must be 'annihilation-vc' or 'lowrank-S'")
     acq = _shared_acquired(mask, ms)
-    L = 0 if L is None else L
-    P = 0 if P is None else P
     if mask.calib is None:
-        raise ValueError("annihilation-vc needs a mask with a calibration region")
-    # Fit where the calibration region overlaps its own mirror.
-    rm = reflect_mask(mask)
-    if rm.calib is None:
-        raise ValueError("calibration region does not cover its own mirror")
-    calib = tuple(
-        (max(a, c), min(b, d))
-        for (a, b), (c, d) in zip(mask.calib, rm.calib)
-    )
+        raise ValueError("pf_recon needs a mask with a calibration region")
+    # Fit where the calibration box overlaps its own mirror.
+    calib = tuple((max(lo, -hi), min(hi, -lo)) for lo, hi in mask.calib)
     if any(lo > hi for lo, hi in calib):
         raise ValueError("calibration region does not straddle the center")
     # Mirrors that fall off the grid are zero here and unacquired in the
     # reflected mask, so the solve fills them.
     aug = MultiKSignal.from_array(ms.grid, _with_mirrors(ms.values, ms.grid))
     bank = nullspace_filter_bank(aug, calib, L, P, tau=tau)
-    aug_acq = np.concatenate([acq, np.broadcast_to(rm.acquired, acq.shape)])
+    aug_acq = np.concatenate([acq, np.broadcast_to(reflect_mask(mask).acquired, acq.shape)])
     x, report = _bank_solve(
         bank.taps, aug.values.shape, aug.values, aug_acq, 0.0, tol, max_iters,
         "annihilation-vc",

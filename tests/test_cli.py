@@ -335,6 +335,19 @@ def test_sms_superpose_fit_and_separate(capsys, sms_dir):
     assert np.array_equal(sep.channels[0].values, want.values)
 
 
+@pytest.mark.parametrize("argv", [
+    ["phantom", "sms.json", "--grid", "32", "--fov", "2", "--out", "bad.lpk"],
+    ["fit", "sms.json", "--mode", "sms-sep", "--L", "1", "--P", "1", "--calib", "12",
+     "--grid", "32", "--fov", "2"],
+], ids=["phantom", "fit"])
+def test_sms_scene_on_a_grid_of_another_fov_exits_2(capsys, sms_dir, argv, monkeypatch):
+    monkeypatch.chdir(sms_dir)
+    code, lines, err = run(capsys, *argv)
+    assert code == 2 and lines == []
+    assert "does not match grid fov" in err
+    assert not (sms_dir / "bad.lpk").exists()
+
+
 def fit_every_slice(capsys, d):
     out = d / "seps.filters.json"
     code, lines, err = run(

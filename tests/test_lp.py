@@ -243,6 +243,53 @@ class TestExtrapolate:
         with pytest.raises(ValueError):
             extrapolate(seed, filt, 1)
 
+    @staticmethod
+    def anchored_filter(rng, P):
+        """Random anchored taps whose recursion has its roots near the unit
+        circle, so neither direction amplifies round-off much."""
+        roots = rng.uniform(0.8, 1.25, P) * np.exp(2j * np.pi * rng.uniform(size=P))
+        return Filter(-np.poly(roots), 0, P, anchor_fixed=True)
+
+    @pytest.mark.parametrize("P", [1, 2, 3, 4, 5])
+    def test_backward_from_the_extension_gives_back_the_seed(self, P):
+        rng = np.random.default_rng(P)
+        for _ in range(10):
+            filt = self.anchored_filter(rng, P)
+            # A seed of P samples is a state of the recursion, so any seed is
+            # one that the recursion continues in both directions.
+            seed = KSignal(KGrid.window((-2,), (P - 3,), (1.0,)), rng.standard_normal(P) + 0j)
+            ext = extrapolate(seed, filt, P + 2, "+")
+            back = extrapolate(ext, filt, P, "-")
+            assert (back.grid.n_min, back.grid.n_max) == ((-2,), (P - 3,))
+            assert np.allclose(back.values, seed.values, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("direction", ["+", "-"])
+    @pytest.mark.parametrize("P", [1, 2, 3, 4, 5])
+    def test_extension_satisfies_the_recursion(self, P, direction):
+        # Every window of seed and extension together is annihilated by the
+        # taps: sum_k h[k] x[n-k] = 0, with h[0] = -1.
+        rng = np.random.default_rng(10 + P)
+        filt = self.anchored_filter(rng, P)
+        seed = KSignal(KGrid.window((0,), (P - 1,), (1.0,)), rng.standard_normal(P) + 0j)
+        ext = extrapolate(seed, filt, 12, direction)
+        both = [seed.values, ext.values] if direction == "+" else [ext.values, seed.values]
+        full = np.concatenate(both)
+        resid = np.convolve(full, filt.taps, mode="valid")
+        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(full))
+
+    def test_order_zero_forward_gives_zeros(self):
+        seed = KSignal(KGrid.window((0,), (2,), (1.0,)), np.array([1.0, 2.0, 3.0]))
+        out = extrapolate(seed, Filter(np.array([-1.0]), 0, 0, anchor_fixed=True), 4, "+")
+        assert np.array_equal(out.values, np.zeros(4))
+        assert (out.grid.n_min, out.grid.n_max) == ((3,), (6,))
+
+    @pytest.mark.parametrize("taps", [[-1.0], [-1.0, 0.5, 0.0]], ids=["P0", "zero-highest-tap"])
+    def test_backward_needs_a_nonzero_highest_tap(self, taps):
+        seed = KSignal(KGrid.window((0,), (2,), (1.0,)), np.array([1.0, 2.0, 3.0]))
+        filt = Filter(np.array(taps), 0, len(taps) - 1, anchor_fixed=True)
+        with pytest.raises(ValueError, match="nonzero highest-order coefficient"):
+            extrapolate(seed, filt, 2, "-")
+
     def test_boxcar_extrapolation_degrades(self):
         """A non-exponential signal extrapolates imperfectly by design."""
         ph = boxcar()

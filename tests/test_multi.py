@@ -58,6 +58,14 @@ def two_slices():
     return sms_slice_samples(SmsScene(slices), centered_grid(48, 1.0))
 
 
+@pytest.mark.parametrize("coils", [None, 2], ids=["single-coil", "coils"])
+def test_slice_samples_check_the_grid_fov(coils):
+    slices = (Phantom((Primitive("boxcar", (-0.08,), (0.12,), 1.0),), (1.0,)),) * 2
+    sens = None if coils is None else make_sensitivities(2, coils, seed=3)
+    with pytest.raises(ValueError, match=r"phantom fov \(1.0,\) does not match grid fov \(2.0,\)"):
+        sms_slice_samples(SmsScene(slices, sens), centered_grid(32, 2.0))
+
+
 @pytest.mark.parametrize("target", [0, 1])
 @pytest.mark.parametrize("mu", [0.0, 0.5])
 def test_single_coil_fit_is_the_one_coil_case(target, mu):

@@ -1031,8 +1031,8 @@ def two_channels_two_masks():
     lambda data, masks: annihilation_recon(
         data, masks, random_bank(np.random.default_rng(0), 2, 2, 1, 1, 1), max_iters=1
     ),
-    lambda data, masks: pf_recon(data, masks, method="annihilation-vc"),
-    lambda data, masks: pf_recon(data, masks, method="lowrank-S", max_iters=1),
+    lambda data, masks: pf_recon(data, masks),
+    lambda data, masks: lowrank_complete(data, masks, variant="S", max_iters=1),
 ], ids=["lowrank", "annihilation", "pf-annihilation-vc", "pf-lowrank-S"])
 @pytest.mark.parametrize("kind", [list, tuple])
 def test_one_mask_per_channel_is_a_type_error(solve, kind):
@@ -1059,16 +1059,14 @@ class TestPfRecon:
 
     def test_zero_phase_exact_via_conjugate_channels(self):
         sig, mask, masked = self.pf_case()
-        out, rep = pf_recon(masked, mask, method="annihilation-vc", tol=1e-12, max_iters=200)
+        out, rep = pf_recon(masked, mask, tol=1e-12, max_iters=200)
         assert out.q_count == 1
         assert rel_err(out.channels[0].values, sig.values) <= 1e-12
         assert rep.converged
 
     def test_capped_solve_note_is_forwarded(self):
         _, mask, masked = self.pf_case()
-        _, rep = pf_recon(
-            masked, mask, method="annihilation-vc", L=1, P=1, tol=1e-12, max_iters=2
-        )
+        _, rep = pf_recon(masked, mask, L=1, P=1, tol=1e-12, max_iters=2)
         assert not rep.converged
         assert len(rep.notes) == 1 and rep.notes[0].startswith("CG stopped at the iteration cap (2);")
 
@@ -1083,7 +1081,7 @@ class TestPfRecon:
             return out
 
         monkeypatch.setattr(lpk.recon, "_bank_solve", spy)
-        _, rep = pf_recon(masked, mask, method="annihilation-vc", L=1, P=1, max_iters=2)
+        _, rep = pf_recon(masked, mask, L=1, P=1, max_iters=2)
         (want,) = inner
         assert rep.method == "annihilation-vc"
         for field in dataclasses.fields(ReconReport):
@@ -1091,7 +1089,7 @@ class TestPfRecon:
 
     def test_symmetric_lowrank_route_improves_on_zero_fill(self):
         sig, mask, masked = self.pf_case()
-        out, rep = pf_recon(masked, mask, method="lowrank-S", tol=1e-10, max_iters=300)
+        out, rep = lowrank_complete(masked, mask, variant="S", tol=1e-10, max_iters=300)
         err = rel_err(out.channels[0].values, sig.values)
         assert err <= 0.5 * rel_err(masked.values, sig.values)
         assert err <= 5e-2
@@ -1102,9 +1100,32 @@ class TestPfRecon:
         mask = gen_mask(MaskSpec("random_pf", r=1, calib=0, pf=0.625, seed=0), g)
         masked = KSignal(g, np.where(mask.acquired, sig.values, 0))
         with pytest.raises(ValueError, match="calibration"):
-            pf_recon(masked, mask, method="annihilation-vc")
+            pf_recon(masked, mask)
 
-    def test_unknown_method_rejected(self):
-        sig, mask, masked = self.pf_case()
-        with pytest.raises(ValueError):
-            pf_recon(masked, mask, method="mirror")
+    def test_fit_region_is_the_calibration_box_within_its_mirror(self):
+        # Only -3..3 of the box -3..5 has its mirror in the box, so the two
+        # masks fit the same bank and give the same solve.
+        sig, mask, _ = self.pf_case()
+        g = sig.grid
+        n = g.index_vectors()[0]
+        acq = mask.acquired | ((n >= -3) & (n <= 5))
+        masked = KSignal(g, np.where(acq, sig.values, 0))
+        wide, wide_rep = pf_recon(masked, SamplingMask(g, acq, ((-3, 5),)), L=1, P=1)
+        box, box_rep = pf_recon(masked, SamplingMask(g, acq, ((-3, 3),)), L=1, P=1)
+        assert np.array_equal(wide.values, box.values)
+        assert wide_rep == box_rep
+
+    def test_calibration_box_off_center_rejected(self):
+        sig, mask, _ = self.pf_case()
+        g = sig.grid
+        n = g.index_vectors()[0]
+        acq = mask.acquired | ((n >= 1) & (n <= 7))
+        masked = KSignal(g, np.where(acq, sig.values, 0))
+        with pytest.raises(ValueError, match="straddle"):
+            pf_recon(masked, SamplingMask(g, acq, ((1, 7),)))
+
+    @pytest.mark.parametrize("kwargs", [{"rank": 3}, {"method": "annihilation-vc"}])
+    def test_removed_parameters_are_type_errors(self, kwargs):
+        _, mask, masked = self.pf_case()
+        with pytest.raises(TypeError):
+            pf_recon(masked, mask, **kwargs)
