@@ -10,7 +10,7 @@ acquisitions, partial-coverage acquisitions, and slice superpositions.
 Layout:
 
 - :mod:`lpk.core` grids, signals, filters, masks, convolution
-- :mod:`lpk.io` the ``.lpk`` container format
+- :mod:`lpk.io` the ``.lpk`` container format and the JSON document reader and writer
 - :mod:`lpk.phantom` closed-form scenes and their exact samples
 - :mod:`lpk.lp` filter fitting, extrapolation, energy identities
 - :mod:`lpk.recon` lifted low-rank and least-squares reconstruction

@@ -10,7 +10,6 @@ produce byte-identical outputs.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -24,16 +23,16 @@ from .core import (
     zero_fill,
 )
 from .harness import ENGINES, MaskSpec, add_noise, gen_mask, nrmse, run_experiment
-from .io import LpkFormatError, read_lpk, write_lpk
+from .io import LpkFormatError, read_json, read_lpk, write_json, write_lpk
 from .lp import (
     FilterBank,
     _as_multi,
     bank_from_json,
+    bank_to_json,
     build_calib_matrix,
     fit_prediction_filter,
     gram_operator,
     nullspace_filter_bank,
-    save_bank,
     smallest_eigensequences,
     check_annihilation_identity,
 )
@@ -76,26 +75,11 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _load_json(path):
+def _load(read, path):
+    """``read(path)`` (``read_lpk`` or ``read_json``), with an unreadable
+    file or a malformed ``.lpk`` file a data error that names ``path``."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise _DataError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise _DataError(f"{path} is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        offset = len(raw.decode("utf-8", errors="ignore")[: exc.pos].encode("utf-8"))
-        raise _DataError(
-            f"parse error in {path} at byte offset {offset}: {exc.msg}"
-        ) from exc
-
-
-def _load_lpk(path):
-    try:
-        return read_lpk(path)
+        return read(path)
     except OSError as exc:
         raise _DataError(f"cannot read {path}: {exc}") from exc
     except LpkFormatError as exc:
@@ -104,7 +88,7 @@ def _load_lpk(path):
 
 def _load_samples(path):
     """The samples in the ``.lpk`` file ``path``; a mask there is a data error."""
-    data = _load_lpk(path)
+    data = _load(read_lpk, path)
     if isinstance(data, SamplingMask):
         raise _DataError(f"{path}: expected samples, not a mask")
     return data
@@ -125,7 +109,7 @@ def _from_doc(path, build, doc):
 
 
 def _load_scene_doc(path):
-    doc = _load_json(path)
+    doc = _load(read_json, path)
     if isinstance(doc, dict) and doc.get("kind") in ("scene", "sms-scene"):
         return _from_doc(path, scene_from_json, doc)
     return _from_doc(path, phantom_from_json, doc)
@@ -254,14 +238,14 @@ def _cmd_fit(args) -> int:
     else:
         raise _DataError(f"unknown fit mode {args.mode!r}")
     if args.out:
-        save_bank(args.out, bank)
+        write_json(args.out, bank_to_json(bank))
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_recon(args) -> int:
     data = _load_samples(args.input)
-    mask = _load_lpk(args.mask)
+    mask = _load(read_lpk, args.mask)
     if not isinstance(mask, SamplingMask):
         raise _DataError(f"{args.mask} does not hold a mask")
     truth = _as_multi(_load_samples(args.truth)) if args.truth else None
@@ -300,10 +284,10 @@ def _cmd_sms(args) -> int:
             raise _UsageError("separate needs --filters", args.parser)
         if len(args.inputs) != 1:
             raise _DataError("separate takes exactly one superposed input")
-        data = _load_lpk(args.inputs[0])
+        data = _load(read_lpk, args.inputs[0])
         if not isinstance(data, KSignal):
             raise _DataError("separate expects a single-channel signal")
-        bank = _from_doc(args.filters, bank_from_json, _load_json(args.filters))
+        bank = _from_doc(args.filters, bank_from_json, _load(read_json, args.filters))
         if bank.q_count != 1:
             raise _DataError("separator filters must be single-channel")
         out, report = sms_separate(data, [Filter(t, bank.L, bank.P) for t in bank.taps[:, 0]])
@@ -396,7 +380,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _load_json(args.config)
+    config = _load(read_json, args.config)
     if not isinstance(config, dict):
         raise _DataError(f"{args.config}: an experiment config is a JSON object")
     if args.timing:
@@ -528,4 +512,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    entry()

@@ -120,10 +120,6 @@ class KGrid:
     def size(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
-    def contains_origin(self) -> bool:
-        return all(lo <= 0 <= hi for lo, hi in zip(self.n_min, self.n_max))
-
     def index_vectors(self) -> tuple[np.ndarray, ...]:
         """Ascending index array per axis."""
         return tuple(np.arange(lo, hi + 1) for lo, hi in zip(self.n_min, self.n_max))
@@ -417,10 +413,6 @@ class SamplingMask:
             slice(lo - glo, hi - glo + 1) for (lo, hi), glo in zip(calib, self.grid.n_min)
         )
 
-    @property
-    def acquired_count(self) -> int:
-        return int(np.count_nonzero(self.acquired))
-
     def missing_positions(self) -> np.ndarray:
         """(count, dims) array of array positions of unacquired indices."""
         return np.argwhere(~self.acquired)
@@ -466,7 +458,3 @@ def conv_response(data: MultiKSignal, mf: MultiFilter) -> KSignal:
         _sps.convolve(x, h, mode="valid", method="direct") for x, h in zip(data.values, mf.taps)
     ]
     return KSignal(data.grid.valid_for(mf.L, mf.P), sum(parts[1:], parts[0]))
-
-
-def signals_allclose(a: KSignal, b: KSignal, rtol=1e-12, atol=1e-12) -> bool:
-    return a.grid == b.grid and bool(np.allclose(a.values, b.values, rtol=rtol, atol=atol))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import functools
 import inspect
-import json
 import os
 import time
 import warnings
@@ -29,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .core import KGrid, SamplingMask, _integer, _like, centered_grid, zero_fill
+from .io import read_json, write_json
 from .lp import (
     _as_multi,
     fit_interpolation_filters,
@@ -309,16 +309,22 @@ _NAMED_SCENES = {"demo1d": demo_scene_1d, "demo2d": demo_scene_2d}
 
 
 def resolve_scene(entry):
-    """Scene from a registry name, an inline JSON document, or a file path."""
+    """Scene from a registry name, an inline JSON document, or a file path.
+
+    A scene file that cannot be read or parsed, or that lacks a field, is
+    a ``ValueError`` naming that file.
+    """
     if isinstance(entry, str):
         if entry in _NAMED_SCENES:
             return _NAMED_SCENES[entry](), entry
         try:
-            with open(entry, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = read_json(entry)
         except OSError as exc:
             raise ValueError(f"cannot read scene {entry}: {exc}") from exc
-        return scene_from_json(doc), entry
+        try:
+            return scene_from_json(doc), entry
+        except KeyError as exc:
+            raise ValueError(f"{entry}: missing field {exc}") from exc
     return scene_from_json(entry), str(entry.get("kind", "scene"))
 
 
@@ -463,9 +469,7 @@ def run_experiment(config: dict, out_dir=None) -> dict:
         "cases": case_reports,
     }
     if out_dir is not None:
-        with open(f"{out_dir}/report.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(f"{out_dir}/report.json", doc)
         with open(f"{out_dir}/report.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(

@@ -1,4 +1,4 @@
-"""Reading and writing ``.lpk`` files.
+"""Reading and writing ``.lpk`` files and JSON documents.
 
 An ``.lpk`` file is one UTF-8 JSON header line terminated by ``\\n``,
 followed by a raw binary payload:
@@ -11,6 +11,11 @@ followed by a raw binary payload:
 The header is serialized canonically (sorted keys, no extra whitespace),
 so writing the same object twice produces byte-identical files, and a
 write/read round trip is bit-exact including signed zeros.
+
+Every JSON document (phantoms, scenes, filter banks, experiment configs
+and reports) is read by :func:`read_json` and written by
+:func:`write_json`: UTF-8, sorted keys, one-space indent and a final
+newline, so the same document is written as the same bytes.
 """
 
 from __future__ import annotations
@@ -148,3 +153,28 @@ def _check_length(got: int, expect: int) -> None:
         raise TruncatedPayloadError(f"payload has {got} bytes, header declares {expect}")
     if got > expect:
         raise PayloadLengthError(f"payload has {got} bytes, header declares {expect}")
+
+
+def read_json(path):
+    """The JSON document in ``path``.
+
+    An unreadable file raises ``OSError``.  Content that is not UTF-8,
+    or not JSON, raises ``ValueError`` naming ``path``; a parse error
+    also gives its byte offset.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        offset = len(raw.decode("utf-8", errors="ignore")[: exc.pos].encode("utf-8"))
+        raise ValueError(f"parse error in {path} at byte offset {offset}: {exc.msg}") from exc
+
+
+def write_json(path, doc) -> None:
+    """Write the JSON document ``doc`` to ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")

@@ -31,7 +31,6 @@ and the imputation applies it as is.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -559,29 +558,6 @@ def extrapolate(seed: KSignal, coeffs: Filter, steps: int, direction: str = "+")
     return KSignal(KGrid.window((lo - steps,), (lo - 1,), seed.grid.fov), new[::-1])
 
 
-def highpass_weight(data: KSignal) -> KSignal:
-    """Multiply samples by ``i 2 pi n / B`` (spatial-derivative weighting)."""
-    if data.grid.dims != 1:
-        raise ValueError("highpass weighting is 1D only")
-    n = data.grid.index_vectors()[0]
-    w = 1j * 2.0 * np.pi * n / data.grid.fov[0]
-    return KSignal(data.grid, data.values * w)
-
-
-def highpass_unweight(data: KSignal, *, dc: complex) -> KSignal:
-    """Invert :func:`highpass_weight`; the destroyed ``n = 0`` value must be supplied."""
-    if data.grid.dims != 1:
-        raise ValueError("highpass weighting is 1D only")
-    n = data.grid.index_vectors()[0]
-    w = 1j * 2.0 * np.pi * n / data.grid.fov[0]
-    out = np.empty_like(data.values)
-    nz = n != 0
-    out[nz] = data.values[nz] / w[nz]
-    if np.any(~nz):
-        out[~nz] = dc
-    return KSignal(data.grid, out)
-
-
 @dataclass(frozen=True, eq=False)
 class GramOperator:
     """Hermitian tap-domain energy operator of a phantom."""
@@ -799,14 +775,3 @@ def bank_from_json(doc: dict) -> FilterBank:
         pairs.view(np.complex128).reshape(pairs.shape[:2] + (width,) * dims), L, P,
         [e["residual"] for e in entries], [e.get("anchor") for e in entries],
     )
-
-
-def save_bank(path, bank: FilterBank) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bank_to_json(bank), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_bank(path) -> FilterBank:
-    with open(path, "r", encoding="utf-8") as fh:
-        return bank_from_json(json.load(fh))

@@ -20,7 +20,6 @@ slice sum and the target slice), with a bound on the truncated tail.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .core import (
     Filter, GridMismatchError, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask, _like,
-    conv_apply, conv_response,
+    conv_apply,
 )
 from .lp import (
     IdentityCheck, _anchored_fit, _as_multi, _decay_constant as _decay, _energy_identity,
@@ -86,10 +85,6 @@ class SmsScene:
         object.__setattr__(self, "slices", slices)
         if self.sensitivities is not None:
             object.__setattr__(self, "sensitivities", tuple(self.sensitivities))
-
-    @property
-    def r_count(self) -> int:
-        return len(self.slices)
 
 
 def scene_samples(scene: MultiScene, grid: KGrid) -> MultiKSignal:
@@ -305,21 +300,6 @@ def sms_separate(
     return MultiKSignal.from_array(summed.grid, x), report
 
 
-def sms_separate_coils(
-    summed: MultiKSignal,
-    separators: Sequence[Sequence[MultiFilter]],
-) -> tuple[MultiKSignal, ...]:
-    """Split fully sampled per-coil sums into per-slice coil sets.
-
-    ``separators[m][c]`` maps all coils of the sum to slice ``m``,
-    coil ``c``.
-    """
-    return tuple(
-        MultiKSignal(tuple(conv_response(summed, mf) for mf in per_slice))
-        for per_slice in separators
-    )
-
-
 def check_multichannel_identity(
     phantom: Phantom,
     sensitivities: Sequence[Modulator],
@@ -433,14 +413,3 @@ def scene_from_json(doc: dict):
             None if sens is None else tuple(modulator_from_json(c) for c in sens),
         )
     raise ValueError(f"unknown scene kind: {kind!r}")
-
-
-def save_scene(path, scene) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_json(scene), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_scene(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_json(json.load(fh))

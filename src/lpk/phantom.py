@@ -33,7 +33,6 @@ oracle the closed forms are tested against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,53 +340,6 @@ def make_sensitivities(
     raise RuntimeError("could not draw sensitivities with bounded sum of squares")
 
 
-def make_phase_modulator(
-    bandwidth: int,
-    seed: int,
-    fov: float = 1.0,
-) -> tuple[Modulator, Modulator]:
-    """Unit-magnitude phase weighting and its complex conjugate, 1D.
-
-    Draws a smooth real phase ``phi(x)`` of the given trigonometric
-    bandwidth from normal coefficients of scale 0.5, expands ``exp(i phi)``
-    in modulator coefficients, and widens the expansion (up to 8 doublings)
-    until the truncated series has magnitude within 1e-3 of 1 on a
-    512-point grid.  The second modulator carries the conjugate
-    weighting: ``coeffs2[m] = conj(coeffs1[-m])``.
-    """
-    if bandwidth < 0:
-        raise ValueError("bandwidth must be nonnegative")
-    b = float(fov)
-    rng = np.random.default_rng(seed)
-    amplitude = 0.5
-    a0 = rng.normal() * amplitude
-    ac = rng.normal(size=max(bandwidth, 1)) * amplitude
-    bs = rng.normal(size=max(bandwidth, 1)) * amplitude
-
-    def phase(x):
-        out = np.full_like(x, a0)
-        for m in range(1, bandwidth + 1):
-            t = 2.0 * np.pi * m * x / b
-            out = out + (ac[m - 1] * np.cos(t) + bs[m - 1] * np.sin(t)) / (1.0 + m)
-        return out
-
-    check_x = np.linspace(-b / 2, b / 2, 512, endpoint=False)
-    width = max(4, 2 * bandwidth)
-    for _ in range(9):
-        fine = max(4096, 32 * width)
-        xj = -b / 2 + b * np.arange(fine) / fine
-        vals = np.exp(1j * phase(xj))
-        m = np.arange(-width, width + 1)
-        coeffs = (b / fine) * (np.exp(-2j * np.pi * np.multiply.outer(m, xj) / b) @ vals)
-        mod = Modulator(coeffs, (-width,))
-        mag = np.abs(mod.eval_spatial(check_x, (b,)))
-        if np.max(np.abs(mag - 1.0)) <= 1e-3:
-            conj = Modulator(np.conj(coeffs[::-1]), (-width,))
-            return mod, conj
-        width *= 2
-    raise RuntimeError("phase expansion did not reach unit magnitude within 8 doublings")
-
-
 def phantom_to_json(phantom: Phantom) -> dict:
     return {
         "kind": "phantom",
@@ -436,14 +388,3 @@ def modulator_to_json(mod: Modulator) -> dict:
 
 def modulator_from_json(doc: dict) -> Modulator:
     return Modulator(_unpairs(doc["coeffs"]), tuple(doc["n_min"]))
-
-
-def load_phantom(path) -> Phantom:
-    with open(path, "r", encoding="utf-8") as fh:
-        return phantom_from_json(json.load(fh))
-
-
-def save_phantom(path, phantom: Phantom) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(phantom_to_json(phantom), fh, sort_keys=True, indent=1)
-        fh.write("\n")

@@ -44,7 +44,6 @@ symmetric low-rank route.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,31 +147,6 @@ def _reflect_values(arr: np.ndarray, grid: KGrid, fill=0):
 def _with_mirrors(x: np.ndarray, grid: KGrid) -> np.ndarray:
     """A ``[Q, *N]`` stack followed by its conjugate-mirrored channels."""
     return np.concatenate([x, _reflect_values(np.conj(x), grid)])
-
-
-def unpaired_positions(grid: KGrid) -> np.ndarray:
-    """Boolean array marking indices n whose mirror -n falls off the grid."""
-    dst, _ = _reflection(grid.n_min, grid.n_max)
-    marks = np.ones(grid.shape, dtype=bool)
-    marks[dst] = False
-    return marks
-
-
-def virtual_conjugate(data) -> MultiKSignal:
-    """Append the conjugate-mirrored copy of every channel.
-
-    The mirror of channel ``q`` holds ``conj(x_q[-n])``; if an object has
-    slowly varying phase those channels obey the same prediction
-    relations as the originals and double the usable equations.  Indices
-    whose mirror falls outside the grid are zero-filled with a warning.
-    """
-    ms = _as_multi(data)
-    if np.any(unpaired_positions(ms.grid)):
-        warnings.warn(
-            "grid is asymmetric; unpaired edge indices of the conjugate copy are zero-filled",
-            stacklevel=2,
-        )
-    return MultiKSignal.from_array(ms.grid, _with_mirrors(ms.values, ms.grid))
 
 
 def reflect_mask(mask: SamplingMask) -> SamplingMask:

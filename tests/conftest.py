@@ -1,11 +1,17 @@
-"""Shared fixtures."""
+"""Shared fixtures and helpers."""
 
 import sys
 
+import numpy as np
 import pytest
 
 import lpk.core
 from lpk.core import Filter, MultiFilter
+
+
+def signals_allclose(a, b, rtol=1e-12, atol=1e-12) -> bool:
+    """Two ``KSignal``s on one grid whose values agree to the tolerances."""
+    return a.grid == b.grid and bool(np.allclose(a.values, b.values, rtol=rtol, atol=atol))
 
 
 @pytest.fixture

@@ -3,15 +3,20 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpk
 import lpk.cli
 from lpk.cli import main
 from lpk.core import conv_apply
-from lpk.io import read_lpk
-from lpk.lp import IdentityCheck, bank_from_json, load_bank
+from lpk.io import read_json, read_lpk, write_json
+from lpk.lp import IdentityCheck, bank_from_json
 
 
 def verify(capsys, *argv):
@@ -90,14 +95,36 @@ def test_unreadable_input_is_a_data_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_the_module_runs_as_the_lpk_command(tmp_path):
+    # ``python -m lpk.cli`` enters through ``cli.entry``, as the installed
+    # ``lpk`` script does, and exits with ``main``'s code.
+    src = str(Path(lpk.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def lpk_command(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "lpk.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    done = lpk_command("verify", "--theorem", "1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("agree true\n")
+    done = lpk_command("phantom", "absent.json", "--out", "out.lpk")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        "error: cannot read absent.json: [Errno 2] No such file or directory: 'absent.json'\n"
+    )
+
+
 @pytest.fixture(scope="module")
 def sampled(tmp_path_factory):
     """phantom -> sample on the shipped 1D scene: uniform R=2, 12-wide calib."""
     from lpk.harness import demo_scene_1d
-    from lpk.multi import save_scene
+    from lpk.multi import scene_to_json
 
     d = tmp_path_factory.mktemp("cli")
-    save_scene(d / "scene.json", demo_scene_1d())
+    write_json(d / "scene.json", scene_to_json(demo_scene_1d()))
     assert main(["phantom", str(d / "scene.json"), "--grid", "64", "--out", str(d / "full.lpk")]) == 0
     assert main([
         "sample", str(d / "full.lpk"), "--mask-kind", "uniform", "--accel", "2",
@@ -165,6 +192,24 @@ def test_recon_prints_every_report_note(capsys, sampled, engine, flags, notes):
     assert [line[len("note "):] for line in printed[3:]] == notes
 
 
+@pytest.mark.parametrize("engine", ["annihilation", "interp"])
+def test_noisy_samples_converge_under_strict(capsys, sampled, tmp_path, engine):
+    assert main([
+        "sample", str(sampled / "full.lpk"), "--mask-kind", "uniform", "--accel", "2",
+        "--calib", "12", "--sigma", "0.001", "--out", str(tmp_path / "meas.lpk"),
+        "--mask-out", str(tmp_path / "mask.lpk"),
+    ]) == 0
+    capsys.readouterr()
+    code = main([
+        "recon", str(tmp_path / "meas.lpk"), "--mask", str(tmp_path / "mask.lpk"),
+        "--engine", engine, "--truth", str(sampled / "full.lpk"), "--strict",
+    ])
+    out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert code == 0
+    assert out["converged"] == "true"
+    assert float(out["nrmse"]) <= 0.02
+
+
 def test_capped_lowrank_fails_under_strict(capsys, sampled):
     code, out, err = recon(capsys, sampled, "--engine", "lowrank", "--max-iters", "3", "--strict")
     assert code == 3
@@ -216,7 +261,7 @@ def test_fit_prints_and_writes_the_bank(capsys, sampled, mode, source, flags, ke
     assert [k for k, _ in lines] == keys + ["wrote"]
     printed = dict(lines)
     assert printed["wrote"] == str(out)
-    bank = load_bank(out)
+    bank = bank_from_json(read_json(out))
     assert len(bank.filters) == count
     assert float(printed["residual"]) == pytest.approx(bank.residuals[0], rel=1e-11)
     if "filters" in printed:
@@ -224,6 +269,25 @@ def test_fit_prints_and_writes_the_bank(capsys, sampled, mode, source, flags, ke
     # Both scenes are exactly predictable on the calibration block (noise-free
     # closed-form samples), so every fit leaves a small residual.
     assert float(printed["residual"]) <= 1e-4
+
+
+def test_fit_eigen_prints_the_smallest_eigenvalues(capsys, tmp_path):
+    from lpk.lp import gram_operator, smallest_eigensequences
+    from lpk.phantom import Phantom, Primitive, phantom_to_json
+
+    ph = Phantom((Primitive("boxcar", (0.05,), (0.2,), 1.0),), (1.0,))
+    write_json(tmp_path / "ph.json", phantom_to_json(ph))
+    out = tmp_path / "eigen.filters.json"
+    code, lines, _ = run(
+        capsys, "fit", str(tmp_path / "ph.json"), "--mode", "eigen", "--L", "2", "--P", "2",
+        "--count", "3", "--out", str(out),
+    )
+    assert code == 0
+    want = smallest_eigensequences(gram_operator(ph, 2, 2), 3)
+    assert lines == [("eigenvalue", lpk.cli._fmt(r)) for r in want.residuals] + [("wrote", str(out))]
+    bank = bank_from_json(read_json(out))
+    assert bank.residuals == want.residuals
+    assert bank.taps.tobytes() == want.taps.tobytes()
 
 
 def test_fit_errors(capsys, sampled, tmp_path):
@@ -266,6 +330,43 @@ def test_bench_with_a_missing_scene_file_is_a_data_error(capsys, tmp_path):
     assert err.startswith(f"error: {config}: cannot read scene {tmp_path / 'absent.json'}: ")
 
 
+# A bench config whose scene file is bad: (file bytes, the error after the
+# config's path, ``{scene}`` the scene file's).  "è" is two bytes, so the
+# parse error's byte offset (19) is one past its character offset.
+BAD_SCENE_FILES = {
+    "truncated": (
+        '{"kind": "scène", '.encode(),
+        "parse error in {scene} at byte offset 19: Expecting property name enclosed in double quotes",
+    ),
+    "not-utf-8": (
+        b"\xff{}",
+        "{scene} is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
+    "no-phantom": (b'{"kind": "scene", "sensitivities": []}', "{scene}: missing field 'phantom'"),
+}
+
+
+@pytest.mark.parametrize("raw,message", BAD_SCENE_FILES.values(), ids=BAD_SCENE_FILES.keys())
+def test_bench_names_a_bad_scene_file(capsys, tmp_path, raw, message):
+    scene, config = tmp_path / "scene.json", tmp_path / "exp.json"
+    scene.write_bytes(raw)
+    config.write_text(json.dumps({"scene": str(scene), "grid": 32, "mask": {"kind": "full"}}))
+    code, lines, err = run(capsys, "bench", str(config))
+    assert code == 2 and lines == []
+    assert err == f"error: {config}: {message.format(scene=scene)}\n"
+
+
+def test_an_unknown_mask_kind_is_a_data_error(capsys, sampled, tmp_path):
+    out = tmp_path / "out.lpk"
+    code, lines, err = run(
+        capsys, "sample", str(sampled / "full.lpk"), "--mask-kind", "random_nocalib",
+        "--accel", "2", "--out", str(out),
+    )
+    assert code == 2 and lines == []
+    assert err == "error: unknown mask kind 'random_nocalib'\n"
+    assert not out.exists()
+
+
 def sms_slices():
     from lpk.phantom import Phantom, Primitive
 
@@ -290,11 +391,11 @@ def sms_slices():
 @pytest.fixture(scope="module")
 def sms_dir(tmp_path_factory):
     """Two 1D slice phantoms, their superposition scene and sampled files."""
-    from lpk.multi import SmsScene, save_scene
+    from lpk.multi import SmsScene, scene_to_json
     from lpk.phantom import phantom_to_json
 
     d = tmp_path_factory.mktemp("sms")
-    save_scene(d / "sms.json", SmsScene(sms_slices()))
+    write_json(d / "sms.json", scene_to_json(SmsScene(sms_slices())))
     assert main(["phantom", str(d / "sms.json"), "--grid", "64", "--out", str(d / "scene-sum.lpk")]) == 0
     for i, ph in enumerate(sms_slices()):
         (d / f"slice{i}.json").write_text(json.dumps(phantom_to_json(ph)))
@@ -330,7 +431,8 @@ def test_sms_superpose_fit_and_separate(capsys, sms_dir):
         0, [("slices", "1"), ("converged", "true"), ("wrote", str(d / "sep.lpk"))]
     )
     sep = read_lpk(d / "sep.lpk")
-    want = conv_apply(summed, load_bank(d / "sep0.filters.json").filters[0].filters[0])
+    bank = bank_from_json(read_json(d / "sep0.filters.json"))
+    want = conv_apply(summed, bank.filters[0].filters[0])
     assert sep.channels[0].grid == want.grid
     assert np.array_equal(sep.channels[0].values, want.values)
 
@@ -364,7 +466,7 @@ def test_sms_fit_of_every_slice_writes_one_bank(capsys, sms_dir):
         "slice 0 residual", "slice 0 leakage", "slice 1 residual", "slice 1 leakage", "wrote",
     ]
     printed = dict(lines)
-    bank = load_bank(out)
+    bank = bank_from_json(read_json(out))
     assert len(bank.filters) == 2
     # In slice order, although this scene's residuals descend.
     assert bank.residuals == (
@@ -386,7 +488,7 @@ def test_sms_separate_with_the_two_slice_bank_matches_conv_apply(capsys, sms_dir
     )
     summed = read_lpk(d / "scene-sum.lpk")
     sep = read_lpk(d / "seps.lpk")
-    for ch, mf in zip(sep.channels, load_bank(bank_path).filters, strict=True):
+    for ch, mf in zip(sep.channels, bank_from_json(read_json(bank_path)).filters, strict=True):
         want = conv_apply(summed, mf.filters[0])
         assert ch.grid == want.grid
         assert np.array_equal(ch.values, want.values)
@@ -491,6 +593,8 @@ MALFORMED = [
     ("eigen", {"kind": "scene"}, "missing field 'phantom'"),
     ("bench", {"grid": 32, "mask": {"kind": "full"}}, "lacks field 'scene'"),
     ("bench", [1, 2], "an experiment config is a JSON object"),
+    ("bench", {"scene": "demo1d", "grid": 32, "mask": {"kind": "uniform", "accel": 2.5}},
+     "mask accel must be an integer, got 2.5"),
 ]
 
 

@@ -415,6 +415,24 @@ def test_no_engine_takes_a_bank_limit(name):
         ENGINES[name](measured, mask, {"limit": 4})
 
 
+def test_a_2d_run_renders_each_estimate_as_a_16_bit_pgm(tmp_path):
+    config = {
+        "scene": "demo2d",
+        "grid": [12, 10],
+        "mask": {"kind": "uniform", "accel": 2, "calib": 4},
+        "methods": ["zero-fill"],
+    }
+    run_experiment(config, out_dir=tmp_path)
+    (path,) = tmp_path.glob("*.pgm")
+    assert path.name == "demo2d_uniform-R2-C4_zero-fill_sg0_sd0.pgm"
+    raw = path.read_bytes()
+    header = b"P5\n10 12\n65535\n"  # width (second axis), then height
+    assert raw[: len(header)] == header
+    pixels = np.frombuffer(raw[len(header):], dtype=">u2")
+    assert pixels.size == 12 * 10
+    assert pixels.max() == 65535
+
+
 def test_registered_engine_runs_in_experiments(tmp_path):
     calls = []
 

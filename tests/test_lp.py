@@ -16,26 +16,25 @@ from lpk.core import (
     Filter, KGrid, KSignal, MultiKSignal, SamplingMask, centered_grid, conv_response,
 )
 from lpk.harness import add_noise, demo_scene_1d
+from lpk.io import read_json, write_json
 from lpk import lp
 from lpk.lp import (
     FilterBank,
     SingularFitError,
     UncoveredPatternError,
     _decay_constant,
+    bank_from_json,
+    bank_to_json,
     build_calib_matrix,
     check_annihilation_identity,
     extrapolate,
     fit_interpolation_filters,
     fit_prediction_filter,
     gram_operator,
-    highpass_unweight,
-    highpass_weight,
     interpolate_missing,
-    load_bank,
     missing_patterns,
     nullspace_filter_bank,
     pattern_signature,
-    save_bank,
     smallest_eigensequences,
 )
 from lpk.multi import scene_samples
@@ -584,25 +583,6 @@ class TestMissingPatterns:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-class TestHighpass:
-    def test_boxcar_values(self):
-        sig = fourier_samples(boxcar(), centered_grid(9, 1.0))
-        w = highpass_weight(sig)
-        assert w.at((1,)) == pytest.approx(2j, abs=1e-14)
-        assert w.at((2,)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_dc_always_zero(self):
-        rng = np.random.default_rng(6)
-        sig = KSignal(centered_grid(11, 2.0), rng.normal(size=11) * (1 + 1j))
-        assert highpass_weight(sig).at((0,)) == 0.0
-
-    def test_weight_unweight_identity(self):
-        rng = np.random.default_rng(7)
-        sig = KSignal(centered_grid(11, 1.5), rng.normal(size=11) + 1j * rng.normal(size=11))
-        back = highpass_unweight(highpass_weight(sig), dc=sig.at((0,)))
-        assert np.max(np.abs(back.values - sig.values)) <= 1e-14
-
-
 class TestGramOperator:
     def test_full_fov_identity(self):
         G = gram_operator(boxcar(half=0.5), 0, 4).matrix
@@ -843,8 +823,8 @@ class TestNullspaceFilterBank:
         mask = SamplingMask(g, np.arange(32) % 2 == 0)
         est, _ = annihilation_recon(data, mask, bank, max_iters=20)
         assert np.array_equal(est.stack()[:, mask.acquired], data.stack()[:, mask.acquired])
-        save_bank(tmp_path / "z.filters.json", bank)
-        back = load_bank(tmp_path / "z.filters.json")
+        write_json(tmp_path / "z.filters.json", bank_to_json(bank))
+        back = bank_from_json(read_json(tmp_path / "z.filters.json"))
         assert back.taps.tobytes() == bank.taps.tobytes()
         assert back.residuals == bank.residuals
         write_lpk(tmp_path / "z.lpk", data)
@@ -859,8 +839,9 @@ class TestNullspaceFilterBank:
         bank = nullspace_filter_bank(data, None, 1, 2)
         mask = SamplingMask(sig.grid, np.arange(32) % 3 != 1)
         annihilation_recon(data, mask, bank, max_iters=5)
-        save_bank(tmp_path / "b.filters.json", bank)
-        assert load_bank(tmp_path / "b.filters.json").taps.tobytes() == bank.taps.tobytes()
+        write_json(tmp_path / "b.filters.json", bank_to_json(bank))
+        back = bank_from_json(read_json(tmp_path / "b.filters.json"))
+        assert back.taps.tobytes() == bank.taps.tobytes()
 
 
 class TestFilterBank:
@@ -959,9 +940,9 @@ class TestBankJson:
     def test_file_matches_the_golden_document(self, tmp_path, make, golden):
         bank = make()
         path = tmp_path / "g.filters.json"
-        save_bank(path, bank)
+        write_json(path, bank_to_json(bank))
         assert path.read_text(encoding="utf-8") == json.dumps(golden, sort_keys=True, indent=1) + "\n"
-        back = load_bank(path)
+        back = bank_from_json(read_json(path))
         assert back.taps.tobytes() == bank.taps.tobytes()
         assert (back.residuals, back.anchors) == (bank.residuals, bank.anchors)
 
@@ -969,8 +950,8 @@ class TestBankJson:
         sig = TestNullspaceFilterBank.two_point_signal()
         bank = nullspace_filter_bank(sig, None, 1, 2)
         path = tmp_path / "b.filters.json"
-        save_bank(path, bank)
-        back = load_bank(path)
+        write_json(path, bank_to_json(bank))
+        back = bank_from_json(read_json(path))
         assert back.L == bank.L and back.P == bank.P
         assert back.residuals == bank.residuals
         for a, b in zip(back.filters, bank.filters):
@@ -985,8 +966,8 @@ class TestBankJson:
 
         bank = FilterBank(mf.taps[None], mf.L, mf.P, (resid,), (mf.anchor_channel,))
         path = tmp_path / "a.filters.json"
-        save_bank(path, bank)
-        back = load_bank(path)
+        write_json(path, bank_to_json(bank))
+        back = bank_from_json(read_json(path))
         assert back.filters[0].anchor_channel == 0
         assert back.filters[0].filters[0].tap((0,)) == -1.0
 
@@ -994,8 +975,6 @@ class TestBankJson:
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(data=st.data())
     def test_random_banks_round_trip_exactly(self, data):
-        from lpk.lp import FilterBank, bank_from_json, bank_to_json
-
         dims = data.draw(st.sampled_from([1, 2]))
         L, P = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
         q_count = data.draw(st.integers(1, 3))
@@ -1010,7 +989,7 @@ class TestBankJson:
             anchors.append(anchor)
         residuals = tuple(np.sort(rng.random(len(filters))))
         bank = FilterBank(np.stack(filters), L, P, residuals, tuple(anchors))
-        # Through JSON text, as save_bank and load_bank carry it.
+        # Through JSON text, as write_json and read_json carry it.
         back = bank_from_json(json.loads(json.dumps(bank_to_json(bank))))
         assert (back.L, back.P, back.taps.shape) == (bank.L, bank.P, bank.taps.shape)
         assert back.residuals == bank.residuals

@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
-from lpk.core import KGrid, centered_grid, signals_allclose
+from conftest import signals_allclose
+from lpk.core import KGrid, centered_grid
+from lpk.io import read_json, write_json
 from lpk.phantom import (
     Modulator,
     Phantom,
     Primitive,
     fourier_samples,
-    load_phantom,
-    make_phase_modulator,
     make_sensitivities,
     modulated_samples,
     phantom_from_json,
     phantom_to_json,
     quadrature_samples,
-    save_phantom,
 )
 
 
@@ -187,28 +186,6 @@ class TestMakeSensitivities:
         assert mods[0].coeffs.shape == (3, 3)
 
 
-class TestMakePhaseModulator:
-    def test_zero_bandwidth_is_global_phase(self):
-        c1, c2 = make_phase_modulator(0, seed=4)
-        x = np.linspace(-0.5, 0.5, 128, endpoint=False)
-        v1 = c1.eval_spatial(x, (1.0,))
-        assert np.ptp(np.abs(v1)) < 1e-9
-        assert np.allclose(np.abs(v1), 1.0, atol=1e-3)
-
-    def test_unit_magnitude_on_check_grid(self):
-        c1, _ = make_phase_modulator(2, seed=7)
-        x = np.linspace(-0.5, 0.5, 512, endpoint=False)
-        mag = np.abs(c1.eval_spatial(x, (1.0,)))
-        assert np.max(np.abs(mag - 1.0)) <= 1e-3
-
-    def test_conjugate_pairing(self):
-        c1, c2 = make_phase_modulator(1, seed=7)
-        x = np.linspace(-0.5, 0.5, 256, endpoint=False)
-        v1 = c1.eval_spatial(x, (1.0,))
-        v2 = c2.eval_spatial(x, (1.0,))
-        assert np.allclose(v2, np.conj(v1), atol=1e-12)
-
-
 class TestPhantomJson:
     def test_round_trip(self, tmp_path):
         ph = Phantom(
@@ -219,8 +196,8 @@ class TestPhantomJson:
             (1.0,),
         )
         path = tmp_path / "p.phantom.json"
-        save_phantom(path, ph)
-        back = load_phantom(path)
+        write_json(path, phantom_to_json(ph))
+        back = phantom_from_json(read_json(path))
         assert back.fov == ph.fov
         for a, b in zip(back.primitives, ph.primitives):
             assert (a.kind, a.center, a.extent, a.amplitude) == (

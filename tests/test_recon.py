@@ -34,8 +34,6 @@ from lpk.recon import (
     reflect_mask,
     report_from_json,
     report_to_json,
-    unpaired_positions,
-    virtual_conjugate,
 )
 
 
@@ -950,40 +948,32 @@ def test_reflection_matches_the_per_index_loop(n_min, n_max):
     assert lpk.recon._reflect_values(x, grid).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n_min,n_max", REFLECTION_GRIDS)
-def test_unpaired_positions_match_the_per_index_loop(n_min, n_max):
-    grid = KGrid.window(n_min, n_max, (1.0,) * len(n_min))
-    want = np.zeros(grid.shape, dtype=bool)
-    for idx in np.ndindex(grid.shape):
-        want[idx] = not grid.contains(tuple(-(i + lo) for i, lo in zip(idx, grid.n_min)))
-    assert np.array_equal(unpaired_positions(grid), want)
-
-
 class TestVirtualConjugate:
+    """The conjugate-mirrored channels that ``pf_recon`` and
+    ``lowrank_complete(variant="S")`` append, from ``_with_mirrors``."""
+
     def test_mirrored_values(self):
         g = centered_grid(5, 1.0)
         vals = np.array([1 - 1j, 2.0, 3 + 2j, 4.0, 5 + 1j])
-        vc = virtual_conjugate(KSignal(g, vals))
-        assert vc.q_count == 2
-        assert np.array_equal(vc.channels[0].values, vals)
-        assert np.array_equal(vc.channels[1].values, np.conj(vals[::-1]))
+        vc = lpk.recon._with_mirrors(vals[None], g)
+        assert vc.shape == (2, 5)
+        assert np.array_equal(vc[0], vals)
+        assert np.array_equal(vc[1], np.conj(vals[::-1]))
 
     def test_zero_phase_copy_is_identical(self):
         g = centered_grid(33, 1.0)
         sig = fourier_samples(
             Phantom((Primitive("boxcar", (0.0,), (0.2,), 1.5),), (1.0,)), g
         )
-        vc = virtual_conjugate(sig)
-        assert np.max(np.abs(vc.channels[1].values - vc.channels[0].values)) <= 1e-14
+        vc = lpk.recon._with_mirrors(sig.values[None], g)
+        assert np.max(np.abs(vc[1] - vc[0])) <= 1e-14
 
-    def test_asymmetric_grid_warns_and_zero_fills_edge(self):
+    def test_asymmetric_grid_zero_fills_edge(self):
         g = centered_grid(4, 1.0)  # indices -2..1; n = -2 has no mirror
-        sig = KSignal(g, np.arange(1.0, 5.0) + 1j)
-        with pytest.warns(UserWarning, match="asymmetric"):
-            vc = virtual_conjugate(sig)
-        assert vc.channels[1].values[0] == 0.0
-        assert vc.channels[1].values[1] == np.conj(sig.at((1,)))
-        assert unpaired_positions(g).tolist() == [True, False, False, False]
+        vals = np.arange(1.0, 5.0) + 1j
+        vc = lpk.recon._with_mirrors(vals[None], g)
+        assert vc[1, 0] == 0.0
+        assert np.array_equal(vc[1, 1:], np.conj(vals[:0:-1]))
 
 
 class TestReflectMask:
