@@ -86,6 +86,15 @@ def _load(read, path):
         raise _DataError(f"{path}: {exc}") from exc
 
 
+def _save(write, path, obj) -> None:
+    """``write(path, obj)`` (``write_lpk`` or ``write_json``), with a file
+    that cannot be written a data error that names ``path``."""
+    try:
+        write(path, obj)
+    except OSError as exc:
+        raise _DataError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_samples(path):
     """The samples in the ``.lpk`` file ``path``; a mask there is a data error."""
     data = _load(read_lpk, path)
@@ -150,7 +159,7 @@ def _cmd_phantom(args) -> int:
         out = sms_superpose(sms_slice_samples(obj, grid))
     else:
         raise _DataError(f"unsupported scene document in {args.input}")
-    write_lpk(args.out, out)
+    _save(write_lpk, args.out, out)
     print(f"wrote {args.out}")
     return 0
 
@@ -161,10 +170,10 @@ def _cmd_sample(args) -> int:
     mask = gen_mask(spec, data.grid)
     noisy = add_noise(data, args.sigma, args.seed)
     measured = zero_fill(noisy, mask)
-    write_lpk(args.out, measured)
+    _save(write_lpk, args.out, measured)
     print(f"wrote {args.out}")
     if args.mask_out:
-        write_lpk(args.mask_out, mask)
+        _save(write_lpk, args.mask_out, mask)
         print(f"wrote {args.mask_out}")
     print(f"acquired {int(mask.acquired.sum())} of {mask.grid.size}")
     return 0
@@ -238,7 +247,7 @@ def _cmd_fit(args) -> int:
     else:
         raise _DataError(f"unknown fit mode {args.mode!r}")
     if args.out:
-        write_json(args.out, bank_to_json(bank))
+        _save(write_json, args.out, bank_to_json(bank))
         print(f"wrote {args.out}")
     return 0
 
@@ -265,7 +274,7 @@ def _cmd_recon(args) -> int:
     if truth is not None:
         print(f"nrmse {_fmt(nrmse(est, truth))}")
     if args.out:
-        write_lpk(args.out, est)
+        _save(write_lpk, args.out, est)
         print(f"wrote {args.out}")
     if args.strict and not report.converged:
         raise _NumericalError(f"{args.engine} did not converge")
@@ -276,7 +285,7 @@ def _cmd_sms(args) -> int:
     if args.action == "superpose":
         parts = [_load_samples(p) for p in args.inputs]
         out = sms_superpose(parts)
-        write_lpk(args.out, out)
+        _save(write_lpk, args.out, out)
         print(f"wrote {args.out}")
         return 0
     if args.action == "separate":
@@ -293,7 +302,7 @@ def _cmd_sms(args) -> int:
         out, report = sms_separate(data, [Filter(t, bank.L, bank.P) for t in bank.taps[:, 0]])
         print(f"slices {out.q_count}")
         print(f"converged {str(report.converged).lower()}")
-        write_lpk(args.out, out)
+        _save(write_lpk, args.out, out)
         print(f"wrote {args.out}")
         return 0
     raise _DataError(f"unknown sms action {args.action!r}")
@@ -452,7 +461,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rank", type=int, default=None, help="lifted-matrix rank (lowrank engine)")
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="soft consistency weight (annihilation engine)")
     p.add_argument("--tol", type=float, default=None, help="solver tolerance (default: the engine's own)")
-    p.add_argument("--max-iters", type=int, default=None, help="iteration cap; passes for interp (default: the engine's own)")
+    p.add_argument("--max-iters", type=int, default=None, help="iteration cap: CG steps for annihilation, which solves up to 256 unknowns in one step; passes for interp (default: the engine's own)")
     p.add_argument("--truth", default=None, help="reference .lpk for an nrmse line")
     p.add_argument("--strict", action="store_true", help="exit 3 if the solver did not converge")
     p.add_argument("--out", default=None, help="output .lpk path")

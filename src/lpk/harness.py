@@ -311,8 +311,9 @@ _NAMED_SCENES = {"demo1d": demo_scene_1d, "demo2d": demo_scene_2d}
 def resolve_scene(entry):
     """Scene from a registry name, an inline JSON document, or a file path.
 
-    A scene file that cannot be read or parsed, or that lacks a field, is
-    a ``ValueError`` naming that file.
+    A scene file that cannot be read or parsed, that lacks a field, or
+    that holds a malformed document (a list where an object belongs, a
+    bad value) is a ``ValueError`` naming that file.
     """
     if isinstance(entry, str):
         if entry in _NAMED_SCENES:
@@ -325,6 +326,10 @@ def resolve_scene(entry):
             return scene_from_json(doc), entry
         except KeyError as exc:
             raise ValueError(f"{entry}: missing field {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"{entry}: malformed document: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{entry}: {exc}") from exc
     return scene_from_json(entry), str(entry.get("kind", "scene"))
 
 

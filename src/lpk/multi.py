@@ -260,10 +260,13 @@ def sms_separate(
     Fully sampled data is split directly: slice ``m`` is separator ``m``
     applied to the sum, on the shrunken valid grid.  With a mask, the
     slices become joint unknowns of the annihilation solve
-    (``recon._bank_solve``) with the slice sum as its data: conjugate
-    gradients balances summed data consistency on acquired indices
-    against each slice's separator relation, ``f_m`` over the sum less
-    slice ``m`` (weighted by ``lam``), returning slices on the full grid.
+    (``recon._bank_solve``) with the slice sum as its data: its least
+    squares balance summed data consistency on acquired indices against
+    each slice's separator relation, ``f_m`` over the sum less slice
+    ``m`` (weighted by ``lam``), returning slices on the full grid.  The
+    benchmark's two 64-sample slices are 128 unknowns, solved at once;
+    their normal matrix is singular, so the answer is its minimum-norm
+    solution.
 
     That split is limited by the model: summed over ``m`` the relations
     leave ``conv_valid(sum_q x_q, sum_m f_m - δ₀)``, and separators that

@@ -17,22 +17,22 @@ Two complementary routes:
   as the oracle the sweep is tested against; the first sweep goes
   through them.
 * Fix a bank of annihilating filters and choose the missing samples so
-  that the total filter response energy is minimal, by conjugate
-  gradients.  One routine, ``_bank_solve``, builds that solve, with the
-  acquired samples as constraints or as a weighted data term, and
+  that the total filter response energy is minimal.  One routine,
+  ``_bank_solve``, builds that least-squares problem, with the acquired
+  samples as constraints or as a weighted data term, solves it and
   reports it.  It has three users: ``annihilation_recon``, ``pf_recon``
   over virtual conjugate channels, and the undersampled
-  ``multi.sms_separate``, whose data term sees the slices summed.  Each
-  CG step applies the whole bank forward and back as one operator
-  (``_BankOperator``) on the bank's ``[F, Q, *W]`` tap array, with exact
-  valid-range responses and no wraparound.  The operator has two exact
-  evaluations, chosen once per solve from the size of the lifted window
-  matrix: small matrices take one window gather (the gather of ``lift``)
-  and two GEMMs with the taps, whose cost is all arithmetic; large ones
-  take cropped, zero-padded FFTs with the filter spectra computed once,
-  whose cost grows only as ``N log N`` but carries a fixed overhead per
-  call.  A solve that stops short of its tolerance says why in the
-  report's ``notes``.
+  ``multi.sms_separate``, whose data term sees the slices summed.  The
+  path is chosen from the count of unknowns alone.  Small problems (every
+  1D benchmark solve) assemble the normal matrix from the window rows
+  that read an unknown and solve it at once: by Cholesky, or by an
+  eigendecomposition for the minimum-norm solution when it is singular.
+  Large ones run conjugate gradients, each step applying the whole bank
+  forward and back as one operator (``_BankOperator``) on the bank's
+  ``[F, Q, *W]`` tap array: cropped, zero-padded FFTs with the filter
+  spectra computed once, exact valid-range responses and no wraparound.
+  A CG solve that stops short of its tolerance says why in the report's
+  ``notes``.
 
 Both come back with a :class:`ReconReport` describing what the solver
 did.  Conjugate symmetry lets the same machinery fill one-sided partial
@@ -397,102 +397,54 @@ def lowrank_complete(
     return MultiKSignal.from_array(grid, x), report
 
 
-# Largest lifted window matrix, ``V·Q·ΠW`` cells (valid windows times
-# channel taps), that ``_BankOperator`` applies by window gather and
-# GEMM; above it the FFT evaluation is cheaper.  Measured as one normal
-# apply ``Aᴴ(A x)`` over the missing half of the samples, one BLAS
-# thread, W = 5, F = Q, on a 2-vCPU x86-64 host (µs, window / FFT):
-#
-#   1D  Q=4   N=64       1,200 cells      37 /   120
-#   1D  Q=4   N=512     10,160 cells     143 /   281
-#   1D  Q=4   N=2048    40,880 cells     670 / 1,106
-#   2D  Q=8   N=12²     12,800 cells     182 /   221
-#   2D  Q=8   N=16²     28,800 cells     291 /   316
-#   2D  Q=8   N=20²     51,200 cells     541 /   539
-#   2D  Q=8   N=24²     80,000 cells     975 /   642
-#   2D  Q=8   N=48²    387,200 cells   5,894 / 3,651
-#   2D  Q=8   N=64²    720,000 cells  11,539 / 7,281
-#
-# The GEMMs cost ``F·V·Q·ΠW`` products per apply and the FFTs
-# ``O(F·Q·ΠN log ΠN)``, but four FFT calls carry ~15-20 µs of fixed cost
-# each, which small matrices never earn back.  Long 1D grids still
-# favour the windows past the bound.
-_WINDOW_CELLS = 2**15
+def _check_bank(taps: np.ndarray, shape: Sequence[int]) -> None:
+    """A ``[F, Q, *W]`` bank of other dims or channels than a ``[Q, *N]``
+    stack, or wider than its grid, is a ``ValueError``."""
+    q_count, *grid_shape = shape
+    if taps.ndim - 2 != len(grid_shape):
+        raise ValueError(f"taps are {taps.ndim - 2}D, data is {len(grid_shape)}D")
+    if taps.shape[1] != q_count:
+        raise ValueError(f"taps have {taps.shape[1]} channels, data has {q_count}")
+    width = taps.shape[2:]
+    if any(w > n for w, n in zip(width, grid_shape)):
+        raise ValueError(f"filter width {width} exceeds data shape {tuple(grid_shape)}")
 
 
 class _BankOperator:
     """A bank's ``[F, Q, *W]`` tap array applied jointly as one linear map.
 
-    The filter bank that ``_bank_solve`` minimizes the response of.
-    ``W`` taps on every axis, ascending in ``k``;
-    the operator reads only the width, since where ``k = 0`` sits only
-    labels the valid range.
+    The filter bank that ``_bank_solve``'s CG minimizes the response of.
+    ``W`` taps on every axis, ascending in ``k``; the operator reads only
+    the width, since where ``k = 0`` sits only labels the valid range.
     ``forward`` takes a stacked signal ``x[Q, *N]`` to the per-filter joint
     responses ``r[F, *valid]``, ``r_f = sum_q conv_valid(x_q, h_fq)``;
-    ``adjoint`` takes them back to ``[Q, *N]``.  Two exact evaluations of
-    the same valid-range map, picked once from the size of the lifted
-    window matrix (``V`` valid windows by ``Q·ΠW`` channel taps):
-
-    * ``"window"`` (up to ``_WINDOW_CELLS`` cells): ``forward`` gathers
-      every window of ``x`` through one flat index array (the cached
-      positions :func:`lift` reads, transposed) and multiplies by the
-      ``[F, Q·ΠW]`` taps; ``adjoint`` multiplies by their conjugate
-      transpose and scatter-adds the cells back onto the samples they
-      were read from, in one ``np.add.at`` (the scatter of
-      :meth:`StructuredMatrix.unlift`).  Two small GEMMs and no FFT,
-      which wins while the fixed cost of an FFT call outweighs the
-      arithmetic.
-    * ``"fft"``: zero-padded FFTs of length ``next_fast_len(N + W - 1)``
-      per axis, long enough that no product wraps around, cropped to the
-      exact valid (forward) or full (adjoint) range, so no padding reaches
-      a residual.  The filter spectra are computed once per operator.
-      Its cost grows as ``ΠN log ΠN`` instead of ``V·ΠW``, so it wins on
-      large grids.
+    ``adjoint`` takes them back to ``[Q, *N]``.  Both are zero-padded FFTs
+    of length ``next_fast_len(N + W - 1)`` per axis, long enough that no
+    product wraps around, cropped to the exact valid (forward) or full
+    (adjoint) range, so no padding reaches a residual.  The filter spectra
+    are computed once per operator.
     """
 
     def __init__(self, taps: np.ndarray, shape: Sequence[int]):
-        q_count, *grid_shape = shape
-        if taps.ndim - 2 != len(grid_shape):
-            raise ValueError(f"taps are {taps.ndim - 2}D, data is {len(grid_shape)}D")
-        if taps.shape[1] != q_count:
-            raise ValueError(f"taps have {taps.shape[1]} channels, data has {q_count}")
-        width = taps.shape[2:]
-        if any(w > n for w, n in zip(width, grid_shape)):
-            raise ValueError(f"filter width {width} exceeds data shape {tuple(grid_shape)}")
+        _check_bank(taps, shape)
         self.shape = tuple(shape)
-        valid = tuple(n - w + 1 for n, w in zip(grid_shape, width))
-        self.resp_shape = (taps.shape[0],) + valid
-        if int(np.prod(valid)) * taps[0].size <= _WINDOW_CELLS:
-            self.evaluation = "window"
-            # The geometry reads only the width L + P + 1.
-            starts, offsets, _ = _window_geometry(self.shape, width[0] - 1, 0)
-            # index[j, v]: the flat sample that column j of window row v reads.
-            self.index = np.add.outer(offsets, starts)
-            self.taps = taps.reshape(taps.shape[0], -1)
-            self.taps_h = self.taps.conj().T
-        else:
-            self.evaluation = "fft"
-            self.axes = tuple(range(-len(grid_shape), 0))
-            self.fft_shape = tuple(
-                scipy.fft.next_fast_len(n + w - 1) for n, w in zip(grid_shape, width)
-            )
-            lead = (slice(None),)
-            self.valid = lead + tuple(slice(w - 1, n) for w, n in zip(width, grid_shape))
-            self.full = lead + tuple(slice(0, n) for n in grid_shape)
-            self.spectra = scipy.fft.fftn(taps, s=self.fft_shape, axes=self.axes)
-            self.spectra_conj = self.spectra.conj()
+        grid_shape, width = self.shape[1:], taps.shape[2:]
+        self.axes = tuple(range(-len(grid_shape), 0))
+        self.fft_shape = tuple(
+            scipy.fft.next_fast_len(n + w - 1) for n, w in zip(grid_shape, width)
+        )
+        lead = (slice(None),)
+        self.valid = lead + tuple(slice(w - 1, n) for w, n in zip(width, grid_shape))
+        self.full = lead + tuple(slice(0, n) for n in grid_shape)
+        self.spectra = scipy.fft.fftn(taps, s=self.fft_shape, axes=self.axes)
+        self.spectra_conj = self.spectra.conj()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.evaluation == "window":
-            return (self.taps @ x.reshape(-1)[self.index]).reshape(self.resp_shape)
         spec = scipy.fft.fftn(x, s=self.fft_shape, axes=self.axes)
         joint = np.einsum("fq...,q...->f...", self.spectra, spec)
         return scipy.fft.ifftn(joint, axes=self.axes)[self.valid]
 
     def adjoint(self, resp: np.ndarray) -> np.ndarray:
-        if self.evaluation == "window":
-            cells = self.taps_h @ resp.reshape(self.resp_shape[0], -1)  # [Q·ΠW, V]
-            return _scatter_add(self.shape, self.index, cells)
         embed = np.zeros((resp.shape[0],) + self.fft_shape, dtype=np.complex128)
         embed[self.valid] = resp
         spec = scipy.fft.fftn(embed, axes=self.axes)
@@ -569,27 +521,201 @@ def _ritz_conditioning(alphas: Sequence[float], betas: Sequence[float]) -> float
     return hi / lo
 
 
+# Largest number of unknowns that ``_bank_solve`` solves by one dense
+# solve of its normal matrix; above it, CG on the FFT evaluation.
+# Measured as one whole ``_bank_solve`` (assembly included) on the
+# nullspace bank of a demo scene, F = Q, W = 5, random masks with noise
+# at 1e-3, tol 1e-9 and 500 CG steps, one BLAS thread, OpenBLAS 0.3.31 on
+# a 2-vCPU x86-64 host (ms; a dash where the matrix is singular and the
+# Cholesky branch falls through to ``eigh``):
+#
+#   unknowns  grid              Cholesky   eigh   CG (steps)
+#      108    1D Q=4 N=64          0.8      2.4    19.6 (232)
+#      136    1D Q=4 N=64          0.8      4.4    46.1 (500, capped)
+#      236    1D Q=4 N=128         1.7     13.0    23.7 (285)
+#      304    1D Q=4 N=128         4.8     37.3    58.8 (500, capped)
+#      476    1D Q=4 N=192        15.2    106.9    66.7 (500, capped)
+#      128    2D Q=8 N=8²            -      4.7    50.6 (242)
+#      288    2D Q=8 N=10²           -     24.0    84.8 (500, capped)
+#      528    2D Q=8 N=12²           -    182.7   101.4 (500, capped)
+#
+# The dense solve costs ``O(n³)`` and CG ``O(steps · F·Q·ΠN log ΠN)``;
+# up to the bound even the ``eigh`` branch beats CG by about 2x.
+_DIRECT_UNKNOWNS = 256
+# Window cells gathered at a time to evaluate a response energy, so a
+# direct solve on a large, mostly acquired grid never holds its whole
+# lifted window matrix.
+_GATHER_CELLS = 1 << 14
+
+
+def _bank_geometry(taps: np.ndarray, shape: tuple[int, ...]):
+    """``(starts, offsets, t)``: window ``v`` of a ``[Q, *N]`` stack reads
+    the cell that column ``c`` of the ``[F, Q·ΠW]`` tap matrix ``t``
+    multiplies at flat position ``starts[v] + offsets[c]``."""
+    # The geometry reads only the width L + P + 1.
+    starts, offsets, _ = _window_geometry(shape, taps.shape[2] - 1, 0)
+    return starts, offsets, taps.reshape(taps.shape[0], -1)
+
+
+def _response_energy(
+    t: np.ndarray, x: np.ndarray, starts: np.ndarray, offsets: np.ndarray,
+) -> float:
+    """``||H x||²`` over every valid window, a block of windows at a time."""
+    flat = x.reshape(-1)
+    step = max(1, _GATHER_CELLS // offsets.size)
+    return sum(
+        float(np.sum(np.abs(flat[np.add.outer(starts[i:i + step], offsets)] @ t.T) ** 2))
+        for i in range(0, starts.size, step)
+    )
+
+
+def _normal_system(
+    taps: np.ndarray, shape: tuple[int, ...], y: np.ndarray, acq: np.ndarray, lam: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(unknown, m, b)``: the normal equations ``m u = b`` of the problem
+    ``_bank_solve`` poses, over the flat positions ``unknown`` of the
+    ``[Q, *N]`` stack (the missing samples with ``lam == 0``, every sample
+    otherwise), with ``y`` zero where not acquired.
+
+    ``m = Hᵤᴴ Hᵤ`` is assembled from the windows that read an unknown:
+    two unknown cells ``c, c'`` of one window add ``(tᴴt)[c, c']``, so no
+    row of ``H`` is formed and the matrix is ``n × n``.  The hard
+    right-hand side ``-Hᵤᴴ H y`` comes from the same windows; the soft one
+    adds the run sums' ``DᴴD`` to ``lam`` times the bank's and is ``Dᴴ y``.
+    """
+    starts, offsets, t = _bank_geometry(taps, shape)
+    size = int(np.prod(shape))
+    if lam == 0.0:
+        unknown = np.flatnonzero(~acq)
+        # Windows whose footprint, on any channel, holds an unknown.
+        missing = (~acq).any(axis=0)
+        view = np.lib.stride_tricks.sliding_window_view(missing, taps.shape[2:])
+        starts = starts[view.any(axis=tuple(range(missing.ndim, view.ndim))).ravel()]
+    else:
+        unknown = np.arange(size)
+    n = unknown.size
+    pos = np.full(size, -1)
+    pos[unknown] = np.arange(n)
+    cells = np.add.outer(starts, offsets)  # [V, Q·ΠW] flat positions
+    cols = pos[cells]
+    win, cell = np.nonzero(cols >= 0)
+    col = cols[win, cell]
+    # Pair every unknown cell with each unknown cell of its window (itself
+    # included): ``left`` repeats a cell once per partner, and ``right``
+    # counts through the partners from the window's first unknown cell.
+    per_window = np.bincount(win, minlength=starts.size)
+    reps = per_window[win]
+    left = np.repeat(np.arange(win.size), reps)
+    since = np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    right = np.repeat((np.cumsum(per_window) - per_window)[win], reps) + since
+    w = (t.conj().T @ t)[cell[left], cell[right]]
+    at = col[left] * n + col[right]
+    m = (np.bincount(at, w.real, n * n) + 1j * np.bincount(at, w.imag, n * n)).reshape(n, n)
+    if lam == 0.0:
+        # Each unknown cell's tap column against its window's response to y.
+        resp = y.reshape(-1)[cells] @ t.T
+        g = np.sum(resp[win] * t[:, cell].T.conj(), axis=1)
+        return unknown, m, -(np.bincount(col, g.real, n) + 1j * np.bincount(col, g.imag, n))
+    m *= lam
+    # The data term: every pair of channels in one run, at each acquired sample.
+    runs = (y.shape[0], shape[0] // y.shape[0]) + y.shape[1:]
+    flat = np.arange(size).reshape(runs)
+    ids = np.moveaxis(flat, 1, -1)[acq]  # [acquired, run length]
+    m[ids[:, :, None], ids[:, None, :]] += 1.0
+    b = np.broadcast_to(y[:, None], runs).reshape(-1)
+    return unknown, m, b
+
+
+def _dense_solve(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(x, kappa)`` for the Hermitian PSD system ``m x = b``.
+
+    By Cholesky (LAPACK ``zpotrf``/``zpotrs``), with ``kappa`` the
+    reciprocal of ``zpocon``'s 1-norm estimate, unless ``m`` is
+    numerically singular: the factorization fails or that estimate is
+    below ``n·eps``.  Then ``x`` is the minimum-norm solution over the
+    eigenvalues above ``n·eps`` times the largest, the limit CG reaches
+    from zero, and ``kappa`` is the ratio of the extreme eigenvalues kept.
+    """
+    n = b.size
+    cut = n * np.finfo(float).eps
+    chol, info = scipy.linalg.lapack.zpotrf(m, lower=1)
+    if info == 0:
+        rcond, _ = scipy.linalg.lapack.zpocon(chol, np.abs(m).sum(axis=0).max(), uplo="L")
+        if rcond > cut:
+            x, _ = scipy.linalg.lapack.zpotrs(chol, b, lower=1)
+            return x, 1.0 / rcond
+    vals, vecs = np.linalg.eigh(m)
+    keep = vals > cut * vals[-1]
+    vals, vecs = vals[keep], vecs[:, keep]
+    return vecs @ ((vecs.conj().T @ b) / vals), float(vals[-1] / vals[0])
+
+
+def _direct_solve(
+    taps: np.ndarray, shape: tuple[int, ...], y: np.ndarray, acq: np.ndarray, lam: float,
+    max_iters: int, method: str,
+) -> tuple[np.ndarray, ReconReport]:
+    """``_bank_solve`` by one dense solve of its normal equations."""
+    starts, offsets, t = _bank_geometry(taps, shape)
+    runs = (y.shape[0], shape[0] // y.shape[0]) + y.shape[1:]
+
+    def objective(x):
+        energy = _response_energy(t, x, starts, offsets)
+        if lam == 0.0:
+            return energy
+        misfit = np.abs(x.reshape(runs).sum(axis=1) - y)[acq]
+        return float(np.sum(misfit ** 2)) + lam * energy
+
+    x = y.copy() if lam == 0.0 else np.zeros(shape, dtype=np.complex128)
+    trace = [objective(x)]
+    unknown, m, b = _normal_system(taps, shape, y, acq, lam)
+    if not b.any():
+        # The zero or zero-filled start is the minimum-norm solution.
+        return x, ReconReport(method, 0, True, tuple(trace))
+    if max_iters < 1:
+        return x, ReconReport(
+            method, 0, False, tuple(trace),
+            notes=(f"direct solve not taken at the iteration cap ({max_iters})",),
+        )
+    sol, kappa = _dense_solve(m, b)
+    x.reshape(-1)[unknown] = sol
+    trace.append(objective(x))
+    return x, ReconReport(method, 1, True, tuple(trace), conditioning=kappa)
+
+
 def _bank_solve(
     taps: np.ndarray, shape: tuple[int, ...], y: np.ndarray, acq: np.ndarray, lam: float,
     tol: float, max_iters: int, method: str,
 ) -> tuple[np.ndarray, ReconReport]:
     """Fill a ``[Q, *N]`` stack so a ``[F, Q, *W]`` bank responds least.
 
-    The one CG solve behind ``annihilation_recon``, ``pf_recon`` and the
+    The one solve behind ``annihilation_recon``, ``pf_recon`` and the
     undersampled ``multi.sms_separate``.  The data ``y`` and mask ``acq``
     are ``[G, *N]``, and the data term sees each of the ``G`` equal runs
     of consecutive channels summed: ``G = Q`` is every channel itself,
     ``G = 1`` the slice sum.
 
     With ``lam == 0`` (only ``G = Q``) acquired samples are constraints
-    and CG runs over the missing ones, minimizing ``||H x||^2``.  With
-    ``lam > 0`` it minimizes ``||D x - y||^2`` on acquired samples plus
-    ``lam ||H x||^2``, ``D`` the run sums.  The report's objective trace
-    starts at that objective's value at the zero-filled (hard) or zero
-    (soft) start and falls by CG's exact step decreases.
+    and the missing ones are the unknowns, minimizing ``||H x||^2``.  With
+    ``lam > 0`` every sample is unknown, minimizing ``||D x - y||^2`` on
+    acquired samples plus ``lam ||H x||^2``, ``D`` the run sums.
+
+    Up to ``_DIRECT_UNKNOWNS`` unknowns the normal equations are
+    assembled and solved at once (:func:`_dense_solve`): the report has
+    ``iterations`` 1 (0 when the start already solves them),
+    ``converged`` true, the matrix's condition number, and the objective
+    trace ``(f0, f(x))`` recomputed from the responses.  Larger problems
+    run CG on the FFT evaluation of the bank: ``tol`` is its relative
+    residual, ``iterations`` its steps, ``conditioning`` the Ritz estimate
+    of its recursion, and the trace falls from ``f0`` by CG's exact step
+    decreases.  ``f0`` is the objective at the zero-filled (hard) or zero
+    (soft) start, and ``max_iters < 1`` takes no step on either path.
     """
-    op = _BankOperator(taps, shape)
+    _check_bank(taps, shape)
     y = np.where(acq, y, 0.0)
+    unknowns = int(np.count_nonzero(~acq)) if lam == 0.0 else int(np.prod(shape))
+    if unknowns <= _DIRECT_UNKNOWNS:
+        return _direct_solve(taps, shape, y, acq, lam, max_iters, method)
+    op = _BankOperator(taps, shape)
     if lam == 0.0:
         miss = ~acq
 
@@ -650,11 +776,13 @@ def annihilation_recon(
     """Recover missing samples by minimizing bank response energy.
 
     With ``lam == 0`` the acquired samples are hard constraints and the
-    solver runs conjugate gradients over the missing entries alone, so
-    the recorded objective (total squared response) decreases
-    monotonically.  With ``lam > 0`` all samples relax and the objective
-    becomes ``||x - y||^2`` on acquired entries plus ``lam`` times the
-    response energy.
+    missing entries alone are unknowns, so the recorded objective (total
+    squared response) decreases monotonically.  With ``lam > 0`` all
+    samples relax and the objective becomes ``||x - y||^2`` on acquired
+    entries plus ``lam`` times the response energy.  Up to
+    ``_DIRECT_UNKNOWNS`` unknowns the normal equations are solved at
+    once (one iteration); larger problems run conjugate gradients to
+    ``tol`` within ``max_iters`` steps.
 
     Args:
         data: measured samples (values at missing positions ignored).
@@ -662,8 +790,9 @@ def annihilation_recon(
         bank: annihilating filters, channel count matching the data.
 
     Returns:
-        ``(recovered, report)``; the report includes a spectral
-        condition estimate of the normal system from the CG recursion.
+        ``(recovered, report)``; the report includes the condition
+        number of the normal system: LAPACK's estimate for a direct
+        solve, a spectral estimate from the recursion for CG.
     """
     ms = _as_multi(data)
     acq = _shared_acquired(mask, ms)

@@ -147,7 +147,7 @@ GOLDEN = [
     ("zero-fill", [], 0, "true"),
     ("interp", [], 2, "true"),  # the engine's own 4-pass cap; covered after 2
     ("interp", ["--max-iters", "1"], 1, "false"),  # --max-iters caps the passes
-    ("annihilation", ["--max-iters", "7"], 7, "false"),
+    ("annihilation", ["--max-iters", "7"], 1, "true"),  # 104 unknowns: solved at once
     ("lowrank", [], 100, "false"),  # the engine's own 100-sweep cap, not 500
     ("lowrank", ["--max-iters", "3"], 3, "false"),
 ]
@@ -168,8 +168,7 @@ def test_recon_prints_the_engine_run(capsys, sampled, engine, flags, iterations,
 NOTES = [
     ("interp", [], []),
     ("interp", ["--max-iters", "1"], ["uncovered indices left at zero-fill"]),
-    ("annihilation", ["--max-iters", "7"],
-     ["CG stopped at the iteration cap (7); relative residual 0.125 (tol 1e-09)"]),
+    ("annihilation", ["--max-iters", "7"], []),
     ("lowrank", [],
      ["lowrank stopped at the sweep cap (100); last relative change 0.000294 (tol 1e-09)"]),
     ("lowrank", ["--max-iters", "3"],
@@ -343,6 +342,12 @@ BAD_SCENE_FILES = {
         "{scene} is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
     ),
     "no-phantom": (b'{"kind": "scene", "sensitivities": []}', "{scene}: missing field 'phantom'"),
+    "a-list": (b"[1, 2]", "{scene}: malformed document: 'list' object has no attribute 'get'"),
+    "no-primitives": (
+        b'{"kind": "scene", "phantom": {"kind": "phantom", "fov": [1.0], "primitives": []},'
+        b' "sensitivities": []}',
+        "{scene}: phantom needs at least one primitive",
+    ),
 }
 
 
@@ -354,6 +359,20 @@ def test_bench_names_a_bad_scene_file(capsys, tmp_path, raw, message):
     code, lines, err = run(capsys, "bench", str(config))
     assert code == 2 and lines == []
     assert err == f"error: {config}: {message.format(scene=scene)}\n"
+
+
+@pytest.mark.parametrize("command,argv,out", [
+    ("phantom", ["{scene}", "--grid", "16"], "x.lpk"),
+    ("fit", ["{full}", "--mode", "nullspace", "--L", "1", "--P", "1"], "x.json"),
+])
+def test_a_file_that_cannot_be_written_is_a_data_error(
+    capsys, sampled, tmp_path, command, argv, out
+):
+    path = tmp_path / "nodir" / out
+    paths = {"scene": sampled / "scene.json", "full": sampled / "full.lpk"}
+    code, _, err = run(capsys, command, *[a.format(**paths) for a in argv], "--out", str(path))
+    assert code == 2
+    assert err == f"error: cannot write {path}: [Errno 2] No such file or directory: '{path}'\n"
 
 
 def test_an_unknown_mask_kind_is_a_data_error(capsys, sampled, tmp_path):
@@ -642,11 +661,12 @@ def test_bench_prints_one_row_per_case(capsys, tmp_path):
     with open(out / "report.csv", newline="") as fh:
         table = list(csv.DictReader(fh))
     assert [(t["method"], t["iterations"], t["converged"]) for t in table] == [
-        ("annihilation", "7", "False"), ("lowrank", "3", "False"), ("zero-fill", "0", "True"),
+        ("annihilation", "1", "True"), ("lowrank", "3", "False"), ("zero-fill", "0", "True"),
     ]
     doc = json.loads((out / "report.json").read_text())
-    (note,) = doc["cases"][0]["report"]["notes"]
-    assert note.startswith("CG stopped at the iteration cap (7);")
+    assert doc["cases"][0]["report"]["notes"] == []
+    (note,) = doc["cases"][1]["report"]["notes"]
+    assert note.startswith("lowrank stopped at the sweep cap (3);")
 
 
 def test_bench_prints_why_a_case_failed(capsys, tmp_path):

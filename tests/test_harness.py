@@ -305,19 +305,26 @@ def test_experiment_rows_carry_convergence(tmp_path):
         "scene": "demo1d",
         "grid": 64,
         "mask": {"kind": "uniform", "accel": 2, "calib": 12},
-        "methods": [{"name": "annihilation", "max_iters": 1}, "zero-fill"],
+        "methods": [
+            {"name": "annihilation", "max_iters": 1}, {"name": "lowrank", "max_iters": 1},
+            "zero-fill",
+        ],
     }
     doc = run_experiment(config, out_dir=str(tmp_path))
     by_method = {row["method"]: row for row in doc["rows"]}
+    # 104 unknowns: the annihilation solve is one direct step.
     assert by_method["annihilation"]["iterations"] == 1
-    assert by_method["annihilation"]["converged"] is False
+    assert by_method["annihilation"]["converged"] is True
+    assert by_method["lowrank"]["iterations"] == 1
+    assert by_method["lowrank"]["converged"] is False
     assert by_method["zero-fill"]["converged"] is True
     with open(tmp_path / "report.csv", newline="") as fh:
         table = list(csv.DictReader(fh))
     header = list(table[0])
     assert header.index("converged") == header.index("iterations") + 1
     assert {r["method"]: r["converged"] for r in table} == {
-        "annihilation": "False",
+        "annihilation": "True",
+        "lowrank": "False",
         "zero-fill": "True",
     }
 
@@ -357,7 +364,8 @@ def test_a_key_the_engine_does_not_take_is_a_case_error():
         "error": "ValueError: annihilation engine: got an unexpected keyword argument 'max_iter'",
         "report": None,
     }
-    assert good["error"] is None and good["report"]["iterations"] == 4
+    # 48 unknowns: solved at once, within the cap of 4.
+    assert good["error"] is None and good["report"]["iterations"] == 1
 
 
 def test_an_integer_parameter_given_as_a_float_is_a_case_error():

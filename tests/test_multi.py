@@ -174,7 +174,8 @@ def test_undersampled_separation_recovers_the_bench_scene():
     summed = sms_superpose(truth).values
     assert rel(total[mask.acquired], summed[mask.acquired]) <= 0.05
     # A capped joint solve says so.
-    _, capped = sms_separate(sms_superpose(truth), seps, mask, max_iters=5)
+    with forced("fft"):
+        _, capped = sms_separate(sms_superpose(truth), seps, mask, max_iters=5)
     assert (capped.converged, capped.iterations) == (False, 5)
     (note,) = capped.notes
     assert note.startswith("CG stopped at the iteration cap (5); relative residual ")
@@ -182,25 +183,78 @@ def test_undersampled_separation_recovers_the_bench_scene():
 
 @pytest.mark.parametrize("lam,max_iters", [(1.0, 1), (1.0, 4), (1.0, 500), (0.1, 500)])
 def test_joint_separation_trace_ends_at_its_objective(lam, max_iters):
-    # The objective recomputed at the returned slices with the public
-    # convolution: summed data consistency where acquired, plus lam times
-    # each separator relation conv(sum, f_m) - x_m over the valid range.
     # A capped run returns that step's CG iterate.
-    grid = centered_grid(64, 1.0)
-    truth = sms_slice_samples(SmsScene(bench_slices()), grid)
-    summed = sms_superpose(truth)
-    mask = gen_mask(MaskSpec("uniform", 2, 12), grid)
-    seps = [sms_fit_separator(truth, m, 2, 2, mask.calib)[0] for m in range(2)]
-    out, report = sms_separate(summed, seps, mask, lam=lam, max_iters=max_iters)
-    total = KSignal(grid, out.values.sum(axis=0))
-    data_term = np.sum(np.abs(total.values - summed.values)[mask.acquired] ** 2)
-    relations = sum(
-        np.sum(np.abs(conv_apply(total, f).values - out.values[m, f.P:64 - f.L]) ** 2)
-        for m, f in enumerate(seps)
-    )
+    summed, mask, seps = bench_split()
+    with forced("fft"):
+        out, report = sms_separate(summed, seps, mask, lam=lam, max_iters=max_iters)
     trace = report.objective_trace
     assert len(trace) == report.iterations + 1
-    assert abs(trace[-1] - (data_term + lam * relations)) <= 1e-9 * trace[0]
+    assert abs(trace[-1] - split_objective(out, summed, mask, seps, lam)) <= 1e-9 * trace[0]
+
+
+def bench_split():
+    """The benchmark's undersampled two-slice split: the summed samples,
+    the uniform R=2 mask and the separators fitted on its calibration."""
+    grid = centered_grid(64, 1.0)
+    truth = sms_slice_samples(SmsScene(bench_slices()), grid)
+    mask = gen_mask(MaskSpec("uniform", 2, 12), grid)
+    seps = [sms_fit_separator(truth, m, 2, 2, mask.calib)[0] for m in range(2)]
+    return sms_superpose(truth), mask, seps
+
+
+def split_objective(out, summed, mask, seps, lam):
+    """The objective recomputed at the slices with the public convolution:
+    summed data consistency where acquired, plus lam times each separator
+    relation conv(sum, f_m) - x_m over the valid range."""
+    n = summed.grid.shape[0]
+    total = KSignal(summed.grid, out.values.sum(axis=0))
+    data_term = np.sum(np.abs(total.values - summed.values)[mask.acquired] ** 2)
+    relations = sum(
+        np.sum(np.abs(conv_apply(total, f).values - out.values[m, f.P:n - f.L]) ** 2)
+        for m, f in enumerate(seps)
+    )
+    return data_term + lam * relations
+
+
+def test_direct_split_is_the_minimum_norm_least_squares():
+    # The bench split's normal matrix is exactly singular: zpotrf fails,
+    # and four eigenvalues sit at round-off, about 1e-16 against 4.4.
+    # The direct solve then takes the minimum-norm solution over the
+    # rest, which gelsd gives with the matching cut on singular values
+    # (gelsd's own cut keeps round-off null directions: 100% off).
+    summed, mask, seps = bench_split()
+    out, report = sms_separate(summed, seps, mask)
+    assert (report.iterations, report.converged, report.notes) == (1, True, ())
+    trace = report.objective_trace
+    assert trace[0] == pytest.approx(np.sum(np.abs(summed.values[mask.acquired]) ** 2), rel=1e-14)
+    assert trace[1] == pytest.approx(split_objective(out, summed, mask, seps, 1.0), rel=1e-9)
+    rows, rhs = loop_rows(seps, mask.acquired, 1.0, summed.values)
+    n = rows.shape[1]
+    want = scipy.linalg.lstsq(rows, rhs, cond=np.sqrt(n * EPS), lapack_driver="gelsd")[0]
+    got = out.stack().reshape(-1)
+    # Measured: 1.6e-10, against kappa eps = 4.4e-10.
+    assert np.linalg.norm(got - want) <= 4 * report.conditioning * EPS * np.linalg.norm(want)
+    # The condition number over the range: the extreme eigenvalues kept.
+    taps, acq = split_taps(seps), mask.acquired[None]
+    y = np.where(acq, summed.values, 0.0)
+    _, m, _ = lpk.recon._normal_system(taps, (2,) + acq.shape[1:], y, acq, 1.0)
+    assert scipy.linalg.lapack.zpotrf(m, lower=1)[1] > 0
+    sv = np.linalg.svd(m, compute_uv=False)
+    kept = sv[sv > n * EPS * sv[0]]
+    assert sv.size - kept.size == 4
+    kappa = report.conditioning
+    assert kappa == pytest.approx(kept[0] / kept[-1], rel=n * EPS * kappa)
+
+
+EPS = np.finfo(float).eps
+
+
+def split_taps(seps):
+    """The split's ``[R, R, *W]`` bank: ``h[m, q] = f_m - [q = m] δ₀``."""
+    taps = np.repeat(np.stack([f.taps for f in seps])[:, None], len(seps), axis=1)
+    for m, f in enumerate(seps):
+        taps[(m, m) + (f.L,) * f.taps.ndim] -= 1.0
+    return taps
 
 
 def test_bench_separators_bound_the_joint_split():
@@ -260,6 +314,30 @@ def loop_normal(seps, acq, lam):
     return apply_a
 
 
+def loop_rows(seps, acq, lam, summed):
+    """The joint split's least-squares rows on identity columns, and its
+    right-hand side: the sum at acquired samples, then ``sqrt(lam)`` times
+    each separator relation from the loop of :func:`loop_normal`."""
+    L = seps[0].L
+    vsl = tuple(slice(seps[0].P, n - L) for n in acq.shape)
+    shape = (len(seps),) + acq.shape
+
+    def rows(vec):
+        x = vec.reshape(shape)
+        t = x.sum(axis=0)
+        relations = [
+            scipy.signal.convolve(t, f.taps, mode="valid", method="direct") - x[m][vsl]
+            for m, f in enumerate(seps)
+        ]
+        return np.concatenate([t[acq]] + [np.sqrt(lam) * r.ravel() for r in relations])
+
+    eye = np.eye(int(np.prod(shape)))
+    matrix = np.array([rows(e) for e in eye]).T
+    rhs = np.zeros(matrix.shape[0], dtype=complex)
+    rhs[: int(acq.sum())] = summed[acq]
+    return matrix, rhs
+
+
 def cplx(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
@@ -283,15 +361,16 @@ def separation_cases(draw):
     return rng, seps, acq, draw(st.sampled_from([0.5, 1.0, 2.0]))
 
 
-# A bound on the lifted window matrix that forces each evaluation of
-# ``recon._BankOperator``.
-FORCING = {"window": 2**62, "fft": 0}
+# A bound on the unknowns that forces each path of ``recon._bank_solve``
+# by the bank evaluation it runs on: the normal matrix assembled from
+# window rows and solved directly, or CG on the FFT evaluation.
+FORCING = {"window": 2**62, "fft": -1}
 
 
 @contextlib.contextmanager
 def forced(evaluation):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lpk.recon, "_WINDOW_CELLS", FORCING[evaluation])
+        mp.setattr(lpk.recon, "_DIRECT_UNKNOWNS", FORCING[evaluation])
         yield
 
 
@@ -306,7 +385,7 @@ def solved_normal(seps, acq, lam):
         seen.append(apply_a)
         return cg(apply_a, *args)
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, forced("fft"):
         mp.setattr(lpk.recon, "_cg", spy)
         zeros = KSignal(grid, np.zeros(acq.shape, complex))
         sms_separate(zeros, seps, SamplingMask(grid, acq), lam=lam)
@@ -314,15 +393,28 @@ def solved_normal(seps, acq, lam):
     return apply_a
 
 
+def assembled_normal(seps, acq, lam):
+    """The normal matrix the direct solve assembles for the split."""
+    y = np.zeros((1,) + acq.shape, dtype=complex)
+    shape = (len(seps),) + acq.shape
+    _, m, _ = lpk.recon._normal_system(split_taps(seps), shape, y, acq[None], lam)
+    return lambda vec: m @ vec
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(case=separation_cases())
 def test_joint_normal_operator_matches_the_separator_loop(case):
+    # The CG operator on a random vector, and the assembled matrix on
+    # every identity column of the draws the direct solve takes (every
+    # 1D one) and on the random vector above that.
     rng, seps, acq, lam = case
     vec = cplx(rng, (len(seps),) + acq.shape).reshape(-1)
-    want = loop_normal(seps, acq, lam)(vec)
-    for evaluation in FORCING:
-        with forced(evaluation):
-            got = solved_normal(seps, acq, lam)(vec)
+    small = vec.size <= lpk.recon._DIRECT_UNKNOWNS
+    columns = np.eye(vec.size, dtype=complex) if small else vec[:, None]
+    loop = loop_normal(seps, acq, lam)
+    for vecs, normal in ((vec[:, None], solved_normal), (columns, assembled_normal)):
+        want = np.array([loop(v) for v in vecs.T]).T
+        got = np.array([normal(seps, acq, lam)(v) for v in vecs.T]).T
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -340,14 +432,13 @@ def test_joint_solve_matches_cg_on_the_separator_loop(case):
     b = np.broadcast_to(np.where(acq, summed.values, 0.0), shape).reshape(-1)
     want, iters, *_ = lpk.recon._cg(loop_normal(seps, acq, lam), b.copy(), 1e-30, 10)
     assert iters == 10
-    for evaluation in FORCING:
-        with forced(evaluation):
-            out, report = sms_separate(
-                summed, seps, SamplingMask(grid, acq), lam=lam, tol=1e-30, max_iters=10
-            )
-        assert report.iterations == iters
-        got = out.stack().reshape(-1)
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    with forced("fft"):
+        out, report = sms_separate(
+            summed, seps, SamplingMask(grid, acq), lam=lam, tol=1e-30, max_iters=10
+        )
+    assert report.iterations == iters
+    got = out.stack().reshape(-1)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_coil_separation_is_the_per_coil_convolution_sum():
