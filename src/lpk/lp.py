@@ -36,6 +36,7 @@ from typing import Mapping
 
 import numpy as np
 from scipy import signal as _sps
+from scipy.linalg import lapack as _lapack
 
 from .core import (
     Filter,
@@ -357,10 +358,12 @@ def missing_patterns(mask: SamplingMask, L: int, P: int) -> dict[str, np.ndarray
     windows = np.lib.stride_tricks.sliding_window_view(padded, (L + P + 1,) * dims)
     bits = windows[tuple(missing.T)].reshape(len(missing), -1)
     # Big-endian packed rows sort bytewise like the 0/1 strings they
-    # spell, so groups come out sorted.
+    # spell, so groups come out sorted.  Viewed as one void scalar each,
+    # the rows compare bytewise too, and one 1-D sort groups them.
     packed = np.packbits(bits, axis=1)
     _, first, inverse, counts = np.unique(
-        packed, axis=0, return_index=True, return_inverse=True, return_counts=True
+        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+        return_index=True, return_inverse=True, return_counts=True,
     )
     # A stable sort keeps each group's positions in ascending order.
     order = np.argsort(inverse.reshape(-1), kind="stable")
@@ -394,9 +397,11 @@ def fit_interpolation_filters(
     ``k = 0`` tap reads the sample itself, so it is never a source, and
     every channel's fit uses the same source columns: the pattern's
     acquired offsets in every channel.  Each pattern therefore costs one
-    factorization of that Gram block, shared by every channel, with one
-    right-hand side per channel's ``k = 0`` column.  Requires
-    ``mask.calib``.
+    Cholesky factorization of that Gram block plus ``ridge`` (None:
+    ``1e-9 *`` the largest Gram diagonal) on its diagonal, shared by every
+    channel, with one right-hand side per channel's ``k = 0`` column.
+    Requires ``mask.calib``.  A block that is not positive definite, as
+    with all-zero data and no positive ridge, raises SingularFitError.
 
     Returns a map from signature to that pattern's read-only ``[Q, Q,
     *W]`` tap array (``W = L + P + 1`` per axis): ``[m]`` is the filter
@@ -422,6 +427,7 @@ def fit_interpolation_filters(
     tgts = channels * per + cm.col_index(0, (0,) * cm.dims)
     tt = gram[tgts, tgts].real
     live = tt > 0
+    gram.flat[:: len(gram) + 1] += ridge
 
     out: dict[str, np.ndarray] = {}
     quality: dict[str, tuple[float, float]] = {}
@@ -430,9 +436,13 @@ def fit_interpolation_filters(
         if not src_flat.size:
             continue  # fully missing neighborhood admits no filter
         src_cols = (channels[:, None] * per + src_flat).ravel()
-        sub = gram[np.ix_(src_cols, src_cols)]
+        # A fresh Fortran-ordered block, which zposv factors in place; rhs
+        # holds no ridged diagonal entry, since a target is never a source.
+        block = gram.T[np.ix_(src_cols, src_cols)].T
         rhs = gram[np.ix_(src_cols, tgts)]
-        coef = np.linalg.solve(sub + ridge * np.eye(len(src_cols)), rhs)
+        _chol, coef, info = _lapack.zposv(block, rhs, lower=1, overwrite_a=1)
+        if info:
+            raise SingularFitError(f"pattern {sig}: Gram block is singular; pass a positive ridge")
         taps = np.zeros((q_count, q_count * per), dtype=np.complex128)
         taps[:, src_cols] = coef.T
         taps[channels, tgts] = -1.0
@@ -442,10 +452,11 @@ def fit_interpolation_filters(
         taps.setflags(write=False)
         out[sig] = taps
         if return_quality:
-            # ||A_src c_m - a_m||^2 per channel m, expanded through the Gram.
-            rsq = tt + np.einsum("im,im->m", coef.conj(), sub @ coef - 2 * rhs).real
-            rel = np.sqrt(np.maximum(rsq[live], 0.0) / tt[live])
+            # ||A_src c_m - a_m||^2 per channel m through the Gram: with
+            # (G_src + ridge) c_m = r_m it is t_m - Re(c_m^H r_m) - ridge |c_m|^2.
             energy = np.sum(np.abs(coef) ** 2, axis=0)
+            rsq = tt - np.einsum("im,im->m", coef.conj(), rhs).real - ridge * energy
+            rel = np.sqrt(np.maximum(rsq[live], 0.0) / tt[live])
             quality[sig] = (float(np.max(rel, initial=0.0)), float(np.max(energy)))
     if return_quality:
         return out, quality
@@ -500,6 +511,8 @@ def interpolate_missing(
     windows = np.lib.stride_tricks.sliding_window_view(
         padded, (L + P + 1,) * dims, axis=tuple(range(1, dims + 1))
     )
+    # [*N, Q, *W]: a group's gather is one C-ordered [count, Q·ΠW] block.
+    windows = np.moveaxis(windows, 0, dims)
     anchors = (np.arange(q_count), np.arange(q_count)) + (L,) * dims
     for sig, pos in groups.items():
         if sig not in filters:
@@ -512,10 +525,9 @@ def interpolate_missing(
         taps[anchors] = 0.0
         if np.any((taps != 0) & ~_source_taps(sig).reshape(shape[2:])):
             raise UncoveredPatternError([f"{sig} (tap on unacquired offset)"])
-        taps = np.flip(taps, axis=tuple(range(2, dims + 2))).reshape(q_count, q_count, -1)
-        at = (slice(None),) + tuple(pos.T)
-        win = windows[at].reshape(q_count, len(pos), -1)
-        out[at] = np.einsum("mqj,qcj->mc", taps, win)
+        taps = np.flip(taps, axis=tuple(range(2, dims + 2))).reshape(q_count, -1)
+        win = windows[tuple(pos.T)].reshape(len(pos), -1)
+        out[(slice(None),) + tuple(pos.T)] = taps @ win.T
     return MultiKSignal.from_array(ms.grid, out)
 
 
@@ -667,7 +679,11 @@ def _tail(c_tot: float, kmax: int, grid: KGrid, L: int, P: int) -> float:
 
 
 # Indices per chunk of the sample-side energy sum, bounding its memory.
-_CHUNK = 1 << 20
+# Theorem 1 on 2^20 points (9 taps) on a 2-vCPU Xeon VM, median time and
+# traced peak per chunk: 2^12 72 ms 0.6 MiB; 2^14 69 ms 1.9 MiB; 2^16 68 ms
+# 7.0 MiB; 2^18 81 ms 28 MiB; 2^20 127 ms 96 MiB.  Up to 2^16 a chunk's
+# arrays stay in L2; the lhs moves by < 1e-15 relative.
+_CHUNK = 1 << 16
 
 
 def _lhs_energy(sample_fns, taps, L: int, P: int, grid: KGrid) -> float:

@@ -25,6 +25,7 @@ from lpk.harness import (
     run_experiment,
 )
 from lpk.lp import (
+    SingularFitError,
     fit_interpolation_filters,
     interpolate_missing,
     missing_patterns,
@@ -197,6 +198,15 @@ class TestInterpEngine:
         est = interpolate_missing(measured, mask, fmap, L, P, strict=False)
         assert not np.array_equal(est.stack(), measured.stack())
         ENGINES["interp"](measured, mask, {"L": L, "P": P})
+
+    def test_all_zero_data_is_a_singular_fit(self):
+        # Zero calibration data give zero Gram blocks, and the default
+        # ridge scales with the Gram diagonal, so it is zero too.
+        grid = centered_grid((16, 16), 1.0)
+        mask = gen_mask(MaskSpec("uniform", 2, 8), grid)
+        measured = MultiKSignal.from_array(grid, np.zeros((2,) + grid.shape, dtype=complex))
+        with pytest.raises(SingularFitError, match=r"pattern [01]{25}: .*positive ridge"):
+            ENGINES["interp"](measured, mask, {})
 
     def test_pass_that_imputes_nothing_is_not_counted(self):
         grid = centered_grid(64, 1.0)

@@ -7,6 +7,7 @@ quadrature route for spatial energies.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from lpk.core import (
     Filter, KGrid, KSignal, MultiKSignal, SamplingMask, centered_grid, conv_response,
+    zero_fill,
 )
-from lpk.harness import add_noise, demo_scene_1d
+from lpk.harness import ENGINES, MaskSpec, add_noise, demo_scene_1d, demo_scene_2d, gen_mask
 from lpk.io import read_json, write_json
-from lpk import lp
+from lpk import harness, lp
 from lpk.lp import (
     FilterBank,
     SingularFitError,
@@ -490,8 +492,6 @@ class TestSharedPatternSolve:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_per_channel_solves(self, data):
-        from lpk.harness import MaskSpec, gen_mask
-
         dims = data.draw(st.sampled_from([1, 2]))
         q_count = data.draw(st.integers(1, 4))
         pairs = [(0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (1, 3)] if dims == 1 else [
@@ -517,6 +517,36 @@ class TestSharedPatternSolve:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             np.testing.assert_allclose(quality[sig], want_quality[sig], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_engine_matches_per_channel_solves_on_a_bench_case(self, seed, monkeypatch):
+        # The random2d workload scaled to 24 x 24: eight coils, random R=3
+        # lines, calibration 16, noise 1e-3 of the RMS sample, the default
+        # ridge and one pass.  144 calibration rows against 200 taps leave
+        # the ridge to condition each block (measured: 7e-11 relative).
+        grid = centered_grid((24, 24), 1.0)
+        truth = scene_samples(demo_scene_2d(), grid)
+        rms = float(np.sqrt(np.mean(np.abs(truth.stack()) ** 2)))
+        mask = gen_mask(MaskSpec("random", 3, 16, seed=seed), grid)
+        measured = zero_fill(add_noise(truth, 1e-3 * rms, seed), mask)
+        est, report = ENGINES["interp"](measured, mask, {"passes": 1})
+        monkeypatch.setattr(
+            harness, "fit_interpolation_filters",
+            lambda data, mask, L, P, ridge, return_quality: per_channel_fit(data, mask, L, P, ridge),
+        )
+        want, want_report = ENGINES["interp"](measured, mask, {"passes": 1})
+        assert report == want_report and report.iterations == 1
+        assert np.linalg.norm(est.stack() - want.stack()) <= 1e-8 * np.linalg.norm(want.stack())
+
+    @pytest.mark.parametrize("ridge", [None, 0.0])
+    def test_a_singular_pattern_block_names_the_pattern(self, ridge):
+        grid = centered_grid((16, 16), 1.0)
+        mask = gen_mask(MaskSpec("uniform", 2, 8), grid)
+        data = MultiKSignal.from_array(grid, np.zeros((2,) + grid.shape, dtype=complex))
+        first = next(iter(missing_patterns(mask, 2, 2)))
+        with pytest.raises(SingularFitError, match=f"pattern {first}: .*pass a positive ridge"):
+            fit_interpolation_filters(data, mask, 2, 2, ridge)
+        assert fit_interpolation_filters(data, mask, 2, 2, 1e-3)
+
 
 def per_tap_gather(stacked, mask, filters, L, P):
     """Per-sample, per-tap imputation: the oracle for the batched gather."""
@@ -539,7 +569,8 @@ def per_tap_gather(stacked, mask, filters, L, P):
 
 
 class TestMissingPatterns:
-    @pytest.mark.parametrize("L,P", [(0, 2), (2, 0), (1, 1), (1, 3)])
+    # (4, 4) packs a 2D window into 81 bits, rows of 11 bytes.
+    @pytest.mark.parametrize("L,P", [(0, 2), (2, 0), (1, 1), (1, 3), (4, 4)])
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(data=st.data())
     def test_groups_match_per_index_signatures(self, L, P, data):
@@ -564,8 +595,6 @@ class TestMissingPatterns:
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**16))
     def test_batched_imputation_matches_per_tap_gather(self, seed):
-        from lpk.harness import MaskSpec, gen_mask
-
         L, P = 1, 2
         grid = centered_grid((14, 12), 1.0)
         mask = gen_mask(MaskSpec("random", 2, 10, seed=seed), grid)
@@ -740,6 +769,20 @@ class TestAnnihilationIdentity:
         assert whole.lhs == pytest.approx(np.sum(np.abs(resp) ** 2), rel=1e-13)
         monkeypatch.setattr(lp, "_CHUNK", 7)
         assert check_annihilation_identity(ph, filt, g).lhs == pytest.approx(whole.lhs, rel=1e-13)
+
+    def test_a_long_grid_is_summed_in_small_chunks(self):
+        # The benchmark's theorem-1 check: 2^20 indices.  One chunk of the
+        # whole grid traced a 96 MiB peak.
+        ph = boxcar()
+        filt = smallest_eigensequences(gram_operator(ph, 4, 4), 1).filters[0].filters[0]
+        grid = centered_grid(1 << 20, 1.0)
+        tracemalloc.start()
+        try:
+            check_annihilation_identity(ph, filt, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("grid", [33, 65, 257])
     def test_tail_bound_covers_the_truncated_ellipse_energy(self, grid):
