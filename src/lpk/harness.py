@@ -196,7 +196,8 @@ def _engine_interp(
     samples still missing (:func:`fit_interpolation_filters`), keeps the
     arrays whose fit passes the residual and gain gates below, imputes
     their samples (:func:`interpolate_missing`) and counts them as
-    acquired for the next pass.
+    acquired for the next pass.  All three read one pass mask, so they
+    share its one :func:`missing_patterns` grouping.
     """
     cur = zero_fill(_as_multi(measured), mask)
     grid = cur.grid

@@ -31,6 +31,8 @@ and the imputation applies it as is.
 from __future__ import annotations
 
 import functools
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -326,6 +328,8 @@ def pattern_signature(mask: SamplingMask, n, L: int, P: int) -> str:
     One character per window offset in ascending index order (row-major
     across axes in 2D); offsets outside the grid read as ``0``.
     """
+    if L < 0 or P < 0:
+        raise ValueError("L and P must be nonnegative")
     n = _axes_int(n, "n")
     if len(n) != mask.grid.dims:
         raise ValueError(f"index {n} does not match a {mask.grid.dims}D grid")
@@ -342,14 +346,34 @@ def pattern_signature(mask: SamplingMask, n, L: int, P: int) -> str:
     return (bits.view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
+# Groups of each live mask, by (L, P).  A SamplingMask's acquired array
+# is a read-only copy and its hash is its identity, so its groups cannot
+# go stale; the weak keys drop them with the mask.  Their values hold no
+# reference to the mask.  Two threads grouping one mask at once both
+# compute it, and either result is the stored one.
+_GROUPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def missing_patterns(mask: SamplingMask, L: int, P: int) -> dict[str, np.ndarray]:
     """Missing samples grouped by local pattern, in sorted signature order.
 
-    Maps each :func:`pattern_signature` to the ``(count, dims)`` array
-    positions of the missing samples whose window has it.
+    Maps each :func:`pattern_signature` to the read-only ``(count, dims)``
+    array positions of the missing samples whose window has it.  A mask
+    is grouped once per ``(L, P)`` while it lives; each call returns a
+    fresh dict over those arrays, so the fit, the imputation and the
+    ``interp`` engine share one grouping of a mask.
     """
     if L < 0 or P < 0:
         raise ValueError("L and P must be nonnegative")
+    # A float L or P fails here, not on an integer's stored groups.
+    key = (operator.index(L), operator.index(P))
+    by_window = _GROUPS.setdefault(mask, {})
+    if key not in by_window:
+        by_window[key] = _group_missing(mask, L, P)
+    return dict(by_window[key])
+
+
+def _group_missing(mask: SamplingMask, L: int, P: int) -> dict[str, np.ndarray]:
     missing = mask.missing_positions()
     if missing.size == 0:
         return {}
@@ -365,9 +389,12 @@ def missing_patterns(mask: SamplingMask, L: int, P: int) -> dict[str, np.ndarray
         packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
         return_index=True, return_inverse=True, return_counts=True,
     )
-    # A stable sort keeps each group's positions in ascending order.
-    order = np.argsort(inverse.reshape(-1), kind="stable")
-    members = np.split(missing[order], np.cumsum(counts)[:-1])
+    # A stable sort keeps each group's positions in ascending order.  The
+    # groups are views of one read-only array, so none can be made
+    # writable again.
+    ordered = missing[np.argsort(inverse.reshape(-1), kind="stable")]
+    ordered.setflags(write=False)
+    members = np.split(ordered, np.cumsum(counts)[:-1])
     groups = {}
     for i, pos in zip(first, members):
         n = tuple(int(p + lo) for p, lo in zip(missing[i], mask.grid.n_min))
@@ -392,15 +419,17 @@ def fit_interpolation_filters(
     """Fit one anchored filter per channel for each missing-sample pattern.
 
     Missing samples are grouped by the signature of their local window
-    (:func:`missing_patterns`); each distinct pattern gets one fit.  All
-    fits share one calibration Gram matrix.  A missing sample's own
-    ``k = 0`` tap reads the sample itself, so it is never a source, and
-    every channel's fit uses the same source columns: the pattern's
-    acquired offsets in every channel.  Each pattern therefore costs one
-    Cholesky factorization of that Gram block plus ``ridge`` (None:
-    ``1e-9 *`` the largest Gram diagonal) on its diagonal, shared by every
-    channel, with one right-hand side per channel's ``k = 0`` column.
-    Requires ``mask.calib``.  A block that is not positive definite, as
+    (:func:`missing_patterns`, whose grouping of ``mask`` a later
+    :func:`interpolate_missing` on the same mask reuses); each distinct
+    pattern gets one fit.  All fits share one calibration Gram matrix.
+    A missing sample's own ``k = 0`` tap reads the sample itself, so it
+    is never a source, and every channel's fit uses the same source
+    columns: the pattern's acquired offsets in every channel.  Each
+    pattern therefore costs one Cholesky factorization of that Gram block
+    plus ``ridge`` (None: ``1e-9 *`` the largest Gram diagonal) on its
+    diagonal, shared by every channel, with one right-hand side per
+    channel's ``k = 0`` column.  Requires ``mask.calib``; a negative
+    ``ridge`` is a ValueError.  A block that is not positive definite, as
     with all-zero data and no positive ridge, raises SingularFitError.
 
     Returns a map from signature to that pattern's read-only ``[Q, Q,
@@ -418,6 +447,8 @@ def fit_interpolation_filters(
         raise GridMismatchError("data and mask grids differ")
     if mask.calib is None:
         raise ValueError("pattern fitting requires a calibration region")
+    if ridge is not None and ridge < 0:
+        raise ValueError("ridge must be nonnegative")
     cm = build_calib_matrix(ms, mask.calib, L, P)
     gram = cm.matrix.conj().T @ cm.matrix
     if ridge is None:
@@ -474,7 +505,8 @@ def interpolate_missing(
     """Impute every missing sample from acquired neighbors in one pass.
 
     Missing samples are grouped by local pattern signature
-    (:func:`missing_patterns` with the fit's ``L`` and ``P``); each
+    (:func:`missing_patterns` with the fit's ``L`` and ``P``, the grouping
+    :func:`fit_interpolation_filters` made of the same mask); each
     group's ``[Q, Q, *W]`` tap array, as :func:`fit_interpolation_filters`
     returns it, supplies ``x_m[n] = sum_{(q,k) != (m,0)} h[m, q, k]
     x_q[n-k]`` for the whole group at once.  The anchor taps ``h[m, m,

@@ -24,6 +24,7 @@ from lpk.harness import (
     gen_mask,
     run_experiment,
 )
+from lpk import lp
 from lpk.lp import (
     SingularFitError,
     fit_interpolation_filters,
@@ -295,6 +296,34 @@ class TestInterpPasses:
         assert (report.iterations, report.converged, report.notes) == (
             want_report.iterations, want_report.converged, want_report.notes,
         )
+
+    def test_groups_each_pass_mask_once(self, monkeypatch):
+        """The fit, the imputation and the coverage update of a pass share
+        one grouping of its mask: one ``pattern_signature`` call per group."""
+        grid = centered_grid(64, 1.0)
+        mask = gen_mask(MaskSpec("random", 3, 12, seed=0), grid)
+        measured = zero_fill(scene_samples(demo_scene_1d(), grid), mask)
+        signature = lp.pattern_signature
+        calls = []
+
+        def counted(m, n, L, P):
+            calls.append(m)
+            return signature(m, n, L, P)
+
+        monkeypatch.setattr(lp, "pattern_signature", counted)
+        _, report = ENGINES["interp"](measured, mask, {})
+        monkeypatch.undo()
+        pass_masks = list({id(m): m for m in calls}.values())
+        assert report.iterations == len(pass_masks) == 4
+        groups = [
+            {
+                signature(m, tuple(int(p + lo) for p, lo in zip(pos, grid.n_min)), 2, 2)
+                for pos in m.missing_positions()
+            }
+            for m in pass_masks
+        ]
+        assert [sum(c is m for c in calls) for m in pass_masks] == [len(g) for g in groups]
+        assert len(calls) == sum(len(g) for g in groups)
 
 
 class TestLowrankEngine:

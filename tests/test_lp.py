@@ -6,8 +6,10 @@ Faddeev-LeVerrier characteristic polynomial for eigenvalues, and the
 quadrature route for spatial energies.
 """
 
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -487,6 +489,14 @@ class TestPatternSignature:
         with pytest.raises(ValueError, match="integers"):
             pattern_signature(mask, (0.5, 0), 1, 1)
 
+    @pytest.mark.parametrize("L,P", [(-1, 1), (-3, 1), (1, -1)])
+    def test_negative_lengths_are_rejected_as_by_the_grouping(self, L, P):
+        mask = SamplingMask(centered_grid(8, 1.0), np.arange(8) % 2 == 0)
+        with pytest.raises(ValueError, match="^L and P must be nonnegative$"):
+            pattern_signature(mask, 0, L, P)
+        with pytest.raises(ValueError, match="^L and P must be nonnegative$"):
+            missing_patterns(mask, L, P)
+
 
 class TestSharedPatternSolve:
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -547,6 +557,18 @@ class TestSharedPatternSolve:
             fit_interpolation_filters(data, mask, 2, 2, ridge)
         assert fit_interpolation_filters(data, mask, 2, 2, 1e-3)
 
+    @pytest.mark.parametrize("ridge", [-1e-12, -1e-3])
+    def test_a_negative_ridge_is_rejected_before_any_fit(self, ridge):
+        grid = centered_grid(16, 1.0)
+        mask = gen_mask(MaskSpec("uniform", 2, 6), grid)
+        rng = np.random.default_rng(5)
+        stacked = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        data = MultiKSignal.from_array(grid, np.where(mask.acquired, stacked, 0.0))
+        with pytest.raises(ValueError, match="^ridge must be nonnegative$"):
+            fit_interpolation_filters(data, mask, 1, 1, ridge)
+        with pytest.raises(ValueError, match="^ridge must be nonnegative$"):
+            ENGINES["interp"](data, mask, {"L": 1, "P": 1, "ridge": ridge})
+
 
 def per_tap_gather(stacked, mask, filters, L, P):
     """Per-sample, per-tap imputation: the oracle for the batched gather."""
@@ -591,6 +613,46 @@ class TestMissingPatterns:
                 seen.append(tuple(int(p) for p in pos))
         assert len(seen) == len(set(seen))
         assert sorted(seen) == sorted(map(tuple, mask.missing_positions().tolist()))
+
+    def test_stored_groups_are_read_only_private_and_die_with_the_mask(self):
+        grid = centered_grid((12, 10), 1.0)
+        bits = gen_mask(MaskSpec("random", 2, 4, seed=3), grid).acquired.copy()
+        source = bits.copy()
+        mask = SamplingMask(grid, source)
+        got = missing_patterns(mask, 1, 2)
+        assert len(got) > 1
+        for pos in got.values():
+            assert not pos.flags.writeable
+            with pytest.raises(ValueError):
+                pos.setflags(write=True)
+        # A caller's edits to the dict it got reach no other caller.
+        dropped = next(iter(got))
+        del got[dropped]
+        got["junk"] = np.zeros((0, 2), dtype=np.intp)
+        # The mask holds a copy, so editing its source array changes nothing.
+        source[:] = True
+        for L, P in [(1, 2), (2, 0)]:
+            again = missing_patterns(mask, L, P)
+            fresh = missing_patterns(SamplingMask(grid, bits), L, P)
+            assert list(again) == list(fresh)
+            assert all(np.array_equal(again[s], fresh[s]) for s in fresh)
+        assert dropped in missing_patterns(mask, 1, 2)
+        # Equal to the stored key (1, 2), but not an integer window.
+        with pytest.raises(TypeError):
+            missing_patterns(mask, 1.0, 2)
+        # The table keeps no mask alive: each entry goes with its mask, and
+        # an engine call leaves none of its pass masks' entries behind.
+        held = weakref.ref(mask)
+        assert mask in lp._GROUPS
+        del mask
+        gc.collect()
+        assert held() is None
+        entries = len(lp._GROUPS)
+        run_mask = gen_mask(MaskSpec("random", 2, 8), grid)
+        measured = zero_fill(scene_samples(demo_scene_2d(), grid), run_mask)
+        assert ENGINES["interp"](measured, run_mask, {"passes": 2})[1].iterations == 2
+        gc.collect()
+        assert len(lp._GROUPS) == entries
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**16))
