@@ -19,11 +19,12 @@ from .core import (
     KSignal,
     MultiFilter,
     SamplingMask,
+    _centered_interval,
     centered_grid,
     zero_fill,
 )
 from .harness import ENGINES, MaskSpec, add_noise, gen_mask, nrmse, run_experiment
-from .io import LpkFormatError, read_json, read_lpk, write_json, write_lpk
+from .io import LpkFormatError, _from_doc, read_json, read_lpk, write_json, write_lpk
 from .lp import (
     FilterBank,
     _as_multi,
@@ -103,20 +104,6 @@ def _load_samples(path):
     return data
 
 
-def _from_doc(path, build, doc):
-    """``build(doc)``, with a document of the wrong structure (a missing
-    field, a list where an object belongs, a bad value) a data error that
-    names ``path``."""
-    try:
-        return build(doc)
-    except KeyError as exc:
-        raise _DataError(f"{path}: missing field {exc}") from exc
-    except (TypeError, AttributeError) as exc:
-        raise _DataError(f"{path}: malformed document: {exc}") from exc
-    except ValueError as exc:
-        raise _DataError(f"{path}: {exc}") from exc
-
-
 def _load_scene_doc(path):
     doc = _load(read_json, path)
     if isinstance(doc, dict) and doc.get("kind") in ("scene", "sms-scene"):
@@ -182,8 +169,7 @@ def _cmd_sample(args) -> int:
 def _calib_arg(args, grid):
     if args.calib is None or args.calib == 0:
         return None
-    w = args.calib
-    return tuple((-(w // 2), w - w // 2 - 1) for _ in range(grid.dims))
+    return (_centered_interval(args.calib),) * grid.dims
 
 
 def _cmd_fit(args) -> int:

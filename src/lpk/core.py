@@ -148,13 +148,20 @@ class KGrid:
         return KGrid.window(lo, hi, self.fov)
 
 
+def _centered_interval(width: int) -> tuple[int, int]:
+    """Inclusive bounds of ``width`` indices centered on 0:
+    ``[-(w // 2), w - w // 2 - 1]``."""
+    return -(width // 2), width - width // 2 - 1
+
+
 def centered_grid(shape, fov) -> KGrid:
-    """Grid of ``shape[a]`` indices per axis centered on 0: ``[-s//2, s - s//2 - 1]``."""
-    shape = _axes_int(shape, "shape")
+    """Grid of ``shape[a]`` indices per axis centered on 0 (see
+    :func:`_centered_interval`)."""
+    bounds = [_centered_interval(s) for s in _axes_int(shape, "shape")]
     return KGrid(
-        tuple(-(s // 2) for s in shape),
-        tuple(s - s // 2 - 1 for s in shape),
-        fov if not np.isscalar(fov) else (float(fov),) * len(shape),
+        tuple(lo for lo, _ in bounds),
+        tuple(hi for _, hi in bounds),
+        fov if not np.isscalar(fov) else (float(fov),) * len(bounds),
     )
 
 
@@ -397,8 +404,12 @@ class SamplingMask:
             acq = acq.astype(bool)
         if acq.shape != self.grid.shape:
             raise ValueError(f"acquired shape {acq.shape} does not match grid {self.grid.shape}")
+        # A read-only view of a read-only private copy: numpy refuses to
+        # make the view writeable again, so stored groups of its missing
+        # samples (``lp.missing_patterns``) cannot go stale.
         acq = acq.copy()
         acq.setflags(write=False)
+        acq = acq.view()
         object.__setattr__(self, "acquired", acq)
         calib = _normalize_calib(self.calib, self.grid)
         if calib is not None and not np.all(acq[self.calib_slices(calib)]):

@@ -27,8 +27,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import KGrid, SamplingMask, _integer, _like, centered_grid, zero_fill
-from .io import read_json, write_json
+from .core import (
+    KGrid,
+    SamplingMask,
+    _centered_interval,
+    _integer,
+    _like,
+    centered_grid,
+    zero_fill,
+)
+from .io import _from_doc, read_json, write_json
 from .lp import (
     _as_multi,
     fit_interpolation_filters,
@@ -86,10 +94,6 @@ class MaskSpec:
         return "-".join(parts)
 
 
-def _calib_interval(width: int) -> tuple[int, int]:
-    return -(width // 2), width - width // 2 - 1
-
-
 def gen_mask(spec: MaskSpec, grid: KGrid) -> SamplingMask:
     """Generate the sampling pattern a spec describes, deterministically.
 
@@ -109,7 +113,7 @@ def gen_mask(spec: MaskSpec, grid: KGrid) -> SamplingMask:
         raise ValueError(f"calib width {cw} exceeds grid extent {min(grid.shape)}")
     calib = None
     if want_calib and cw > 0:
-        calib = tuple(_calib_interval(cw) for _ in range(grid.dims))
+        calib = (_centered_interval(cw),) * grid.dims
 
     if spec.kind == "stencil":
         bitmap = np.asarray(spec.stencil, dtype=bool)
@@ -119,7 +123,7 @@ def gen_mask(spec: MaskSpec, grid: KGrid) -> SamplingMask:
             )
         sc = None
         if spec.calib:
-            sc = tuple(_calib_interval(spec.calib) for _ in range(grid.dims))
+            sc = (_centered_interval(spec.calib),) * grid.dims
         return SamplingMask(grid, bitmap, sc)
 
     if spec.kind == "random_pf":
@@ -138,7 +142,7 @@ def gen_mask(spec: MaskSpec, grid: KGrid) -> SamplingMask:
         lines[:] = True
     elif spec.kind == "lowres":
         count = -(-size0 // spec.r)
-        lo, hi = _calib_interval(count)
+        lo, hi = _centered_interval(count)
         lines[(n0 >= lo) & (n0 <= hi)] = True
     elif spec.kind == "uniform":
         lines[(n0 % spec.r == 0) & keep] = True
@@ -323,14 +327,7 @@ def resolve_scene(entry):
             doc = read_json(entry)
         except OSError as exc:
             raise ValueError(f"cannot read scene {entry}: {exc}") from exc
-        try:
-            return scene_from_json(doc), entry
-        except KeyError as exc:
-            raise ValueError(f"{entry}: missing field {exc}") from exc
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"{entry}: malformed document: {exc}") from exc
-        except ValueError as exc:
-            raise ValueError(f"{entry}: {exc}") from exc
+        return _from_doc(entry, scene_from_json, doc), entry
     return scene_from_json(entry), str(entry.get("kind", "scene"))
 
 

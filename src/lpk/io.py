@@ -173,6 +173,20 @@ def read_json(path):
         raise ValueError(f"parse error in {path} at byte offset {offset}: {exc.msg}") from exc
 
 
+def _from_doc(path, build, doc):
+    """``build(doc)``, with a document of the wrong structure (a missing
+    field, a list where an object belongs, a bad value) a ``ValueError``
+    that names ``path``."""
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed document: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def write_json(path, doc) -> None:
     """Write the JSON document ``doc`` to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -22,17 +22,20 @@ Two complementary routes:
   samples as constraints or as a weighted data term, solves it and
   reports it.  It has three users: ``annihilation_recon``, ``pf_recon``
   over virtual conjugate channels, and the undersampled
-  ``multi.sms_separate``, whose data term sees the slices summed.  The
-  path is chosen from the count of unknowns alone.  Small problems (every
-  1D benchmark solve) assemble the normal matrix from the window rows
-  that read an unknown and solve it at once: by Cholesky, or by an
-  eigendecomposition for the minimum-norm solution when it is singular.
-  Large ones run conjugate gradients, each step applying the whole bank
-  forward and back as one operator (``_BankOperator``) on the bank's
-  ``[F, Q, *W]`` tap array: cropped, zero-padded FFTs with the filter
-  spectra computed once, exact valid-range responses and no wraparound.
-  A CG solve that stops short of its tolerance says why in the report's
-  ``notes``.
+  ``multi.sms_separate``, whose data term sees the slices summed.  It
+  states the problem once (the mask ``free`` of the unknown samples, the
+  start whose ``free`` samples the solution replaces, and the ``runs``
+  of channels the data term sums), and both of its solvers read that
+  one statement.  The solver is chosen from the count of unknowns
+  alone.  Small problems (every 1D benchmark solve) assemble the normal
+  matrix from the window rows that read an unknown and solve it at
+  once: by Cholesky, or by an eigendecomposition for the minimum-norm
+  solution when it is singular.  Large ones run conjugate gradients,
+  each step applying the whole bank forward and back as one operator
+  (``_BankOperator``) on the bank's ``[F, Q, *W]`` tap array: cropped,
+  zero-padded FFTs with the filter spectra computed once, exact
+  valid-range responses and no wraparound.  A CG solve that stops short
+  of its tolerance says why in the report's ``notes``.
 
 Both come back with a :class:`ReconReport` describing what the solver
 did.  Conjugate symmetry lets the same machinery fill one-sided partial
@@ -147,21 +150,6 @@ def _reflect_values(arr: np.ndarray, grid: KGrid, fill=0):
 def _with_mirrors(x: np.ndarray, grid: KGrid) -> np.ndarray:
     """A ``[Q, *N]`` stack followed by its conjugate-mirrored channels."""
     return np.concatenate([x, _reflect_values(np.conj(x), grid)])
-
-
-def reflect_mask(mask: SamplingMask) -> SamplingMask:
-    """Mask of the conjugate-mirrored copy: acquired at n iff -n was acquired."""
-    acq = _reflect_values(mask.acquired, mask.grid, fill=False)
-    calib = None
-    if mask.calib is not None:
-        # The mirror of an acquired box, clipped to the grid, is acquired.
-        refl = tuple(
-            (max(-hi, lo_g), min(-lo, hi_g))
-            for (lo, hi), lo_g, hi_g in zip(mask.calib, mask.grid.n_min, mask.grid.n_max)
-        )
-        if all(lo <= hi for lo, hi in refl):
-            calib = refl
-    return SamplingMask(mask.grid, acq, calib)
 
 
 def _check_lift(grid: KGrid, L: int, P: int, variant: str) -> None:
@@ -571,11 +559,12 @@ def _response_energy(
 
 def _normal_system(
     taps: np.ndarray, shape: tuple[int, ...], y: np.ndarray, acq: np.ndarray, lam: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(unknown, m, b)``: the normal equations ``m u = b`` of the problem
-    ``_bank_solve`` poses, over the flat positions ``unknown`` of the
-    ``[Q, *N]`` stack (the missing samples with ``lam == 0``, every sample
-    otherwise), with ``y`` zero where not acquired.
+    free: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, b)``: the normal equations ``m u = b`` of the problem
+    ``_bank_solve`` poses, over the unknowns ``u``, the samples ``free``
+    marks on the ``[Q, *N]`` stack in flat order, with ``y`` zero where
+    not acquired.
 
     ``m = Hᵤᴴ Hᵤ`` is assembled from the windows that read an unknown:
     two unknown cells ``c, c'`` of one window add ``(tᴴt)[c, c']``, so no
@@ -585,14 +574,11 @@ def _normal_system(
     """
     starts, offsets, t = _bank_geometry(taps, shape)
     size = int(np.prod(shape))
-    if lam == 0.0:
-        unknown = np.flatnonzero(~acq)
-        # Windows whose footprint, on any channel, holds an unknown.
-        missing = (~acq).any(axis=0)
-        view = np.lib.stride_tricks.sliding_window_view(missing, taps.shape[2:])
-        starts = starts[view.any(axis=tuple(range(missing.ndim, view.ndim))).ravel()]
-    else:
-        unknown = np.arange(size)
+    unknown = np.flatnonzero(free)
+    # Windows whose footprint, on any channel, holds an unknown: the
+    # first ``ΠW`` offsets are channel 0's, which index the grid alone.
+    hit = free.any(axis=0).reshape(-1)
+    starts = starts[hit[np.add.outer(starts, offsets[: t.shape[1] // shape[0]])].any(axis=1)]
     n = unknown.size
     pos = np.full(size, -1)
     pos[unknown] = np.arange(n)
@@ -615,15 +601,14 @@ def _normal_system(
         # Each unknown cell's tap column against its window's response to y.
         resp = y.reshape(-1)[cells] @ t.T
         g = np.sum(resp[win] * t[:, cell].T.conj(), axis=1)
-        return unknown, m, -(np.bincount(col, g.real, n) + 1j * np.bincount(col, g.imag, n))
+        return m, -(np.bincount(col, g.real, n) + 1j * np.bincount(col, g.imag, n))
     m *= lam
     # The data term: every pair of channels in one run, at each acquired sample.
     runs = (y.shape[0], shape[0] // y.shape[0]) + y.shape[1:]
     flat = np.arange(size).reshape(runs)
     ids = np.moveaxis(flat, 1, -1)[acq]  # [acquired, run length]
     m[ids[:, :, None], ids[:, None, :]] += 1.0
-    b = np.broadcast_to(y[:, None], runs).reshape(-1)
-    return unknown, m, b
+    return m, np.broadcast_to(y[:, None], runs).reshape(-1)
 
 
 def _dense_solve(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -650,38 +635,6 @@ def _dense_solve(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return vecs @ ((vecs.conj().T @ b) / vals), float(vals[-1] / vals[0])
 
 
-def _direct_solve(
-    taps: np.ndarray, shape: tuple[int, ...], y: np.ndarray, acq: np.ndarray, lam: float,
-    max_iters: int, method: str,
-) -> tuple[np.ndarray, ReconReport]:
-    """``_bank_solve`` by one dense solve of its normal equations."""
-    starts, offsets, t = _bank_geometry(taps, shape)
-    runs = (y.shape[0], shape[0] // y.shape[0]) + y.shape[1:]
-
-    def objective(x):
-        energy = _response_energy(t, x, starts, offsets)
-        if lam == 0.0:
-            return energy
-        misfit = np.abs(x.reshape(runs).sum(axis=1) - y)[acq]
-        return float(np.sum(misfit ** 2)) + lam * energy
-
-    x = y.copy() if lam == 0.0 else np.zeros(shape, dtype=np.complex128)
-    trace = [objective(x)]
-    unknown, m, b = _normal_system(taps, shape, y, acq, lam)
-    if not b.any():
-        # The zero or zero-filled start is the minimum-norm solution.
-        return x, ReconReport(method, 0, True, tuple(trace))
-    if max_iters < 1:
-        return x, ReconReport(
-            method, 0, False, tuple(trace),
-            notes=(f"direct solve not taken at the iteration cap ({max_iters})",),
-        )
-    sol, kappa = _dense_solve(m, b)
-    x.reshape(-1)[unknown] = sol
-    trace.append(objective(x))
-    return x, ReconReport(method, 1, True, tuple(trace), conditioning=kappa)
-
-
 def _bank_solve(
     taps: np.ndarray, shape: tuple[int, ...], y: np.ndarray, acq: np.ndarray, lam: float,
     tol: float, max_iters: int, method: str,
@@ -699,70 +652,89 @@ def _bank_solve(
     ``lam > 0`` every sample is unknown, minimizing ``||D x - y||^2`` on
     acquired samples plus ``lam ||H x||^2``, ``D`` the run sums.
 
-    Up to ``_DIRECT_UNKNOWNS`` unknowns the normal equations are
-    assembled and solved at once (:func:`_dense_solve`): the report has
+    The problem is stated once, up front, and both solvers read it: the
+    ``[Q, *N]`` mask ``free`` of the unknowns, the start ``x`` (the
+    zero-filled data when hard, zeros when soft) whose ``free`` samples
+    the solution replaces, and the ``runs`` shape of the data term.  Up
+    to ``_DIRECT_UNKNOWNS`` unknowns the normal equations are assembled
+    and solved at once (:func:`_dense_solve`): the report has
     ``iterations`` 1 (0 when the start already solves them),
     ``converged`` true, the matrix's condition number, and the objective
     trace ``(f0, f(x))`` recomputed from the responses.  Larger problems
     run CG on the FFT evaluation of the bank: ``tol`` is its relative
     residual, ``iterations`` its steps, ``conditioning`` the Ritz estimate
     of its recursion, and the trace falls from ``f0`` by CG's exact step
-    decreases.  ``f0`` is the objective at the zero-filled (hard) or zero
-    (soft) start, and ``max_iters < 1`` takes no step on either path.
+    decreases.  ``f0`` is the objective at the start, and
+    ``max_iters < 1`` takes no step on either path.
     """
     _check_bank(taps, shape)
     y = np.where(acq, y, 0.0)
-    unknowns = int(np.count_nonzero(~acq)) if lam == 0.0 else int(np.prod(shape))
-    if unknowns <= _DIRECT_UNKNOWNS:
-        return _direct_solve(taps, shape, y, acq, lam, max_iters, method)
-    op = _BankOperator(taps, shape)
     if lam == 0.0:
-        miss = ~acq
-
-        def apply_a(vec):
-            x = np.zeros(shape, dtype=np.complex128)
-            x[miss] = vec
-            return op.adjoint(op.forward(x))[miss]
-
-        resp0 = op.forward(y)
-        f0 = float(np.sum(np.abs(resp0) ** 2))
-        grad0 = op.adjoint(resp0)
-        b = -grad0[miss]
-        # The FFT evaluation's round-off leaves ~eps-sized entries where
-        # the residual's gradient vanishes exactly (e.g. a bank that never
-        # couples a missing sample to an acquired one); CG must not step
-        # on them.
-        eps = np.finfo(float).eps
-        if np.linalg.norm(b) <= 64 * eps * np.linalg.norm(grad0):
-            b = np.zeros_like(b)
+        free, x = ~acq, y.copy()
     else:
-        runs = (y.shape[0], shape[0] // y.shape[0]) + y.shape[1:]
+        free, x = np.ones(shape, dtype=bool), np.zeros(shape, dtype=np.complex128)
+    runs = (y.shape[0], shape[0] // y.shape[0]) + y.shape[1:]
+    direct = np.count_nonzero(free) <= _DIRECT_UNKNOWNS
+    if direct:
+        starts, offsets, t = _bank_geometry(taps, shape)
 
-        def apply_a(vec):
-            penalty = lam * op.adjoint(op.forward(vec.reshape(shape)))
-            sums = np.where(acq, vec.reshape(runs).sum(axis=1), 0.0)
-            return (sums[:, None] + penalty.reshape(runs)).reshape(-1)
+        def objective(x):
+            energy = _response_energy(t, x, starts, offsets)
+            if lam == 0.0:
+                return energy
+            misfit = np.abs(x.reshape(runs).sum(axis=1) - y)[acq]
+            return float(np.sum(misfit ** 2)) + lam * energy
 
-        f0 = float(np.sum(np.abs(y[acq]) ** 2))
-        b = np.broadcast_to(y[:, None], runs).reshape(-1)
-    sol, iters, converged, alphas, betas, drops, notes = _cg(apply_a, b, tol, max_iters)
-    if lam == 0.0:
-        x = y.copy()
-        x[miss] = sol
+        trace = [objective(x)]
+        m, b = _normal_system(taps, shape, y, acq, lam, free)
+        if not b.any():
+            # The zero or zero-filled start is the minimum-norm solution.
+            return x, ReconReport(method, 0, True, tuple(trace))
+        if max_iters < 1:
+            return x, ReconReport(
+                method, 0, False, tuple(trace),
+                notes=(f"direct solve not taken at the iteration cap ({max_iters})",),
+            )
+        sol, kappa = _dense_solve(m, b)
+        iters, converged, notes = 1, True, ()
     else:
-        x = sol.reshape(shape)
-    trace = [f0]
-    for d in drops:
-        trace.append(trace[-1] - d)
-    report = ReconReport(
-        method=method,
-        iterations=iters,
-        converged=converged,
-        objective_trace=tuple(trace),
-        conditioning=_ritz_conditioning(alphas, betas),
-        notes=notes,
-    )
-    return x, report
+        op = _BankOperator(taps, shape)
+        if lam == 0.0:
+
+            def apply_a(vec):
+                z = np.zeros(shape, dtype=np.complex128)
+                z[free] = vec
+                return op.adjoint(op.forward(z))[free]
+
+            resp0 = op.forward(y)
+            f0 = float(np.sum(np.abs(resp0) ** 2))
+            grad0 = op.adjoint(resp0)
+            b = -grad0[free]
+            # The FFT evaluation's round-off leaves ~eps-sized entries where
+            # the residual's gradient vanishes exactly (e.g. a bank that never
+            # couples a missing sample to an acquired one); CG must not step
+            # on them.
+            eps = np.finfo(float).eps
+            if np.linalg.norm(b) <= 64 * eps * np.linalg.norm(grad0):
+                b = np.zeros_like(b)
+        else:
+
+            def apply_a(vec):
+                penalty = lam * op.adjoint(op.forward(vec.reshape(shape)))
+                sums = np.where(acq, vec.reshape(runs).sum(axis=1), 0.0)
+                return (sums[:, None] + penalty.reshape(runs)).reshape(-1)
+
+            f0 = float(np.sum(np.abs(y[acq]) ** 2))
+            b = np.broadcast_to(y[:, None], runs).reshape(-1)
+        sol, iters, converged, alphas, betas, drops, notes = _cg(apply_a, b, tol, max_iters)
+        trace = [f0]
+        for d in drops:
+            trace.append(trace[-1] - d)
+        kappa = _ritz_conditioning(alphas, betas)
+    x[free] = sol
+    if direct:
+        trace.append(objective(x))
+    return x, ReconReport(method, iters, converged, tuple(trace), conditioning=kappa, notes=notes)
 
 
 def annihilation_recon(
@@ -835,11 +807,12 @@ def pf_recon(
     calib = tuple((max(lo, -hi), min(hi, -lo)) for lo, hi in mask.calib)
     if any(lo > hi for lo, hi in calib):
         raise ValueError("calibration region does not straddle the center")
-    # Mirrors that fall off the grid are zero here and unacquired in the
-    # reflected mask, so the solve fills them.
+    # A mirrored channel is acquired at n iff -n was.  Mirrors that fall
+    # off the grid are zero here and unacquired, so the solve fills them.
     aug = MultiKSignal.from_array(ms.grid, _with_mirrors(ms.values, ms.grid))
     bank = nullspace_filter_bank(aug, calib, L, P, tau=tau)
-    aug_acq = np.concatenate([acq, np.broadcast_to(reflect_mask(mask).acquired, acq.shape)])
+    mirrored = _reflect_values(mask.acquired, mask.grid, fill=False)
+    aug_acq = np.concatenate([acq, np.broadcast_to(mirrored, acq.shape)])
     x, report = _bank_solve(
         bank.taps, aug.values.shape, aug.values, aug_acq, 0.0, tol, max_iters,
         "annihilation-vc",

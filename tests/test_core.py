@@ -274,6 +274,13 @@ class TestSamplingMask:
         assert np.count_nonzero(m.acquired) == 5
         assert m.missing_positions().shape == (11, 1)
 
+    def test_acquired_cannot_be_made_writeable(self):
+        m = SamplingMask(grid1d(-4, 3), np.arange(8) % 2 == 0)
+        with pytest.raises(ValueError):
+            m.acquired.setflags(write=True)
+        with pytest.raises(ValueError):
+            m.acquired[0] = False
+
 
 class TestZeroFill:
     def test_example_values(self):

@@ -237,7 +237,8 @@ def test_direct_split_is_the_minimum_norm_least_squares():
     # The condition number over the range: the extreme eigenvalues kept.
     taps, acq = split_taps(seps), mask.acquired[None]
     y = np.where(acq, summed.values, 0.0)
-    _, m, _ = lpk.recon._normal_system(taps, (2,) + acq.shape[1:], y, acq, 1.0)
+    shape = (2,) + acq.shape[1:]
+    m, _ = lpk.recon._normal_system(taps, shape, y, acq, 1.0, np.ones(shape, dtype=bool))
     assert scipy.linalg.lapack.zpotrf(m, lower=1)[1] > 0
     sv = np.linalg.svd(m, compute_uv=False)
     kept = sv[sv > n * EPS * sv[0]]
@@ -397,7 +398,8 @@ def assembled_normal(seps, acq, lam):
     """The normal matrix the direct solve assembles for the split."""
     y = np.zeros((1,) + acq.shape, dtype=complex)
     shape = (len(seps),) + acq.shape
-    _, m, _ = lpk.recon._normal_system(split_taps(seps), shape, y, acq[None], lam)
+    free = np.ones(shape, dtype=bool)
+    m, _ = lpk.recon._normal_system(split_taps(seps), shape, y, acq[None], lam, free)
     return lambda vec: m @ vec
 
 

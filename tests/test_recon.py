@@ -33,7 +33,6 @@ from lpk.recon import (
     lift,
     lowrank_complete,
     pf_recon,
-    reflect_mask,
     report_from_json,
     report_to_json,
 )
@@ -1031,15 +1030,15 @@ class TestDirectSolve:
         rng, bank, shape = case
         acq = rng.random(shape) < frac
         y = np.where(acq, cplx(rng, shape), 0.0)
-        unknown, m, b = lpk.recon._normal_system(bank.taps, shape, y, acq, lam)
+        free = ~acq if lam == 0.0 else np.ones(shape, dtype=bool)
+        m, b = lpk.recon._normal_system(bank.taps, shape, y, acq, lam, free)
+        unknown = np.flatnonzero(free)
         eye = np.eye(y.size)
         rows = np.array([direct_forward(e.reshape(shape), bank.taps).ravel() for e in eye]).T
         if lam == 0.0:
-            assert np.array_equal(unknown, np.flatnonzero(~acq))
             want_m = rows[:, unknown].conj().T @ rows[:, unknown]
             want_b = -(rows[:, unknown].conj().T @ (rows @ y.reshape(-1)))
         else:
-            assert np.array_equal(unknown, np.arange(y.size))
             want_m = np.diag(acq.reshape(-1).astype(float)) + lam * rows.conj().T @ rows
             want_b = y.reshape(-1)
         assert np.linalg.norm(m - want_m) <= 1e-13 * np.linalg.norm(want_m)
@@ -1066,9 +1065,9 @@ class TestDirectSolve:
             _, rep = annihilation_recon(measured, mask, bank)
             acq = np.broadcast_to(mask.acquired, measured.values.shape)
             y = np.where(acq, measured.values, 0.0)
-            unknown, m, _ = lpk.recon._normal_system(bank.taps, y.shape, y, acq, 0.0)
+            m, _ = lpk.recon._normal_system(bank.taps, y.shape, y, acq, 0.0, ~acq)
             cond = np.linalg.cond(m)
-            assert cond / unknown.size <= rep.conditioning <= unknown.size * cond, label
+            assert cond / m.shape[0] <= rep.conditioning <= m.shape[0] * cond, label
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_objective_trace_is_the_start_and_the_estimate(self, lam):
@@ -1157,31 +1156,13 @@ class TestVirtualConjugate:
 
 
 class TestReflectMask:
+    """The mirrored mask ``pf_recon`` appends for the conjugate channels."""
+
     def test_acquired_mirrored(self):
         g = centered_grid(5, 1.0)
         acq = np.array([True, True, False, False, True])
-        r = reflect_mask(SamplingMask(g, acq))
-        assert r.acquired.tolist() == [True, False, False, True, True]
-
-    def test_calib_block_reflects(self):
-        g = centered_grid(9, 1.0)
-        acq = np.zeros(9, dtype=bool)
-        acq[0:6] = True  # indices -4..1
-        m = SamplingMask(g, acq, ((-3, 1),))
-        r = reflect_mask(m)
-        assert r.calib == ((-1, 3),)
-        assert r.acquired.tolist() == [False, False, False, True, True, True, True, True, True]
-
-    def test_calib_dropped_when_mirror_off_grid(self):
-        from lpk.core import KGrid
-
-        g = KGrid.window((-4,), (3,), (1.0,))  # index 4 does not exist
-        acq = np.zeros(8, dtype=bool)
-        acq[0] = True
-        m = SamplingMask(g, acq, ((-4, -4),))
-        r = reflect_mask(m)
-        assert r.calib is None
-        assert not r.acquired.any()
+        r = lpk.recon._reflect_values(SamplingMask(g, acq).acquired, g, fill=False)
+        assert r.tolist() == [True, False, False, True, True]
 
 
 def two_channels_two_masks():
