@@ -174,6 +174,20 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _rebuilt(build: str | None, *names: str):
+    """A ``__reduce__`` that makes ``pickle`` and ``copy`` rebuild a value
+    by calling its class (``build`` None) or the classmethod ``build`` on
+    the fields ``names``.  A field-by-field restore would skip the checks
+    and give back writeable arrays; this goes through them, so a copy's
+    arrays are read-only copies like the original's."""
+
+    def __reduce__(self):
+        cls = type(self)
+        return cls if build is None else getattr(cls, build), tuple(getattr(self, n) for n in names)
+
+    return __reduce__
+
+
 def _as_complex(values, shape, name: str) -> np.ndarray:
     """A read-only C-ordered copy of ``values``, checked for shape and finiteness."""
     arr = np.array(values, dtype=np.complex128, order="C")
@@ -194,6 +208,8 @@ class KSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_complex(self.values, self.grid.shape, "values"))
+
+    __reduce__ = _rebuilt(None, "grid", "values")
 
     def at(self, n) -> complex:
         return complex(self.values[self.grid.pos(n)])
@@ -232,6 +248,8 @@ class MultiKSignal:
         if not len(stacked):
             raise ValueError("at least one channel required")
         return _unchecked(cls, grid=grid, values=_as_complex(stacked, stacked.shape, "values"))
+
+    __reduce__ = _rebuilt("from_array", "grid", "values")
 
     @property
     def channels(self) -> tuple[KSignal, ...]:
@@ -307,6 +325,8 @@ class Filter:
             _check_anchor(taps[None], L, 0)
         self.__dict__.update(taps=taps, L=L, P=P)
 
+    __reduce__ = _rebuilt(None, "taps", "L", "P", "anchor_fixed")
+
     @property
     def dims(self) -> int:
         return self.taps.ndim
@@ -350,6 +370,8 @@ class MultiFilter:
         return _unchecked(
             cls, taps=taps, L=L, P=P, anchor_channel=_check_anchor(taps, L, anchor)
         )
+
+    __reduce__ = _rebuilt("from_array", "taps", "L", "P", "anchor_channel")
 
     @property
     def q_count(self) -> int:
@@ -416,6 +438,8 @@ class SamplingMask:
             raise ValueError("calibration region must be fully acquired")
         object.__setattr__(self, "calib", calib)
 
+    __reduce__ = _rebuilt(None, "grid", "acquired", "calib")
+
     def calib_slices(self, calib=None) -> tuple[slice, ...]:
         calib = self.calib if calib is None else calib
         if calib is None:
@@ -457,15 +481,3 @@ def conv_apply(data: KSignal, filt: Filter) -> KSignal:
     out_grid = data.grid.valid_for(filt.L, filt.P)
     out = _sps.convolve(data.values, filt.taps, mode="valid", method="direct")
     return KSignal(out_grid, out)
-
-
-def conv_response(data: MultiKSignal, mf: MultiFilter) -> KSignal:
-    """Joint response ``sum_q sum_k h_q[k] x_q[n-k]`` on the valid range."""
-    if mf.q_count != data.q_count:
-        raise ValueError("filter channel count does not match data")
-    if mf.dims != data.grid.dims:
-        raise ValueError("filter dims do not match data dims")
-    parts = [
-        _sps.convolve(x, h, mode="valid", method="direct") for x, h in zip(data.values, mf.taps)
-    ]
-    return KSignal(data.grid.valid_for(mf.L, mf.P), sum(parts[1:], parts[0]))

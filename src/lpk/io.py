@@ -91,8 +91,11 @@ def _grid_from_header(hdr: dict) -> KGrid:
         n_min, n_max, fov = hdr["n_min"], hdr["n_max"], hdr["fov"]
     except KeyError as exc:
         raise LpkFormatError(f"header missing field {exc}") from exc
-    # KGrid.window accepts derived ranges that need not contain index 0.
-    return KGrid.window(tuple(n_min), tuple(n_max), tuple(fov))
+    try:
+        # KGrid.window accepts derived ranges that need not contain index 0.
+        return KGrid.window(tuple(n_min), tuple(n_max), tuple(fov))
+    except (TypeError, ValueError) as exc:
+        raise LpkFormatError(f"bad grid in header: {exc}") from exc
 
 
 def read_lpk(path) -> _Payload:
@@ -102,7 +105,8 @@ def read_lpk(path) -> _Payload:
         UnknownVersionError: header version is unsupported.
         TruncatedPayloadError: payload shorter than the header declares.
         PayloadLengthError: payload longer than the header declares.
-        LpkFormatError: anything else malformed.
+        LpkFormatError: anything else malformed, a grid or calibration
+            field of the wrong type or value included.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -141,9 +145,12 @@ def read_lpk(path) -> _Payload:
         if not np.all((acq == 0) | (acq == 1)):
             raise LpkFormatError("mask payload bytes must be 0 or 1")
         calib = hdr.get("calib")
-        if calib is not None:
-            calib = tuple((int(lo), int(hi)) for lo, hi in calib)
-        return SamplingMask(grid, acq.astype(bool), calib)
+        try:
+            if calib is not None:
+                calib = tuple((int(lo), int(hi)) for lo, hi in calib)
+            return SamplingMask(grid, acq.astype(bool), calib)
+        except (TypeError, ValueError) as exc:
+            raise LpkFormatError(f"bad calib in header: {exc}") from exc
 
     raise LpkFormatError(f"unknown kind {kind!r}")
 

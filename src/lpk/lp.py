@@ -52,6 +52,7 @@ from .core import (
     _check_anchor,
     _check_taps,
     _normalize_calib,
+    _rebuilt,
     _unchecked,
 )
 from .phantom import Phantom, samples_at
@@ -114,14 +115,6 @@ class CalibMatrix:
                 raise ValueError(f"tap {k} outside [-{self.L}, {self.P}]")
             flat = flat * (self.L + self.P + 1) + (ki + self.L)
         return q * self.taps_per_channel + flat
-
-    def row_index(self) -> np.ndarray:
-        """(rows, dims) array of window positions n, row-major ascending."""
-        axes = [
-            np.arange(lo + self.P, hi - self.L + 1)
-            for (lo, hi) in self.calib
-        ]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, self.dims)
 
 
 @functools.lru_cache(maxsize=32)
@@ -279,6 +272,8 @@ class FilterBank:
             _check_anchor(t, L, a, f"filter {f}") for f, (t, a) in enumerate(zip(taps, anchors))
         )
         self.__dict__.update(L=L, P=P, taps=taps, residuals=res, anchors=anchors)
+
+    __reduce__ = _rebuilt(None, "taps", "L", "P", "residuals", "anchors")
 
     @property
     def q_count(self) -> int:

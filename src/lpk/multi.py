@@ -263,10 +263,10 @@ def sms_separate(
     (``recon._bank_solve``) with the slice sum as its data: its least
     squares balance summed data consistency on acquired indices against
     each slice's separator relation, ``f_m`` over the sum less slice
-    ``m`` (weighted by ``lam``), returning slices on the full grid.  The
-    benchmark's two 64-sample slices are 128 unknowns, solved at once;
-    their normal matrix is singular, so the answer is its minimum-norm
-    solution.
+    ``m`` (weighted by ``lam``, finite and positive), returning slices on
+    the full grid.  The benchmark's two 64-sample slices are 128
+    unknowns, solved at once; their normal matrix is singular, so the
+    answer is its minimum-norm solution.
 
     That split is limited by the model: summed over ``m`` the relations
     leave ``conv_valid(sum_q x_q, sum_m f_m - δ₀)``, and separators that
@@ -289,8 +289,8 @@ def sms_separate(
         return MultiKSignal(outs), ReconReport(
             method="sms-direct", iterations=0, converged=True
         )
-    if lam <= 0:
-        raise ValueError("undersampled separation needs lam > 0")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"undersampled separation needs a finite lam > 0, not {lam}")
     shape = (len(seps),) + summed.grid.shape
     # Relation m is one filter over the slices: h[m, q] = f_m - [q = m] δ₀,
     # δ₀ the k = 0 tap.

@@ -24,11 +24,9 @@ A modulator represents a smooth spatial weighting
 
 and modulating a phantom convolves sample sequences:
 ``(c rho)[n] = (1 / prod B) * sum_m coeffs[m] rho[n - m]``, which this
-module evaluates exactly through the closed forms above.
-
-``quadrature_samples`` provides the independent numerical route to the
-same integrals (edge-aligned piecewise trapezoid quadrature) and is the
-oracle the closed forms are tested against.
+module evaluates exactly through the closed forms above.  The tests pin
+the closed forms to an independent numerical route to the same integrals
+(edge-aligned piecewise trapezoid quadrature over ``spatial_profile``).
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ import numpy as np
 from scipy import signal as _sps
 from scipy import special as _spec
 
-from .core import KGrid, KSignal, _axes_float, _axes_int
-from .quadrature import merge_edges, piecewise_quad
+from .core import KGrid, KSignal, _axes_float, _axes_int, _rebuilt
 
 _KINDS = ("boxcar", "ellipse", "point")
 
@@ -224,6 +221,8 @@ class Modulator:
         if len(self.n_min) != arr.ndim:
             raise ValueError("n_min length must match coeffs dims")
 
+    __reduce__ = _rebuilt(None, "coeffs", "n_min")
+
     @property
     def dims(self) -> int:
         return self.coeffs.ndim
@@ -266,35 +265,6 @@ def modulated_samples(phantom: Phantom, modulator: Modulator, grid: KGrid) -> KS
     base = samples_at(phantom, np.meshgrid(*ext, indexing="ij"))
     out = _sps.convolve(base, modulator.coeffs, mode="valid", method="direct")
     return KSignal(grid, out / np.prod(phantom.fov))
-
-
-def quadrature_samples(
-    phantom: Phantom,
-    grid: KGrid,
-    modulator: Modulator | None = None,
-) -> KSignal:
-    """Numerical-quadrature route to (modulated) Fourier samples, 1D.
-
-    Independent oracle for :func:`fourier_samples` and
-    :func:`modulated_samples`: integrates ``c(x) rho(x) exp(-i 2 pi n x/B)``
-    by edge-aligned piecewise trapezoid quadrature with Richardson
-    extrapolation.
-    """
-    _check_fov(phantom, grid)
-    if phantom.dims != 1:
-        raise ValueError("quadrature_samples is 1D only")
-    b = phantom.fov[0]
-    n = grid.index_vectors()[0]
-    edges = merge_edges(phantom.support_edges(), -b / 2, b / 2)
-
-    def integrand(x, mid):
-        rho = spatial_profile(phantom, x, mid)
-        if modulator is not None:
-            rho = rho * modulator.eval_spatial(x, (b,))
-        return rho[:, None] * np.exp(-2j * np.pi * np.multiply.outer(x, n) / b)
-
-    vals = piecewise_quad(integrand, edges)
-    return KSignal(grid, vals)
 
 
 def make_sensitivities(

@@ -16,24 +16,26 @@ Two complementary routes:
   scatter behind validated value types, for callers at the API edge and
   as the oracle the sweep is tested against; the first sweep goes
   through them.
-* Fix a bank of annihilating filters and choose the missing samples so
+* Fix a bank of annihilating filters ``H`` and choose the samples so
   that the total filter response energy is minimal.  One routine,
-  ``_bank_solve``, builds that least-squares problem, with the acquired
-  samples as constraints or as a weighted data term, solves it and
-  reports it.  It has three users: ``annihilation_recon``, ``pf_recon``
-  over virtual conjugate channels, and the undersampled
-  ``multi.sms_separate``, whose data term sees the slices summed.  It
-  states the problem once (the mask ``free`` of the unknown samples, the
-  start whose ``free`` samples the solution replaces, and the ``runs``
-  of channels the data term sums), and both of its solvers read that
-  one statement.  The solver is chosen from the count of unknowns
-  alone.  Small problems (every 1D benchmark solve) assemble the normal
-  matrix from the window rows that read an unknown and solve it at
-  once: by Cholesky, or by an eigendecomposition for the minimum-norm
-  solution when it is singular.  Large ones run conjugate gradients,
-  each step applying the whole bank forward and back as one operator
-  (``_BankOperator``) on the bank's ``[F, Q, *W]`` tap array: cropped,
-  zero-padded FFTs with the filter spectra computed once, exact
+  ``_bank_solve``, poses that as one least-squares problem,
+  ``min ||D x - y||² + w ||H x||²`` over the ``free`` samples of a start
+  ``x``, where ``D`` sums each seen sample's run of channels.  Hard
+  recovery sees nothing, weighs ``w = 1``, starts from the zero-filled
+  data and frees the missing samples, so the acquired ones are
+  constraints; soft recovery sees the acquired samples, weighs
+  ``w = lam``, starts from zero and frees every sample.  Past that
+  statement both of its solvers read only ``(free, x, w, D)``.  It has
+  three users: ``annihilation_recon``, ``pf_recon`` over virtual
+  conjugate channels, and the undersampled ``multi.sms_separate``,
+  whose ``D`` sums the slices.  The solver is chosen from the count of
+  unknowns alone.  Small problems (every 1D benchmark solve) assemble
+  the normal matrix from the window rows that read an unknown and solve
+  it at once: by Cholesky, or by an eigendecomposition for the
+  minimum-norm solution when it is singular.  Large ones run conjugate
+  gradients, each step applying the whole bank forward and back as one
+  operator (``_BankOperator``) on the bank's ``[F, Q, *W]`` tap array:
+  cropped, zero-padded FFTs with the filter spectra computed once, exact
   valid-range responses and no wraparound.  A CG solve that stops short
   of its tolerance says why in the report's ``notes``.
 
@@ -558,29 +560,28 @@ def _response_energy(
 
 
 def _normal_system(
-    taps: np.ndarray, shape: tuple[int, ...], y: np.ndarray, acq: np.ndarray, lam: float,
-    free: np.ndarray,
+    taps: np.ndarray, free: np.ndarray, x: np.ndarray, w: float, d: np.ndarray, r: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(m, b)``: the normal equations ``m u = b`` of the problem
-    ``_bank_solve`` poses, over the unknowns ``u``, the samples ``free``
-    marks on the ``[Q, *N]`` stack in flat order, with ``y`` zero where
-    not acquired.
+    ``_bank_solve`` states, ``min ||D x - y||² + w ||H x||²`` over a step
+    ``u`` on the samples ``free`` marks on the ``[Q, *N]`` start ``x``, in
+    flat order.  Row ``s`` of ``d`` holds the flat positions, all of them
+    ``free``, whose sum ``(D x)[s]`` is compared with ``y[s]``, and ``r``
+    is the residual ``y - D x``.
 
-    ``m = Hᵤᴴ Hᵤ`` is assembled from the windows that read an unknown:
-    two unknown cells ``c, c'`` of one window add ``(tᴴt)[c, c']``, so no
-    row of ``H`` is formed and the matrix is ``n × n``.  The hard
-    right-hand side ``-Hᵤᴴ H y`` comes from the same windows; the soft one
-    adds the run sums' ``DᴴD`` to ``lam`` times the bank's and is ``Dᴴ y``.
+    ``m = w Hᵤᴴ Hᵤ + Dᵤᴴ Dᵤ`` and ``b = Dᵤᴴ r - w Hᵤᴴ H x``.  The
+    bank's part comes from the windows that read an unknown: two unknown
+    cells ``c, c'`` of one window add ``(tᴴt)[c, c']``, so no row of ``H``
+    is formed and the matrix is ``n × n``.
     """
-    starts, offsets, t = _bank_geometry(taps, shape)
-    size = int(np.prod(shape))
+    starts, offsets, t = _bank_geometry(taps, x.shape)
     unknown = np.flatnonzero(free)
     # Windows whose footprint, on any channel, holds an unknown: the
     # first ``ΠW`` offsets are channel 0's, which index the grid alone.
     hit = free.any(axis=0).reshape(-1)
-    starts = starts[hit[np.add.outer(starts, offsets[: t.shape[1] // shape[0]])].any(axis=1)]
+    starts = starts[hit[np.add.outer(starts, offsets[: t.shape[1] // x.shape[0]])].any(axis=1)]
     n = unknown.size
-    pos = np.full(size, -1)
+    pos = np.full(x.size, -1)
     pos[unknown] = np.arange(n)
     cells = np.add.outer(starts, offsets)  # [V, Q·ΠW] flat positions
     cols = pos[cells]
@@ -594,21 +595,20 @@ def _normal_system(
     left = np.repeat(np.arange(win.size), reps)
     since = np.arange(left.size) - np.repeat(np.cumsum(reps) - reps, reps)
     right = np.repeat((np.cumsum(per_window) - per_window)[win], reps) + since
-    w = (t.conj().T @ t)[cell[left], cell[right]]
+    pair = (t.conj().T @ t)[cell[left], cell[right]]
     at = col[left] * n + col[right]
-    m = (np.bincount(at, w.real, n * n) + 1j * np.bincount(at, w.imag, n * n)).reshape(n, n)
-    if lam == 0.0:
-        # Each unknown cell's tap column against its window's response to y.
-        resp = y.reshape(-1)[cells] @ t.T
-        g = np.sum(resp[win] * t[:, cell].T.conj(), axis=1)
-        return m, -(np.bincount(col, g.real, n) + 1j * np.bincount(col, g.imag, n))
-    m *= lam
-    # The data term: every pair of channels in one run, at each acquired sample.
-    runs = (y.shape[0], shape[0] // y.shape[0]) + y.shape[1:]
-    flat = np.arange(size).reshape(runs)
-    ids = np.moveaxis(flat, 1, -1)[acq]  # [acquired, run length]
-    m[ids[:, :, None], ids[:, None, :]] += 1.0
-    return m, np.broadcast_to(y[:, None], runs).reshape(-1)
+    m = (np.bincount(at, pair.real, n * n) + 1j * np.bincount(at, pair.imag, n * n)).reshape(n, n)
+    m *= w
+    # Each unknown cell's tap column against its window's response to x.
+    resp = x.reshape(-1)[cells] @ t.T
+    g = np.sum(resp[win] * t[:, cell].T.conj(), axis=1)
+    b = -w * (np.bincount(col, g.real, n) + 1j * np.bincount(col, g.imag, n))
+    # The data term: the unknowns of one run pair with each other and see
+    # its residual.
+    u = pos[d]
+    m[u[:, :, None], u[:, None, :]] += 1.0
+    b[u] += r[:, None]
+    return m, b
 
 
 def _dense_solve(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -647,17 +647,18 @@ def _bank_solve(
     of consecutive channels summed: ``G = Q`` is every channel itself,
     ``G = 1`` the slice sum.
 
-    With ``lam == 0`` (only ``G = Q``) acquired samples are constraints
-    and the missing ones are the unknowns, minimizing ``||H x||^2``.  With
-    ``lam > 0`` every sample is unknown, minimizing ``||D x - y||^2`` on
-    acquired samples plus ``lam ||H x||^2``, ``D`` the run sums.
+    It poses one problem, ``min ||D x - y||² + w ||H x||²`` over the
+    ``free`` samples of a start ``x``, with ``H`` the bank and ``D`` the
+    run sums at the ``seen`` samples.  Hard (``lam == 0``, only
+    ``G = Q``): nothing is seen, ``w = 1``, the start is the zero-filled
+    data and the missing samples are free, so acquired samples are
+    constraints.  Soft: the acquired samples are seen, ``w = lam``, the
+    start is zero and every sample is free.  Only that statement reads
+    ``lam``; both solvers read ``(free, x, w, D)`` and add their step to
+    the start's ``free`` samples.
 
-    The problem is stated once, up front, and both solvers read it: the
-    ``[Q, *N]`` mask ``free`` of the unknowns, the start ``x`` (the
-    zero-filled data when hard, zeros when soft) whose ``free`` samples
-    the solution replaces, and the ``runs`` shape of the data term.  Up
-    to ``_DIRECT_UNKNOWNS`` unknowns the normal equations are assembled
-    and solved at once (:func:`_dense_solve`): the report has
+    Up to ``_DIRECT_UNKNOWNS`` unknowns the normal equations are
+    assembled and solved at once (:func:`_dense_solve`): the report has
     ``iterations`` 1 (0 when the start already solves them),
     ``converged`` true, the matrix's condition number, and the objective
     trace ``(f0, f(x))`` recomputed from the responses.  Larger problems
@@ -670,25 +671,27 @@ def _bank_solve(
     _check_bank(taps, shape)
     y = np.where(acq, y, 0.0)
     if lam == 0.0:
-        free, x = ~acq, y.copy()
+        seen, w, x, free = np.zeros_like(acq), 1.0, y.copy(), ~acq
     else:
-        free, x = np.ones(shape, dtype=bool), np.zeros(shape, dtype=np.complex128)
-    runs = (y.shape[0], shape[0] // y.shape[0]) + y.shape[1:]
+        seen, w = acq, lam
+        x, free = np.zeros(shape, dtype=np.complex128), np.ones(shape, dtype=bool)
+    # Row s of d: the flat positions of the run whose sum D compares with y[s].
+    runs = np.arange(x.size).reshape((y.shape[0], -1) + y.shape[1:])
+    d, y = np.moveaxis(runs, 1, -1)[seen], y[seen]
+
+    def residual(x):
+        return y - x.reshape(-1)[d].sum(axis=1)
+
+    def objective(x, energy):
+        return float(np.sum(np.abs(residual(x)) ** 2)) + w * energy
+
     direct = np.count_nonzero(free) <= _DIRECT_UNKNOWNS
     if direct:
         starts, offsets, t = _bank_geometry(taps, shape)
-
-        def objective(x):
-            energy = _response_energy(t, x, starts, offsets)
-            if lam == 0.0:
-                return energy
-            misfit = np.abs(x.reshape(runs).sum(axis=1) - y)[acq]
-            return float(np.sum(misfit ** 2)) + lam * energy
-
-        trace = [objective(x)]
-        m, b = _normal_system(taps, shape, y, acq, lam, free)
+        trace = [objective(x, _response_energy(t, x, starts, offsets))]
+        m, b = _normal_system(taps, free, x, w, d, residual(x))
         if not b.any():
-            # The zero or zero-filled start is the minimum-norm solution.
+            # The start is the minimum-norm solution.
             return x, ReconReport(method, 0, True, tuple(trace))
         if max_iters < 1:
             return x, ReconReport(
@@ -699,41 +702,35 @@ def _bank_solve(
         iters, converged, notes = 1, True, ()
     else:
         op = _BankOperator(taps, shape)
-        if lam == 0.0:
 
-            def apply_a(vec):
-                z = np.zeros(shape, dtype=np.complex128)
-                z[free] = vec
-                return op.adjoint(op.forward(z))[free]
+        def apply_a(vec):
+            z = np.zeros(shape, dtype=np.complex128)
+            z[free] = vec
+            # ``w *`` makes a fresh array, so its flat view writes through.
+            az = w * op.adjoint(op.forward(z))
+            az.reshape(-1)[d] += z.reshape(-1)[d].sum(axis=1)[:, None]
+            return az[free]
 
-            resp0 = op.forward(y)
-            f0 = float(np.sum(np.abs(resp0) ** 2))
-            grad0 = op.adjoint(resp0)
-            b = -grad0[free]
-            # The FFT evaluation's round-off leaves ~eps-sized entries where
-            # the residual's gradient vanishes exactly (e.g. a bank that never
-            # couples a missing sample to an acquired one); CG must not step
-            # on them.
-            eps = np.finfo(float).eps
-            if np.linalg.norm(b) <= 64 * eps * np.linalg.norm(grad0):
-                b = np.zeros_like(b)
-        else:
-
-            def apply_a(vec):
-                penalty = lam * op.adjoint(op.forward(vec.reshape(shape)))
-                sums = np.where(acq, vec.reshape(runs).sum(axis=1), 0.0)
-                return (sums[:, None] + penalty.reshape(runs)).reshape(-1)
-
-            f0 = float(np.sum(np.abs(y[acq]) ** 2))
-            b = np.broadcast_to(y[:, None], runs).reshape(-1)
+        resp0 = op.forward(x)
+        f0 = objective(x, float(np.sum(np.abs(resp0) ** 2)))
+        grad0 = w * op.adjoint(resp0)
+        b = -grad0
+        b.reshape(-1)[d] += residual(x)[:, None]
+        b = b[free]
+        # The FFT evaluation's round-off leaves ~eps-sized entries where
+        # the residual's gradient vanishes exactly (e.g. a bank that never
+        # couples a missing sample to an acquired one); CG must not step
+        # on them.
+        if np.linalg.norm(b) <= 64 * np.finfo(float).eps * np.linalg.norm(grad0):
+            b = np.zeros_like(b)
         sol, iters, converged, alphas, betas, drops, notes = _cg(apply_a, b, tol, max_iters)
         trace = [f0]
-        for d in drops:
-            trace.append(trace[-1] - d)
+        for drop in drops:
+            trace.append(trace[-1] - drop)
         kappa = _ritz_conditioning(alphas, betas)
-    x[free] = sol
+    x[free] += sol
     if direct:
-        trace.append(objective(x))
+        trace.append(objective(x, _response_energy(t, x, starts, offsets)))
     return x, ReconReport(method, iters, converged, tuple(trace), conditioning=kappa, notes=notes)
 
 
@@ -754,7 +751,8 @@ def annihilation_recon(
     entries plus ``lam`` times the response energy.  Up to
     ``_DIRECT_UNKNOWNS`` unknowns the normal equations are solved at
     once (one iteration); larger problems run conjugate gradients to
-    ``tol`` within ``max_iters`` steps.
+    ``tol`` within ``max_iters`` steps.  A negative or non-finite ``lam``
+    is a ``ValueError``.
 
     Args:
         data: measured samples (values at missing positions ignored).
@@ -770,8 +768,8 @@ def annihilation_recon(
     acq = _shared_acquired(mask, ms)
     ref = ms.values
 
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, not {lam}")
 
     x, report = _bank_solve(
         bank.taps, ref.shape, ref, acq, lam, tol, max_iters,

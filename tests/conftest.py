@@ -1,17 +1,63 @@
-"""Shared fixtures and helpers."""
+"""Shared fixtures, helpers and test oracles."""
 
 import sys
 
 import numpy as np
 import pytest
+from scipy import signal as _sps
 
 import lpk.core
-from lpk.core import Filter, MultiFilter
+from lpk.core import Filter, KGrid, KSignal, MultiFilter, MultiKSignal
+from lpk.phantom import Modulator, Phantom, _check_fov, spatial_profile
+from lpk.quadrature import merge_edges, piecewise_quad
 
 
 def signals_allclose(a, b, rtol=1e-12, atol=1e-12) -> bool:
     """Two ``KSignal``s on one grid whose values agree to the tolerances."""
     return a.grid == b.grid and bool(np.allclose(a.values, b.values, rtol=rtol, atol=atol))
+
+
+def conv_response(data: MultiKSignal, mf: MultiFilter) -> KSignal:
+    """Joint response ``sum_q sum_k h_q[k] x_q[n-k]`` on the valid range,
+    by direct convolution: the reference the bank operators, the fits and
+    the separations are tested against."""
+    if mf.q_count != data.q_count:
+        raise ValueError("filter channel count does not match data")
+    if mf.dims != data.grid.dims:
+        raise ValueError("filter dims do not match data dims")
+    parts = [
+        _sps.convolve(x, h, mode="valid", method="direct") for x, h in zip(data.values, mf.taps)
+    ]
+    return KSignal(data.grid.valid_for(mf.L, mf.P), sum(parts[1:], parts[0]))
+
+
+def quadrature_samples(
+    phantom: Phantom,
+    grid: KGrid,
+    modulator: Modulator | None = None,
+) -> KSignal:
+    """Numerical-quadrature route to (modulated) Fourier samples, 1D.
+
+    Independent oracle for ``phantom.fourier_samples`` and
+    ``phantom.modulated_samples``: integrates
+    ``c(x) rho(x) exp(-i 2 pi n x/B)`` by edge-aligned piecewise trapezoid
+    quadrature with Richardson extrapolation.
+    """
+    _check_fov(phantom, grid)
+    if phantom.dims != 1:
+        raise ValueError("quadrature_samples is 1D only")
+    b = phantom.fov[0]
+    n = grid.index_vectors()[0]
+    edges = merge_edges(phantom.support_edges(), -b / 2, b / 2)
+
+    def integrand(x, mid):
+        rho = spatial_profile(phantom, x, mid)
+        if modulator is not None:
+            rho = rho * modulator.eval_spatial(x, (b,))
+        return rho[:, None] * np.exp(-2j * np.pi * np.multiply.outer(x, n) / b)
+
+    vals = piecewise_quad(integrand, edges)
+    return KSignal(grid, vals)
 
 
 @pytest.fixture

@@ -233,6 +233,15 @@ def test_a_flag_the_engine_does_not_take_is_a_data_error(capsys, sampled, engine
     assert err == f"error: {engine} engine: got an unexpected keyword argument {key!r}\n"
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+def test_a_lambda_that_is_not_finite_and_nonnegative_is_a_data_error(capsys, sampled, lam):
+    # nan and inf ended in an IndexError traceback, exit 1.
+    code, out, err = recon(capsys, sampled, "--engine", "annihilation", "--lambda", lam)
+    assert code == 2
+    assert out == {}
+    assert err == f"error: lam must be finite and nonnegative, not {float(lam)}\n"
+
+
 def run(capsys, *argv):
     """Exit code, printed lines as (key, value) pairs, and stderr."""
     code = main(list(argv))
@@ -296,6 +305,25 @@ def test_fit_errors(capsys, sampled, tmp_path):
     assert code == 1 and "invalid choice" in err
     code, _, err = run(capsys, "fit", str(tmp_path / "absent.lpk"))
     assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n_min", 5, "bad grid in header: "),
+    ("n_min", [-2.5], "bad grid in header: n_min entries must be integers"),
+    ("calib", 5, "bad calib in header: "),
+], ids=["n_min-int", "n_min-float", "calib-int"])
+def test_a_malformed_header_field_is_a_data_error_naming_the_file(
+    capsys, sampled, tmp_path, field, value, message
+):
+    header, payload = (sampled / "mask.lpk").read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc[field] = value
+    bad = tmp_path / "bad.lpk"
+    bad.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    code, lines, err = run(capsys, "recon", str(sampled / "meas.lpk"), "--mask", str(bad))
+    assert code == 2
+    assert lines == []
+    assert err.startswith(f"error: {bad}: {message}")
 
 
 # Every place a command reads samples: a mask there exits 2 naming the file.

@@ -1,10 +1,13 @@
 """Grid, signal, filter, and mask invariants plus the two core operators."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import signals_allclose
+from conftest import conv_response, signals_allclose
 from lpk.core import (
     Filter,
     GridMismatchError,
@@ -15,7 +18,6 @@ from lpk.core import (
     SamplingMask,
     centered_grid,
     conv_apply,
-    conv_response,
     zero_fill,
 )
 
@@ -280,6 +282,50 @@ class TestSamplingMask:
             m.acquired.setflags(write=True)
         with pytest.raises(ValueError):
             m.acquired[0] = False
+
+
+def value_objects():
+    """One of each frozen value type that holds a read-only array."""
+    from lpk.lp import FilterBank
+    from lpk.phantom import Modulator
+
+    g = grid1d(-4, 3)
+    return [
+        KSignal(g, np.arange(8.0)),
+        MultiKSignal.from_array(g, np.ones((2, 8))),
+        SamplingMask(g, np.arange(8) % 2 == 0, ((0, 0),)),
+        Filter(np.array([0.5, -1.0, 0.25]), 1, 1, anchor_fixed=True),
+        MultiFilter.from_array(np.array([[0.5, -1.0, 0.5], [1.0, 0.0, 0.0]]), 1, 1, 0),
+        FilterBank(np.ones((2, 1, 3)), 1, 1, (0.1, 0.2)),
+        Modulator(np.array([1.0, 2.0j]), (0,)),
+    ]
+
+
+@pytest.mark.parametrize("dup", [
+    copy.deepcopy, copy.copy, lambda obj: pickle.loads(pickle.dumps(obj)),
+], ids=["deepcopy", "copy", "pickle"])
+@pytest.mark.parametrize("obj", value_objects(), ids=lambda obj: type(obj).__name__)
+def test_copies_are_rebuilt_with_read_only_arrays(dup, obj):
+    # A field-by-field restore gave back writeable arrays.
+    twin = dup(obj)
+    assert type(twin) is type(obj) and vars(twin).keys() == vars(obj).keys()
+    for name, value in vars(obj).items():
+        got = getattr(twin, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(got, value) and got.dtype == value.dtype
+            assert not got.flags.writeable
+        else:
+            assert got == value
+
+
+def test_a_copied_mask_cannot_leave_its_stored_groups_stale():
+    from lpk.lp import missing_patterns
+
+    mask = copy.deepcopy(SamplingMask(grid1d(-4, 3), np.arange(8) % 2 == 0))
+    groups = missing_patterns(mask, 1, 1)
+    with pytest.raises(ValueError):
+        mask.acquired.setflags(write=True)
+    assert sum(len(p) for p in groups.values()) == len(mask.missing_positions())
 
 
 class TestZeroFill:

@@ -131,6 +131,24 @@ def test_bad_mask_byte_rejected(tmp_path):
         read_lpk(path)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("n_min", 5, "bad grid in header: "),
+    ("n_min", [-2.5], "bad grid in header: n_min entries must be integers"),
+    ("calib", 5, "bad calib in header: "),
+], ids=["n_min-int", "n_min-float", "calib-int"])
+def test_a_malformed_grid_or_calib_field_is_a_format_error(tmp_path, field, value, message):
+    # The first and last raised an uncaught TypeError, the second a plain
+    # ValueError, so the CLI could not name the file.
+    path = tmp_path / "m.lpk"
+    write_lpk(path, SamplingMask(grid1d(-2, 2), np.ones(5, dtype=bool), ((-1, 1),)))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc[field] = value
+    path.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + payload)
+    with pytest.raises(LpkFormatError, match="^" + message):
+        read_lpk(path)
+
+
 def test_header_without_newline_rejected(tmp_path):
     path = tmp_path / "n.lpk"
     path.write_bytes(b'{"version":1,"kind":"signal"}')

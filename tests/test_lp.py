@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import conv_response
 from lpk.core import (
-    Filter, KGrid, KSignal, MultiKSignal, SamplingMask, centered_grid, conv_response,
-    zero_fill,
+    Filter, KGrid, KSignal, MultiKSignal, SamplingMask, centered_grid, zero_fill,
 )
 from lpk.harness import ENGINES, MaskSpec, add_noise, demo_scene_1d, demo_scene_2d, gen_mask
 from lpk.io import read_json, write_json
@@ -113,8 +113,9 @@ class TestCalibMatrix:
         g = centered_grid((6, 6), (1.0, 1.0))
         sig = KSignal(g, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         cm = build_calib_matrix(sig, None, 1, 1)
-        # Row for window position n = (0, 0), column for k = (1, 1).
-        row = cm.row_index().tolist().index([0, 0])
+        # Row for window position n = (0, 0), column for k = (1, 1); the
+        # rows run row-major over n in [-2, 1] per axis.
+        row = np.ravel_multi_index((2, 2), (4, 4))
         col = cm.col_index(0, (1, 1))
         assert cm.matrix[row, col] == sig.at((-1, -1))
 

@@ -11,6 +11,7 @@ import scipy.signal
 from hypothesis import given, settings, strategies as st
 
 import lpk.recon
+from conftest import conv_response
 from lpk.core import (
     Filter,
     GridMismatchError,
@@ -20,7 +21,6 @@ from lpk.core import (
     SamplingMask,
     centered_grid,
     conv_apply,
-    conv_response,
 )
 from lpk.harness import MaskSpec, gen_mask, make_sensitivities
 from lpk.io import read_json, write_json
@@ -238,7 +238,9 @@ def test_direct_split_is_the_minimum_norm_least_squares():
     taps, acq = split_taps(seps), mask.acquired[None]
     y = np.where(acq, summed.values, 0.0)
     shape = (2,) + acq.shape[1:]
-    m, _ = lpk.recon._normal_system(taps, shape, y, acq, 1.0, np.ones(shape, dtype=bool))
+    d = np.flatnonzero(acq)[:, None] + acq.size * np.arange(2)
+    free, x = np.ones(shape, dtype=bool), np.zeros(shape, dtype=complex)
+    m, _ = lpk.recon._normal_system(taps, free, x, 1.0, d, y[acq])
     assert scipy.linalg.lapack.zpotrf(m, lower=1)[1] > 0
     sv = np.linalg.svd(m, compute_uv=False)
     kept = sv[sv > n * EPS * sv[0]]
@@ -290,6 +292,13 @@ def test_mask_on_another_grid_is_rejected(spec):
     seps = [Filter(np.array([0.5, 0.0, 0.1]), 1, 1), Filter(np.array([0.5, 1.0, 0.0]), 1, 1)]
     with pytest.raises(GridMismatchError):
         sms_separate(summed, seps, gen_mask(spec, centered_grid(48, 1.0)))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+def test_a_lam_that_is_not_finite_and_positive_is_rejected(lam):
+    summed, mask, seps = bench_split()
+    with pytest.raises(ValueError, match="^undersampled separation needs a finite lam > 0, not "):
+        sms_separate(summed, seps, mask, lam=lam)
 
 
 def loop_normal(seps, acq, lam):
@@ -399,7 +408,9 @@ def assembled_normal(seps, acq, lam):
     y = np.zeros((1,) + acq.shape, dtype=complex)
     shape = (len(seps),) + acq.shape
     free = np.ones(shape, dtype=bool)
-    m, _ = lpk.recon._normal_system(split_taps(seps), shape, y, acq[None], lam, free)
+    d = np.flatnonzero(acq)[:, None] + acq.size * np.arange(len(seps))
+    x = np.zeros(shape, dtype=complex)
+    m, _ = lpk.recon._normal_system(split_taps(seps), free, x, lam, d, y[0][acq])
     return lambda vec: m @ vec
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import signals_allclose
+from conftest import quadrature_samples, signals_allclose
 from lpk.core import KGrid, centered_grid
 from lpk.io import read_json, write_json
 from lpk.phantom import (
@@ -15,7 +15,6 @@ from lpk.phantom import (
     modulated_samples,
     phantom_from_json,
     phantom_to_json,
-    quadrature_samples,
 )
 
 

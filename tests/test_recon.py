@@ -11,13 +11,13 @@ import scipy.signal
 from hypothesis import given, settings, strategies as st
 
 import lpk.recon
+from conftest import conv_response
 from lpk.core import (
     KGrid,
     KSignal,
     MultiKSignal,
     SamplingMask,
     centered_grid,
-    conv_response,
     zero_fill,
 )
 from lpk.harness import MaskSpec, add_noise, demo_scene_1d, demo_scene_2d, gen_mask
@@ -1031,7 +1031,9 @@ class TestDirectSolve:
         acq = rng.random(shape) < frac
         y = np.where(acq, cplx(rng, shape), 0.0)
         free = ~acq if lam == 0.0 else np.ones(shape, dtype=bool)
-        m, b = lpk.recon._normal_system(bank.taps, shape, y, acq, lam, free)
+        x = y if lam == 0.0 else np.zeros_like(y)
+        d = np.flatnonzero(acq)[:, None] if lam else np.empty((0, 1), dtype=int)
+        m, b = lpk.recon._normal_system(bank.taps, free, x, lam or 1.0, d, y.reshape(-1)[d[:, 0]])
         unknown = np.flatnonzero(free)
         eye = np.eye(y.size)
         rows = np.array([direct_forward(e.reshape(shape), bank.taps).ravel() for e in eye]).T
@@ -1065,7 +1067,8 @@ class TestDirectSolve:
             _, rep = annihilation_recon(measured, mask, bank)
             acq = np.broadcast_to(mask.acquired, measured.values.shape)
             y = np.where(acq, measured.values, 0.0)
-            m, _ = lpk.recon._normal_system(bank.taps, y.shape, y, acq, 0.0, ~acq)
+            nothing_seen = np.empty((0, 1), dtype=int)
+            m, _ = lpk.recon._normal_system(bank.taps, ~acq, y, 1.0, nothing_seen, np.empty(0))
             cond = np.linalg.cond(m)
             assert cond / m.shape[0] <= rep.conditioning <= m.shape[0] * cond, label
 
@@ -1190,6 +1193,15 @@ def test_one_mask_per_channel_is_a_type_error(solve, kind):
     data, m0, m1 = two_channels_two_masks()
     with pytest.raises(TypeError, match="one SamplingMask"):
         solve(data, kind([m0, m1]))
+
+
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf, -np.inf])
+def test_a_lam_that_is_not_finite_and_nonnegative_is_rejected(masked_two_point, lam):
+    # nan and inf reached the dense solve and ended in an IndexError.
+    _, mask, masked = masked_two_point
+    bank = nullspace_filter_bank(masked, mask.calib, 1, 1)
+    with pytest.raises(ValueError, match="^lam must be finite and nonnegative, not "):
+        annihilation_recon(masked, mask, bank, lam=lam)
 
 
 class TestPfRecon:
