@@ -395,7 +395,9 @@ def _normalize_calib(calib, grid: KGrid):
         return None
     if grid.dims == 1 and len(calib) == 2 and np.isscalar(calib[0]):
         calib = (calib,)
-    out = tuple((int(lo), int(hi)) for lo, hi in calib)
+    out = tuple(
+        (int(_integer("calib bound", lo)), int(_integer("calib bound", hi))) for lo, hi in calib
+    )
     if len(out) != grid.dims:
         raise ValueError("calib interval count must match grid dims")
     for (lo, hi), glo, ghi in zip(out, grid.n_min, grid.n_max):

@@ -144,11 +144,8 @@ def read_lpk(path) -> _Payload:
         acq = np.frombuffer(body, dtype=np.uint8).reshape(grid.shape)
         if not np.all((acq == 0) | (acq == 1)):
             raise LpkFormatError("mask payload bytes must be 0 or 1")
-        calib = hdr.get("calib")
         try:
-            if calib is not None:
-                calib = tuple((int(lo), int(hi)) for lo, hi in calib)
-            return SamplingMask(grid, acq.astype(bool), calib)
+            return SamplingMask(grid, acq.astype(bool), hdr.get("calib"))
         except (TypeError, ValueError) as exc:
             raise LpkFormatError(f"bad calib in header: {exc}") from exc
 

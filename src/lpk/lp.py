@@ -707,17 +707,23 @@ def _tail(c_tot: float, kmax: int, grid: KGrid, L: int, P: int) -> float:
 
 # Indices per chunk of the sample-side energy sum, bounding its memory.
 # Theorem 1 on 2^20 points (9 taps) on a 2-vCPU Xeon VM, median time and
-# traced peak per chunk: 2^12 72 ms 0.6 MiB; 2^14 69 ms 1.9 MiB; 2^16 68 ms
-# 7.0 MiB; 2^18 81 ms 28 MiB; 2^20 127 ms 96 MiB.  Up to 2^16 a chunk's
-# arrays stay in L2; the lhs moves by < 1e-15 relative.
-_CHUNK = 1 << 16
+# traced peak per chunk: 2^12 38 ms 0.6 MiB; 2^13 32 ms 0.7 MiB; 2^14 33 ms
+# 1.4 MiB; 2^15 47 ms 2.8 MiB; 2^16 48 ms 5.5 MiB; 2^18 51 ms 22 MiB; 2^20
+# 79 ms 72 MiB.  From 2^15 on a chunk's arrays come back as fresh pages:
+# a check took about 9,000 minor page faults there, and 300 at 2^14.  The
+# lhs moves by < 1e-14 relative up to 2^17 and by 1e-13 at 2^20.
+_CHUNK = 1 << 14
 
 
 def _lhs_energy(sample_fns, taps, L: int, P: int, grid: KGrid) -> float:
     """Sum of |summed filter responses|^2 over the valid range, in chunks.
 
     ``sample_fns[j]`` maps a consecutive index array to closed-form
-    samples convolved with the tap array ``taps[j]`` on ``[-L, P]``.
+    samples convolved with the tap array ``taps[j]`` on ``[-L, P]``.  The
+    samples enter unchanged.  Each response is four real convolutions of
+    their real and imaginary parts, and each chunk's energy one ``vdot``,
+    so the sum differs from that of the complex convolution by round-off
+    alone: 5.7e-16 relative on the benchmark's theorem-1 check.
     """
     lo, hi = grid.n_min[0] + P, grid.n_max[0] - L
     if lo > hi:
@@ -727,11 +733,14 @@ def _lhs_energy(sample_fns, taps, L: int, P: int, grid: KGrid) -> float:
     while start <= hi:
         stop = min(start + _CHUNK - 1, hi)
         n_ext = np.arange(start - P, stop + L + 1)
-        resp = None
+        resp = np.zeros(stop - start + 1, dtype=np.complex128)
         for fn, t in zip(sample_fns, taps):
-            r = np.convolve(fn(n_ext), t, mode="valid")
-            resp = r if resp is None else resp + r
-        total += float(np.sum(np.abs(resp) ** 2))
+            x = fn(n_ext)
+            resp.real += np.convolve(x.real, t.real, mode="valid")
+            resp.real -= np.convolve(x.imag, t.imag, mode="valid")
+            resp.imag += np.convolve(x.real, t.imag, mode="valid")
+            resp.imag += np.convolve(x.imag, t.real, mode="valid")
+        total += float(np.vdot(resp, resp).real)
         start = stop + 1
     return total
 

@@ -125,17 +125,41 @@ def _disk_ratio(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """``np.sinc`` of a fresh float64 array, by its own steps, in place."""
+    x *= np.pi
+    x[x == 0.0] = np.finfo(np.float64).eps
+    return np.divide(np.sin(x), x, out=x)
+
+
 def primitive_samples(p: Primitive, mesh, fov) -> np.ndarray:
-    """Closed-form samples of one primitive on index arrays ``mesh``."""
-    phase = np.zeros(np.broadcast_shapes(*(m.shape for m in mesh)))
-    for n, c, b in zip(mesh, p.center, fov):
-        phase = phase - 2.0 * np.pi * n * c / b
-    out = p.amplitude * np.exp(1j * phase)
+    """Closed-form samples of one primitive on index arrays ``mesh``.
+
+    Every sample is bitwise the formula above evaluated as written, one
+    complex product at a time, up to the sign of a zero: an axis whose
+    centre is 0 adds no phase term, so a centred primitive takes no
+    ``exp``; and a boxcar's real factors (``2 w``, then the sinc, per
+    axis) scale the real and imaginary parts in the formula's order, with
+    the sinc computed by ``np.sinc``'s own steps.
+    """
+    shape = np.broadcast_shapes(*(m.shape for m in mesh))
+    shifted = [(n, c, b) for n, c, b in zip(mesh, p.center, fov) if c != 0.0]
+    if shifted:
+        phase = np.zeros(shape)
+        for n, c, b in shifted:
+            phase = phase - 2.0 * np.pi * n * c / b
+        out = np.asarray(p.amplitude * np.exp(1j * phase))
+    else:
+        out = np.full(shape, p.amplitude)
     if p.kind == "point":
         return out
     if p.kind == "boxcar":
+        parts = out.reshape(shape + (1,)).view(np.float64)
         for n, w, b in zip(mesh, p.extent, fov):
-            out = out * (2.0 * w) * np.sinc(2.0 * w * n / b)
+            x = np.multiply(2.0 * w, n, out=np.empty(np.shape(n)))
+            x /= b
+            parts *= 2.0 * w
+            parts *= _sinc(x)[..., None]
         return out
     if len(mesh) == 1:
         w, b = p.extent[0], fov[0]
@@ -194,7 +218,7 @@ def spatial_profile(phantom: Phantom, x: np.ndarray, ref: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Modulator:
     """Trigonometric coefficients of a smooth spatial weighting.
 

@@ -8,7 +8,7 @@ from scipy import signal as _sps
 
 import lpk.core
 from lpk.core import Filter, KGrid, KSignal, MultiFilter, MultiKSignal
-from lpk.phantom import Modulator, Phantom, _check_fov, spatial_profile
+from lpk.phantom import Modulator, Phantom, Primitive, _check_fov, spatial_profile
 from lpk.quadrature import merge_edges, piecewise_quad
 
 
@@ -58,6 +58,29 @@ def quadrature_samples(
 
     vals = piecewise_quad(integrand, edges)
     return KSignal(grid, vals)
+
+
+def formula_samples(p: Primitive, mesh, fov) -> np.ndarray:
+    """A point's or boxcar's closed form evaluated as written, complex
+    products and all: the oracle ``phantom.primitive_samples`` equals
+    bitwise."""
+    phase = np.zeros(np.broadcast_shapes(*(m.shape for m in mesh)))
+    for n, c, b in zip(mesh, p.center, fov):
+        phase = phase - 2.0 * np.pi * n * c / b
+    out = p.amplitude * np.exp(1j * phase)
+    if p.kind == "boxcar":
+        for n, w, b in zip(mesh, p.extent, fov):
+            out = out * (2.0 * w) * np.sinc(2.0 * w * n / b)
+    return out
+
+
+def lhs_energy(sample_fns, taps, L: int, P: int, grid: KGrid) -> float:
+    """An identity check's sample-side energy in one piece, by complex
+    convolution: the reference for the chunked real-arithmetic sum
+    ``lp._lhs_energy``."""
+    n = np.arange(grid.n_min[0], grid.n_max[0] + 1)
+    resp = sum(np.convolve(fn(n), t, mode="valid") for fn, t in zip(sample_fns, taps))
+    return float(np.sum(np.abs(resp) ** 2))
 
 
 @pytest.fixture

@@ -311,7 +311,8 @@ def test_fit_errors(capsys, sampled, tmp_path):
     ("n_min", 5, "bad grid in header: "),
     ("n_min", [-2.5], "bad grid in header: n_min entries must be integers"),
     ("calib", 5, "bad calib in header: "),
-], ids=["n_min-int", "n_min-float", "calib-int"])
+    ("calib", [[-1.5, 1.9]], "bad calib in header: calib bound must be an integer, got -1.5"),
+], ids=["n_min-int", "n_min-float", "calib-int", "calib-float"])
 def test_a_malformed_header_field_is_a_data_error_naming_the_file(
     capsys, sampled, tmp_path, field, value, message
 ):

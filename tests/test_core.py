@@ -260,6 +260,15 @@ class TestSamplingMask:
         with pytest.raises(ValueError):
             SamplingMask(g, np.ones(8, dtype=bool), ((-5, 0),))
 
+    def test_calib_bounds_must_be_integers(self):
+        g = grid1d(-4, 3)
+        with pytest.raises(ValueError, match="calib bound must be an integer, got -1.5"):
+            SamplingMask(g, np.ones(8, dtype=bool), ((-1.5, 1.9),))
+        with pytest.raises(ValueError, match="calib bound must be an integer, got 1.0"):
+            SamplingMask(g, np.ones(8, dtype=bool), ((-1, 1.0),))
+        m = SamplingMask(g, np.ones(8, dtype=bool), ((np.int64(-1), np.int32(1)),))
+        assert m.calib == ((-1, 1),) and all(type(b) is int for b in m.calib[0])
+
     def test_calib_must_be_acquired(self):
         g = grid1d(-4, 3)
         acq = np.ones(8, dtype=bool)

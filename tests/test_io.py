@@ -135,10 +135,12 @@ def test_bad_mask_byte_rejected(tmp_path):
     ("n_min", 5, "bad grid in header: "),
     ("n_min", [-2.5], "bad grid in header: n_min entries must be integers"),
     ("calib", 5, "bad calib in header: "),
-], ids=["n_min-int", "n_min-float", "calib-int"])
+    ("calib", [[-1.5, 1.9]], "bad calib in header: calib bound must be an integer, got -1.5"),
+], ids=["n_min-int", "n_min-float", "calib-int", "calib-float"])
 def test_a_malformed_grid_or_calib_field_is_a_format_error(tmp_path, field, value, message):
-    # The first and last raised an uncaught TypeError, the second a plain
-    # ValueError, so the CLI could not name the file.
+    # The first and third raised an uncaught TypeError, the second a plain
+    # ValueError, so the CLI could not name the file; the fourth was read
+    # as [-1, 1].
     path = tmp_path / "m.lpk"
     write_lpk(path, SamplingMask(grid1d(-2, 2), np.ones(5, dtype=bool), ((-1, 1),)))
     header, payload = path.read_bytes().split(b"\n", 1)

@@ -6,6 +6,7 @@ Faddeev-LeVerrier characteristic polynomial for eigenvalues, and the
 quadrature route for spatial energies.
 """
 
+import argparse
 import gc
 import json
 import tracemalloc
@@ -15,13 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import conv_response
+from conftest import conv_response, lhs_energy
 from lpk.core import (
-    Filter, KGrid, KSignal, MultiKSignal, SamplingMask, centered_grid, zero_fill,
+    Filter, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask, centered_grid, zero_fill,
 )
 from lpk.harness import ENGINES, MaskSpec, add_noise, demo_scene_1d, demo_scene_2d, gen_mask
 from lpk.io import read_json, write_json
-from lpk import harness, lp
+from lpk import cli, harness, lp
 from lpk.lp import (
     FilterBank,
     SingularFitError,
@@ -41,9 +42,9 @@ from lpk.lp import (
     pattern_signature,
     smallest_eigensequences,
 )
-from lpk.multi import scene_samples
+from lpk.multi import check_multichannel_identity, scene_samples
 from lpk.recon import annihilation_recon
-from lpk.phantom import Phantom, Primitive, fourier_samples, samples_at
+from lpk.phantom import Modulator, Phantom, Primitive, fourier_samples, samples_at
 
 
 def boxcar(center=0.0, half=0.25, amp=1.0, fov=1.0):
@@ -820,22 +821,45 @@ class TestAnnihilationIdentity:
         # (0.48 for ellipses; 0.998 for the boxcar).
         assert np.max(scaled) >= 0.45 * c
 
-    @pytest.mark.parametrize("grid", [40, 65])
-    def test_chunk_seams_drop_and_double_no_term(self, grid, monkeypatch):
-        # Chunks of 7 indices put several seams, and a partial last chunk,
-        # inside the valid range; the sum must be the one-chunk sum.
-        ph = Phantom((Primitive("ellipse", (0.1,), (0.2,), 0.6 + 0.2j),), (1.0,))
-        filt = Filter(np.array([0.5, -1.0, 0.25j]), 1, 1)
+    @staticmethod
+    def identity_check(case, grid):
+        """An ``lpk verify`` scene, or one with complex samples and taps."""
+        if case.startswith("theorem"):
+            args = argparse.Namespace(fov=None, grid=grid, L=4, P=4)
+            return getattr(cli, f"_theorem_scene_{case[-1]}")(args)[0]
         g = centered_grid(grid, 1.0)
-        whole = check_annihilation_identity(ph, filt, g)
-        resp = np.convolve(fourier_samples(ph, g).values, filt.taps, mode="valid")
-        assert whole.lhs == pytest.approx(np.sum(np.abs(resp) ** 2), rel=1e-13)
+        if case == "ellipse":
+            ph = Phantom((Primitive("ellipse", (0.1,), (0.2,), 0.6 + 0.2j),), (1.0,))
+            return check_annihilation_identity(ph, Filter(np.array([0.5, -1.0, 0.25j]), 1, 1), g)
+        # Two channels: complex modulators and taps, two nonzero responses.
+        ph = Phantom((Primitive("ellipse", (-0.1,), (0.2,), 0.8 - 0.3j),), (1.0,))
+        sens = (Modulator(np.array([1.0, 0.3j]), (0,)), Modulator(np.array([0.5 - 0.2j]), (-1,)))
+        mf = MultiFilter.from_array(np.array([[0.5, -1.0j, 0.2], [0.3j, 1.0, -0.4]]), 1, 1)
+        return check_multichannel_identity(ph, sens, mf, g)
+
+    @pytest.mark.parametrize("case", ["theorem1", "theorem2", "theorem3", "ellipse", "two-channel"])
+    @pytest.mark.parametrize("grid", [40, 65])
+    def test_chunk_seams_drop_and_double_no_term(self, case, grid, monkeypatch):
+        # The chunked real-arithmetic sum against the complex convolution in
+        # one piece.  Chunks of 7 indices then put several seams, and a
+        # partial last chunk, inside the valid range; the sum must be the
+        # one-chunk sum.
+        calls = []
+        fast = lp._lhs_energy
+
+        def spy(*args):
+            calls.append(args)
+            return fast(*args)
+
+        monkeypatch.setattr(lp, "_lhs_energy", spy)
+        whole = self.identity_check(case, grid).lhs
+        assert whole == pytest.approx(lhs_energy(*calls[0]), rel=1e-13, abs=0.0)
         monkeypatch.setattr(lp, "_CHUNK", 7)
-        assert check_annihilation_identity(ph, filt, g).lhs == pytest.approx(whole.lhs, rel=1e-13)
+        assert self.identity_check(case, grid).lhs == pytest.approx(whole, rel=1e-13, abs=0.0)
 
     def test_a_long_grid_is_summed_in_small_chunks(self):
         # The benchmark's theorem-1 check: 2^20 indices.  One chunk of the
-        # whole grid traced a 96 MiB peak.
+        # whole grid traced a 72 MiB peak.
         ph = boxcar()
         filt = smallest_eigensequences(gram_operator(ph, 4, 4), 1).filters[0].filters[0]
         grid = centered_grid(1 << 20, 1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import quadrature_samples, signals_allclose
+from conftest import formula_samples, quadrature_samples, signals_allclose
 from lpk.core import KGrid, centered_grid
 from lpk.io import read_json, write_json
 from lpk.phantom import (
@@ -13,6 +13,7 @@ from lpk.phantom import (
     fourier_samples,
     make_sensitivities,
     modulated_samples,
+    samples_at,
     phantom_from_json,
     phantom_to_json,
 )
@@ -132,6 +133,55 @@ class TestQuadratureOracle:
         assert np.max(np.abs(exact.values - quad.values)) <= 1e-9
 
 
+class TestFormulaOracle:
+    """The closed forms, evaluated on real arithmetic where they can be,
+    against the formulas evaluated as written: equal bitwise."""
+
+    AMPLITUDES = (1.0, -0.7, 0.6 + 0.2j, -1.5 - 0.5j, 2j, complex(-0.3, 0.0))
+
+    @staticmethod
+    def meshes(dims):
+        """Index arrays through 0 (a full mesh, and in 2D a broadcast pair)
+        and single indices."""
+        if dims == 1:
+            return [(np.arange(-40, 41),), (np.asarray(0),), (np.asarray(-3),)]
+        n0, n1 = np.arange(-9, 10), np.arange(-6, 8)
+        return [
+            tuple(np.meshgrid(n0, n1, indexing="ij")), (n0[:, None], n1[None, :]),
+            (np.asarray(0), np.asarray(2)),
+        ]
+
+    @pytest.mark.parametrize("kind", ["boxcar", "point"])
+    @pytest.mark.parametrize("center", [
+        (0.0,), (0.1,), (-0.2,), (0.0, 0.0), (0.15, 0.0), (0.0, -0.15), (0.2, -0.1),
+    ])
+    @pytest.mark.parametrize("fov", [0.5, 1.0, 2.0])
+    def test_samples_are_the_formula_bitwise(self, kind, center, fov):
+        dims = len(center)
+        half = (0.2 * fov, 0.25 * fov)[:dims] if kind == "boxcar" else (0.0,) * dims
+        for amp in self.AMPLITUDES:
+            p = Primitive(kind, tuple(c * fov for c in center), half, amp)
+            for mesh in self.meshes(dims):
+                got = samples_at(Phantom((p,), (fov,) * dims), mesh)
+                assert np.array_equal(got, formula_samples(p, mesh, (fov,) * dims))
+
+    def test_random_boxcars_are_the_formula_bitwise(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            dims = int(rng.integers(1, 3))
+            fov = tuple(rng.choice([0.5, 1.0, 2.0], size=dims))
+            half = tuple(b * rng.uniform(0.01, 0.3) for b in fov)
+            center = tuple(
+                0.0 if rng.random() < 0.5 else rng.uniform(-1, 1) * (b / 2 - w)
+                for b, w in zip(fov, half)
+            )
+            amp = complex(*rng.choice([0.0, 1.0, -1.0], size=2) * rng.normal(size=2))
+            p = Primitive("boxcar", center, half, amp)
+            for mesh in self.meshes(dims):
+                got = samples_at(Phantom((p,), fov), mesh)
+                assert np.array_equal(got, formula_samples(p, mesh, fov))
+
+
 class TestModulatedSamples:
     def test_identity_modulator(self):
         ph = boxcar()
@@ -158,6 +208,16 @@ class TestModulatedSamples:
         for n in range(-4, 5):
             expect = base.at((n,)) + 0.5 * base.at((n - 1,))
             assert out.at((n,)) == pytest.approx(expect, abs=1e-14)
+
+
+    def test_modulators_compare_by_identity(self):
+        # Like every other value type that holds an array: == and hash
+        # raised for a modulator of more than one coefficient.
+        a = Modulator(np.array([1.0, 0.5]), (0,))
+        b = Modulator(np.array([1.0, 0.5]), (0,))
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b} and len({a, b}) == 2
 
 
 class TestMakeSensitivities:
