@@ -9,10 +9,10 @@ acquisitions, partial-coverage acquisitions, and slice superpositions.
 
 Layout:
 
-- :mod:`lpk.core` grids, signals, filters, masks, convolution
+- :mod:`lpk.core` grids, signals, filters, masks
 - :mod:`lpk.io` the ``.lpk`` container format and the JSON document reader and writer
 - :mod:`lpk.phantom` closed-form scenes and their exact samples
-- :mod:`lpk.lp` filter fitting, extrapolation, energy identities
+- :mod:`lpk.lp` filter fitting, pattern interpolation, energy identities
 - :mod:`lpk.recon` lifted low-rank and least-squares reconstruction
 - :mod:`lpk.multi` multi-channel scenes and slice separation
 - :mod:`lpk.harness` mask generation, noise, metrics, batch runs

@@ -4,11 +4,11 @@ All data in this package lives on integer index grids: a signal stores one
 complex double per index ``n`` with ``n_min <= n <= n_max`` along each axis.
 A channel stack stores its samples ``x_q[n]`` as one ``[Q, *N]`` array, so
 functions that take either kind act on ``values`` alone.  Filters store
-taps ``h[k]`` for ``k in [-L, P]`` and act by discrete convolution
-restricted to the fully-covered (valid) output range, so no wraparound or
-zero-padding assumption ever enters a prediction residual.  A joint
-filter stores its channels' taps as one ``[Q, *W]`` array, and one
-routine checks every tap array: a filter's ``[*W]``, a joint filter's
+taps ``h[k]`` for ``k in [-L, P]``; every routine that applies them keeps
+to the fully-covered (valid) output range (:meth:`KGrid.valid_for`), so no
+wraparound or zero-padding assumption ever enters a prediction residual.
+A joint filter stores its channels' taps as one ``[Q, *W]`` array, and
+one routine checks every tap array: a filter's ``[*W]``, a joint filter's
 ``[Q, *W]`` and a bank's ``[F, Q, *W]``.
 
 Everything here is a plain immutable value type; operations return new
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import signal as _sps
 
 
 class GridMismatchError(ValueError):
@@ -67,8 +66,8 @@ class KGrid:
             correspond to the frequency ``n / B``.
 
     A directly constructed grid must contain index 0 and at least two
-    points per axis.  Derived ranges that need not contain 0 (valid
-    regions of a convolution, extrapolated extensions) are built with
+    points per axis.  Derived ranges that need not contain 0 (the valid
+    region of a filter, a shifted copy) are built with
     :meth:`KGrid.window`.
     """
 
@@ -126,18 +125,6 @@ class KGrid:
 
     def index_mesh(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*self.index_vectors(), indexing="ij"))
-
-    def pos(self, n) -> tuple[int, ...]:
-        """Array position of index tuple ``n``."""
-        n = _axes_int(n, "n")
-        p = tuple(ni - lo for ni, lo in zip(n, self.n_min))
-        if any(pi < 0 or pi >= s for pi, s in zip(p, self.shape)):
-            raise IndexError(f"index {n} outside grid")
-        return p
-
-    def contains(self, n) -> bool:
-        n = _axes_int(n, "n")
-        return all(lo <= ni <= hi for ni, lo, hi in zip(n, self.n_min, self.n_max))
 
     def valid_for(self, L: int, P: int) -> "KGrid":
         """Output range of a ``[-L, P]`` filter applied without wraparound."""
@@ -210,9 +197,6 @@ class KSignal:
         object.__setattr__(self, "values", _as_complex(self.values, self.grid.shape, "values"))
 
     __reduce__ = _rebuilt(None, "grid", "values")
-
-    def at(self, n) -> complex:
-        return complex(self.values[self.grid.pos(n)])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -308,32 +292,25 @@ def _check_anchor(taps: np.ndarray, L: int, anchor, name: str = "filter") -> int
 class Filter:
     """Prediction/annihilation taps ``h[k]`` for ``k in [-L, P]`` per axis.
 
-    ``taps`` is stored ascending in ``k``; position ``L`` (per axis) is the
-    ``k = 0`` anchor.  When ``anchor_fixed`` is set the anchor tap must be
-    exactly ``-1``: the filter output ``sum_k h[k] x[n-k]`` is then the
-    prediction residual ``-x[n] + sum_{k != 0} h[k] x[n-k]``.
+    ``taps`` is stored ascending in ``k``; position ``L`` (per axis) is
+    ``k = 0``.  A single-channel filter carries no anchor: which tap is
+    pinned to -1 is recorded on joint filters only
+    (:attr:`MultiFilter.anchor_channel`, ``lp.FilterBank.anchors``).
     """
 
     taps: np.ndarray
     L: int
     P: int
-    anchor_fixed: bool = False
 
     def __post_init__(self):
         taps, L, P = _check_taps(self.taps, self.L, self.P, 0)
-        if self.anchor_fixed:
-            _check_anchor(taps[None], L, 0)
         self.__dict__.update(taps=taps, L=L, P=P)
 
-    __reduce__ = _rebuilt(None, "taps", "L", "P", "anchor_fixed")
+    __reduce__ = _rebuilt(None, "taps", "L", "P")
 
     @property
     def dims(self) -> int:
         return self.taps.ndim
-
-    def tap(self, k) -> complex:
-        k = _axes_int(k, "k")
-        return complex(self.taps[tuple(ki + self.L for ki in k)])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -344,9 +321,9 @@ class MultiFilter:
     ``anchor_channel``, if not None, is the channel whose ``k = 0`` tap is
     exactly -1: the prediction target of the joint relation
     ``sum_q sum_k h_q[k] x_q[n-k] ~ 0``.  ``MultiFilter(filters)`` stacks
-    one :class:`Filter` per channel, at most one of them ``anchor_fixed``;
-    :meth:`from_array` takes the stack as it is.  Either checks the stack
-    once, and ``filters`` are views of ``taps[q]``.
+    one :class:`Filter` per channel and has no anchor; :meth:`from_array`
+    takes the stack as it is, with the anchor the anchored fits set.
+    Either checks the stack once, and ``filters`` are views of ``taps[q]``.
     """
 
     taps: np.ndarray
@@ -356,12 +333,10 @@ class MultiFilter:
 
     def __init__(self, filters):
         filts = tuple(filters)
-        anchors = [q for q, f in enumerate(filts) if f.anchor_fixed]
-        if not filts or len({(f.L, f.P) for f in filts}) > 1 or len(anchors) > 1:
-            raise ValueError("channel filters must share L and P, at most one anchored")
+        if not filts or len({(f.L, f.P) for f in filts}) > 1:
+            raise ValueError("channel filters must share L and P")
         taps = np.stack([f.taps for f in filts])
-        anchor = anchors[0] if anchors else None
-        self.__dict__.update(vars(MultiFilter.from_array(taps, filts[0].L, filts[0].P, anchor)))
+        self.__dict__.update(vars(MultiFilter.from_array(taps, filts[0].L, filts[0].P)))
 
     @classmethod
     def from_array(cls, taps, L: int, P: int, anchor: int | None = None) -> "MultiFilter":
@@ -384,10 +359,7 @@ class MultiFilter:
     @property
     def filters(self) -> tuple[Filter, ...]:
         """Channel ``q`` as a :class:`Filter` viewing ``taps[q]``."""
-        return tuple(
-            _unchecked(Filter, taps=t, L=self.L, P=self.P, anchor_fixed=(q == self.anchor_channel))
-            for q, t in enumerate(self.taps)
-        )
+        return tuple(_unchecked(Filter, taps=t, L=self.L, P=self.P) for t in self.taps)
 
 
 def _normalize_calib(calib, grid: KGrid):
@@ -464,22 +436,3 @@ def zero_fill(data: Union[KSignal, MultiKSignal], mask: SamplingMask):
         raise GridMismatchError("data and mask grids differ")
     return _like(data, np.where(mask.acquired, data.values, 0.0))
 
-
-def conv_apply(data: KSignal, filt: Filter) -> KSignal:
-    """Apply ``y[n] = sum_k h[k] x[n-k]`` on the fully-covered output range.
-
-    The output grid shrinks to ``[n_min + P, n_max - L]`` per axis so that
-    every term of the sum references an index inside the input grid.
-
-    Args:
-        data: input samples.
-        filt: taps on ``[-L, P]``; dims must match the data.
-
-    Returns:
-        The valid-region response on the shrunken window grid.
-    """
-    if filt.dims != data.grid.dims:
-        raise ValueError("filter dims do not match data dims")
-    out_grid = data.grid.valid_for(filt.L, filt.P)
-    out = _sps.convolve(data.values, filt.taps, mode="valid", method="direct")
-    return KSignal(out_grid, out)

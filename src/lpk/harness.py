@@ -58,7 +58,10 @@ class MaskSpec:
 
     ``calib`` and ``pf`` may be None to pick the defaults at generation
     time (an eighth of the grid, and 9/16); ``calib=0`` leaves the
-    calibration block out.
+    calibration block out.  ``r``, ``seed`` and a given ``calib`` are
+    integers (not bools); anything else is a ``ValueError`` naming the
+    field as an experiment config does (``mask accel``, ``mask calib``,
+    ``mask seed``).
     """
 
     kind: str
@@ -71,6 +74,10 @@ class MaskSpec:
     def __post_init__(self):
         if self.kind not in MASK_KINDS:
             raise ValueError(f"unknown mask kind {self.kind!r}")
+        _integer("mask accel", self.r)
+        if self.calib is not None:
+            _integer("mask calib", self.calib)
+        _integer("mask seed", self.seed)
         if self.r < 1:
             raise ValueError("acceleration must be at least 1")
         if self.pf is not None:
@@ -111,9 +118,7 @@ def gen_mask(spec: MaskSpec, grid: KGrid) -> SamplingMask:
     cw = spec.calib if spec.calib is not None else (size0 // 8 if want_calib else 0)
     if cw > min(grid.shape):
         raise ValueError(f"calib width {cw} exceeds grid extent {min(grid.shape)}")
-    calib = None
-    if want_calib and cw > 0:
-        calib = (_centered_interval(cw),) * grid.dims
+    calib = (_centered_interval(cw),) * grid.dims if cw > 0 else None
 
     if spec.kind == "stencil":
         bitmap = np.asarray(spec.stencil, dtype=bool)
@@ -121,10 +126,7 @@ def gen_mask(spec: MaskSpec, grid: KGrid) -> SamplingMask:
             raise ValueError(
                 f"stencil shape {bitmap.shape} does not match grid {grid.shape}"
             )
-        sc = None
-        if spec.calib:
-            sc = (_centered_interval(spec.calib),) * grid.dims
-        return SamplingMask(grid, bitmap, sc)
+        return SamplingMask(grid, bitmap, calib)
 
     if spec.kind == "random_pf":
         f = spec.pf if spec.pf is not None else 9.0 / 16.0
@@ -212,9 +214,7 @@ def _engine_interp(
             done -= 1
             break
         eff_mask = SamplingMask(grid, eff, mask.calib)
-        fmap, quality = fit_interpolation_filters(
-            cur, eff_mask, L, P, ridge, return_quality=True
-        )
+        fmap, quality = fit_interpolation_filters(cur, eff_mask, L, P, ridge)
         # Impute only where the calibration fit generalizes: tight
         # residual, and coefficient energy within gain_ratio of the most
         # stable pattern this pass (energies far above it mark overfit
@@ -386,13 +386,12 @@ def run_experiment(config: dict, out_dir=None) -> dict:
         fov = config.get("fov", 1.0)
         grid = centered_grid(shape, fov)
         mask_cfg = dict(config["mask"])
-        calib = mask_cfg.pop("calib", None)
         spec = MaskSpec(
             kind=mask_cfg.pop("kind"),
-            r=_integer("mask accel", mask_cfg.pop("accel", 1)),
-            calib=None if calib is None else _integer("mask calib", calib),
+            r=mask_cfg.pop("accel", 1),
+            calib=mask_cfg.pop("calib", None),
             pf=mask_cfg.pop("pf", None),
-            seed=_integer("mask seed", mask_cfg.pop("seed", 0)),
+            seed=mask_cfg.pop("seed", 0),
             stencil=mask_cfg.pop("stencil", None),
         )
         if mask_cfg:

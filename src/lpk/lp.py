@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import signal as _sps
 from scipy.linalg import lapack as _lapack
 
 from .core import (
@@ -51,6 +50,7 @@ from .core import (
     _axes_int,
     _check_anchor,
     _check_taps,
+    _integer,
     _normalize_calib,
     _rebuilt,
     _unchecked,
@@ -182,15 +182,23 @@ def build_calib_matrix(data, calib=None, L: int = 0, P: int = 1) -> CalibMatrix:
     return CalibMatrix(_window_rows(region, L, P), ms.grid, calib, L, P, ms.q_count)
 
 
+def _ridge(gram: np.ndarray, ridge: float | None) -> float:
+    """The ridge every fit adds to its Gram matrix ``gram``: ``ridge`` as
+    given, or for None ``1e-9 *`` its largest diagonal entry; a negative
+    one is a ``ValueError``."""
+    if ridge is None:
+        return 1e-9 * float(np.max(gram.diagonal().real))
+    if ridge < 0:
+        raise ValueError("ridge must be nonnegative")
+    return ridge
+
+
 def _ridge_solve(A: np.ndarray, y: np.ndarray, ridge: float | None):
     """Least-squares solve with optional ridge; errors on singular + ridge 0."""
     if A.shape[1] == 0:
         return np.zeros(0, dtype=np.complex128), float(np.linalg.norm(y))
     gram = A.conj().T @ A
-    if ridge is None:
-        ridge = 1e-9 * float(np.max(gram.diagonal().real)) if gram.size else 0.0
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    ridge = _ridge(gram, ridge)
     if ridge == 0.0:
         coef, _res, rank, _sv = np.linalg.lstsq(A, y, rcond=None)
         if rank < A.shape[1]:
@@ -301,8 +309,11 @@ def nullspace_filter_bank(
 
     Right singular vectors with singular value at most ``tau`` times the
     largest become bank filters (always at least the very smallest one),
-    orthonormal by construction, residuals ascending.
+    orthonormal by construction, residuals ascending.  ``limit``, if not
+    None, keeps the first ``limit >= 1`` of them.
     """
+    if limit is not None and _integer("limit", limit) < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     cm = build_calib_matrix(data, calib, L, P)
     _u, s, vh = np.linalg.svd(cm.matrix, full_matrices=True)
     n_cols = cm.matrix.shape[1]
@@ -409,7 +420,6 @@ def fit_interpolation_filters(
     L: int = 1,
     P: int = 1,
     ridge: float | None = None,
-    return_quality: bool = False,
 ):
     """Fit one anchored filter per channel for each missing-sample pattern.
 
@@ -427,14 +437,13 @@ def fit_interpolation_filters(
     ``ridge`` is a ValueError.  A block that is not positive definite, as
     with all-zero data and no positive ridge, raises SingularFitError.
 
-    Returns a map from signature to that pattern's read-only ``[Q, Q,
-    *W]`` tap array (``W = L + P + 1`` per axis): ``[m]`` is the filter
-    anchored at channel ``m``, whose own ``k = 0`` tap ``[m, m, L, ...]``
-    is -1, and taps on unacquired offsets are zero.
-
-    With ``return_quality`` also returns a per-signature ``(rel_resid,
-    coef_energy)`` map: the worst channel's relative calibration residual
-    and squared coefficient norm (the noise-amplification factor of one
+    Returns ``(filters, quality)``.  ``filters`` maps each signature to
+    that pattern's read-only ``[Q, Q, *W]`` tap array (``W = L + P + 1``
+    per axis): ``[m]`` is the filter anchored at channel ``m``, whose own
+    ``k = 0`` tap ``[m, m, L, ...]`` is -1, and taps on unacquired offsets
+    are zero.  ``quality`` maps each signature to ``(rel_resid,
+    coef_energy)``: the worst channel's relative calibration residual and
+    squared coefficient norm (the noise-amplification factor of one
     imputation).
     """
     ms = _as_multi(data)
@@ -442,12 +451,9 @@ def fit_interpolation_filters(
         raise GridMismatchError("data and mask grids differ")
     if mask.calib is None:
         raise ValueError("pattern fitting requires a calibration region")
-    if ridge is not None and ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     cm = build_calib_matrix(ms, mask.calib, L, P)
     gram = cm.matrix.conj().T @ cm.matrix
-    if ridge is None:
-        ridge = 1e-9 * float(np.max(gram.diagonal().real))
+    ridge = _ridge(gram, ridge)
     q_count, per = cm.q_count, cm.taps_per_channel
     channels = np.arange(q_count)
     tgts = channels * per + cm.col_index(0, (0,) * cm.dims)
@@ -477,16 +483,13 @@ def fit_interpolation_filters(
         taps = taps.reshape((q_count, q_count) + cm.tap_shape)
         taps.setflags(write=False)
         out[sig] = taps
-        if return_quality:
-            # ||A_src c_m - a_m||^2 per channel m through the Gram: with
-            # (G_src + ridge) c_m = r_m it is t_m - Re(c_m^H r_m) - ridge |c_m|^2.
-            energy = np.sum(np.abs(coef) ** 2, axis=0)
-            rsq = tt - np.einsum("im,im->m", coef.conj(), rhs).real - ridge * energy
-            rel = np.sqrt(np.maximum(rsq[live], 0.0) / tt[live])
-            quality[sig] = (float(np.max(rel, initial=0.0)), float(np.max(energy)))
-    if return_quality:
-        return out, quality
-    return out
+        # ||A_src c_m - a_m||^2 per channel m through the Gram: with
+        # (G_src + ridge) c_m = r_m it is t_m - Re(c_m^H r_m) - ridge |c_m|^2.
+        energy = np.sum(np.abs(coef) ** 2, axis=0)
+        rsq = tt - np.einsum("im,im->m", coef.conj(), rhs).real - ridge * energy
+        rel = np.sqrt(np.maximum(rsq[live], 0.0) / tt[live])
+        quality[sig] = (float(np.max(rel, initial=0.0)), float(np.max(energy)))
+    return out, quality
 
 
 def interpolate_missing(
@@ -556,45 +559,6 @@ def interpolate_missing(
         win = windows[tuple(pos.T)].reshape(len(pos), -1)
         out[(slice(None),) + tuple(pos.T)] = taps @ win.T
     return MultiKSignal.from_array(ms.grid, out)
-
-
-def extrapolate(seed: KSignal, coeffs: Filter, steps: int, direction: str = "+") -> KSignal:
-    """Run the pure prediction recursion beyond the seed range, 1D.
-
-    With anchored taps on ``[0, P]`` the recursion is
-    ``x[n] = sum_{k=1..P} h[k] x[n-k]`` forward.  Backward is the same
-    recursion run forward on the reversed sequence with the taps
-    reversed, which solves for the earliest term (so needs ``h[P] != 0``).
-
-    Returns:
-        The ``steps`` new samples on the adjacent index window.
-    """
-    if seed.grid.dims != 1:
-        raise ValueError("extrapolate is 1D only")
-    if coeffs.dims != 1 or coeffs.L != 0:
-        raise ValueError("extrapolation filter must have L = 0")
-    if not coeffs.anchor_fixed:
-        raise ValueError("extrapolation filter must carry the anchor convention")
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    P = coeffs.P
-    if seed.grid.size < P:
-        raise ValueError(f"seed holds {seed.grid.size} samples, needs at least P = {P}")
-    if direction not in ("+", "-"):
-        raise ValueError("direction must be '+' or '-'")
-    taps, values = coeffs.taps, seed.values
-    if direction == "-":
-        if P == 0 or taps[P] == 0:
-            raise ValueError("backward recursion needs a nonzero highest-order coefficient")
-        taps, values = taps[::-1], values[::-1]
-    # The all-pole filter 1 / (-taps) on zero input, started from the last
-    # P values (most recent first), continues the recursion.
-    zi = _sps.lfiltic([1.0], -taps, values[::-1][:P])
-    new = _sps.lfilter([1.0], -taps, np.zeros(steps, dtype=np.complex128), zi=zi)[0]
-    lo, hi = seed.grid.n_min[0], seed.grid.n_max[0]
-    if direction == "+":
-        return KSignal(KGrid.window((hi + 1,), (hi + steps,), seed.grid.fov), new)
-    return KSignal(KGrid.window((lo - steps,), (lo - 1,), seed.grid.fov), new[::-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import signal as _sps
 
 from .core import (
     Filter, GridMismatchError, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask, _like,
-    conv_apply,
 )
 from .lp import (
     IdentityCheck, _anchored_fit, _as_multi, _decay_constant as _decay, _energy_identity,
@@ -247,34 +247,44 @@ def sms_fit_separator_coils(
     return mf, SeparatorReport(repro, float(leakage), mu, rows)
 
 
+# The undersampled split's relation weight and solve budget
+# (``recon._bank_solve``'s ``lam``, ``tol`` and ``max_iters``).
+_SMS_LAM = 1.0
+_SMS_TOL = 1e-9
+_SMS_MAX_ITERS = 500
+
+
 def sms_separate(
     summed: KSignal,
     separators: Sequence[Filter],
     mask: SamplingMask | None = None,
-    lam: float = 1.0,
-    tol: float = 1e-9,
-    max_iters: int = 500,
 ) -> tuple[MultiKSignal, ReconReport]:
-    """Split superposed samples into slices with one separator each.
+    """Split superposed single-channel samples into slices, one separator each.
 
     Fully sampled data is split directly: slice ``m`` is separator ``m``
-    applied to the sum, on the shrunken valid grid.  With a mask, the
-    slices become joint unknowns of the annihilation solve
-    (``recon._bank_solve``) with the slice sum as its data: its least
-    squares balance summed data consistency on acquired indices against
-    each slice's separator relation, ``f_m`` over the sum less slice
-    ``m`` (weighted by ``lam``, finite and positive), returning slices on
-    the full grid.  The benchmark's two 64-sample slices are 128
-    unknowns, solved at once; their normal matrix is singular, so the
-    answer is its minimum-norm solution.
+    convolved with the sum on its valid range, the shrunken grid
+    ``summed.grid.valid_for(L, P)``.  With a mask, the slices become
+    joint unknowns of the annihilation solve (``recon._bank_solve``)
+    with the slice sum as its data: its least squares balance summed
+    data consistency on acquired indices against each slice's separator
+    relation, ``f_m`` over the sum less slice ``m`` (weighted by
+    ``_SMS_LAM``; ``_SMS_TOL`` and ``_SMS_MAX_ITERS`` bound the
+    iterative solve), returning slices on the full grid.  The
+    benchmark's two 64-sample slices are 128 unknowns, solved at once;
+    their normal matrix is singular, so the answer is its minimum-norm
+    solution.
 
     That split is limited by the model: summed over ``m`` the relations
     leave ``conv_valid(sum_q x_q, sum_m f_m - δ₀)``, and separators that
     split well add up to nearly ``δ₀``, so the sum is barely constrained
     where it was not acquired.  On the benchmark's two-slice scene the
-    direct split scores 0.100 and the joint one 0.27 for any ``lam`` in
+    direct split scores 0.100 and the joint one 0.27 for any weight in
     [0.01, 100]; its sum is 126% off at missing indices.
     """
+    if not isinstance(summed, KSignal):
+        raise ValueError(
+            f"sms_separate splits one single-channel KSignal, got {type(summed).__name__}"
+        )
     seps = tuple(separators)
     if not seps:
         raise ValueError("need one separator per slice")
@@ -282,15 +292,16 @@ def sms_separate(
     for f in seps[1:]:
         if (f.L, f.P) != (L, P):
             raise ValueError("separators must share tap support")
+    if any(f.dims != summed.grid.dims for f in seps):
+        raise ValueError("filter dims do not match data dims")
     if mask is not None and mask.grid != summed.grid:
         raise GridMismatchError("mask grid differs from data grid")
     if mask is None or bool(np.all(mask.acquired)):
-        outs = tuple(conv_apply(summed, f) for f in seps)
-        return MultiKSignal(outs), ReconReport(
+        grid = summed.grid.valid_for(L, P)
+        outs = [_sps.convolve(summed.values, f.taps, mode="valid", method="direct") for f in seps]
+        return MultiKSignal.from_array(grid, outs), ReconReport(
             method="sms-direct", iterations=0, converged=True
         )
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"undersampled separation needs a finite lam > 0, not {lam}")
     shape = (len(seps),) + summed.grid.shape
     # Relation m is one filter over the slices: h[m, q] = f_m - [q = m] δ₀,
     # δ₀ the k = 0 tap.
@@ -298,7 +309,8 @@ def sms_separate(
     for m in range(len(seps)):
         taps[(m, m) + (L,) * summed.grid.dims] -= 1.0
     x, report = _bank_solve(
-        taps, shape, summed.values[None], mask.acquired[None], lam, tol, max_iters, "sms-joint"
+        taps, shape, summed.values[None], mask.acquired[None],
+        _SMS_LAM, _SMS_TOL, _SMS_MAX_ITERS, "sms-joint",
     )
     return MultiKSignal.from_array(summed.grid, x), report
 

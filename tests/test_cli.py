@@ -13,8 +13,9 @@ import pytest
 
 import lpk
 import lpk.cli
+from conftest import conv_response
 from lpk.cli import main
-from lpk.core import conv_apply
+from lpk.core import MultiKSignal
 from lpk.io import read_json, read_lpk, write_json
 from lpk.lp import IdentityCheck, bank_from_json
 
@@ -279,6 +280,20 @@ def test_fit_prints_and_writes_the_bank(capsys, sampled, mode, source, flags, ke
     assert float(printed["residual"]) <= 1e-4
 
 
+@pytest.mark.parametrize("limit,message", [
+    ("-1", "limit must be at least 1, got -1"),
+    ("0", "limit must be at least 1, got 0"),
+])
+def test_a_nullspace_limit_below_one_is_a_data_error(capsys, sampled, limit, message):
+    out = sampled / "limit.filters.json"
+    code, lines, err = run(
+        capsys, "fit", str(sampled / "full.lpk"), "--mode", "nullspace", "--L", "2", "--P", "2",
+        "--calib", "12", "--limit", limit, "--out", str(out),
+    )
+    assert (code, lines, err) == (2, [], f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_fit_eigen_prints_the_smallest_eigenvalues(capsys, tmp_path):
     from lpk.lp import gram_operator, smallest_eigensequences
     from lpk.phantom import Phantom, Primitive, phantom_to_json
@@ -480,7 +495,7 @@ def test_sms_superpose_fit_and_separate(capsys, sms_dir):
     )
     sep = read_lpk(d / "sep.lpk")
     bank = bank_from_json(read_json(d / "sep0.filters.json"))
-    want = conv_apply(summed, bank.filters[0].filters[0])
+    want = conv_response(MultiKSignal((summed,)), bank.filters[0])
     assert sep.channels[0].grid == want.grid
     assert np.array_equal(sep.channels[0].values, want.values)
 
@@ -524,7 +539,7 @@ def test_sms_fit_of_every_slice_writes_one_bank(capsys, sms_dir):
     assert bank.residuals[0] > bank.residuals[1]
 
 
-def test_sms_separate_with_the_two_slice_bank_matches_conv_apply(capsys, sms_dir):
+def test_sms_separate_with_the_two_slice_bank_matches_the_valid_convolution(capsys, sms_dir):
     d = sms_dir
     bank_path, _ = fit_every_slice(capsys, d)
     code, lines, _ = run(
@@ -537,7 +552,7 @@ def test_sms_separate_with_the_two_slice_bank_matches_conv_apply(capsys, sms_dir
     summed = read_lpk(d / "scene-sum.lpk")
     sep = read_lpk(d / "seps.lpk")
     for ch, mf in zip(sep.channels, bank_from_json(read_json(bank_path)).filters, strict=True):
-        want = conv_apply(summed, mf.filters[0])
+        want = conv_response(MultiKSignal((summed,)), mf)
         assert ch.grid == want.grid
         assert np.array_equal(ch.values, want.values)
 

@@ -98,6 +98,14 @@ class TestGenMask:
         with pytest.raises(ValueError, match=r"stencil shape \(4,\) does not match grid \(8,\)"):
             gen_mask(MaskSpec("stencil", stencil=(True,) * 4), centered_grid(8, 1.0))
 
+    def test_stencil_takes_its_bitmap_and_a_given_calib_only(self):
+        grid = centered_grid((8, 6), 1.0)
+        bitmap = np.zeros(grid.shape, dtype=bool)
+        bitmap[2:6, 1:5] = True
+        for calib, box in ((None, None), (0, None), (4, ((-2, 1), (-2, 1)))):
+            mask = gen_mask(MaskSpec("stencil", calib=calib, stencil=bitmap), grid)
+            assert np.array_equal(mask.acquired, bitmap) and mask.calib == box
+
     @pytest.mark.parametrize("kind,pf", [("uniform", None), ("random", None), ("random_pf", 1.0), ("lowres", None)])
     def test_calib_block_is_forced_on(self, kind, pf):
         grid = centered_grid((16, 12), 1.0)
@@ -111,6 +119,25 @@ class TestGenMask:
         assert MaskSpec("uniform", 2).label() == "uniform-R2"
         assert MaskSpec("random_pf", 2, 8, 0.75, seed=3).label() == "random_pf-R2-C8-F0.75-S3"
         assert MaskSpec("random", 3, 0).label() == "random-R3-C0-S0"
+
+
+@pytest.mark.parametrize(
+    "kind,field,message",
+    [
+        ("uniform", {"r": True}, "mask accel must be an integer, got True"),
+        ("random", {"r": 2.5}, "mask accel must be an integer, got 2.5"),
+        ("uniform", {"calib": True}, "mask calib must be an integer, got True"),
+        ("uniform", {"calib": 4.0}, "mask calib must be an integer, got 4.0"),
+        ("random", {"seed": 1.5}, "mask seed must be an integer, got 1.5"),
+        ("random", {"seed": False}, "mask seed must be an integer, got False"),
+    ],
+)
+def test_a_mask_spec_integer_given_otherwise_names_its_field(kind, field, message):
+    # A bool is an int to Python: r=True would acquire every line and
+    # calib=True draw the box ((0, 0),).  Floats would fail inside numpy.
+    with pytest.raises(ValueError) as err:
+        MaskSpec(kind, **field)
+    assert str(err.value) == message
 
 
 def test_the_mask_config_takes_accel_only():
@@ -181,14 +208,14 @@ class TestInterpEngine:
             oracle.add(pattern_signature(mask, n, 2, 2))
         # A fully missing window admits no filter.
         oracle.discard("0" * 25)
-        assert set(fit_interpolation_filters(measured, mask, 2, 2)) == oracle
+        assert set(fit_interpolation_filters(measured, mask, 2, 2)[0]) == oracle
 
     def test_builds_no_filter_objects(self, no_filter_objects):
         """Fit, imputation and engine run on tap arrays alone: building a
         ``Filter`` or ``MultiFilter``, checked or not, fails the test."""
         measured, mask = small_2d_case(0)
         L, P = 1, 2
-        fmap = fit_interpolation_filters(measured, mask, L, P)
+        fmap, _ = fit_interpolation_filters(measured, mask, L, P)
         assert fmap
         shape = (measured.q_count, measured.q_count, L + P + 1, L + P + 1)
         for taps in fmap.values():
@@ -237,9 +264,7 @@ def public_interp(measured, mask, params):
             done -= 1
             break
         eff_mask = SamplingMask(grid, eff, mask.calib)
-        fmap, quality = fit_interpolation_filters(
-            cur, eff_mask, L, P, params.get("ridge"), return_quality=True
-        )
+        fmap, quality = fit_interpolation_filters(cur, eff_mask, L, P, params.get("ridge"))
         fitted = {s for s in fmap if quality[s][0] <= max_resid}
         anchor = min((quality[s][1] for s in fitted), default=0.0)
         useful = {

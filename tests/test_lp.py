@@ -1,4 +1,4 @@
-"""Filter fitting, extrapolation, interpolation, and the Gram machinery.
+"""Filter fitting, pattern interpolation, and the Gram machinery.
 
 Derived expectations use independent oracles: hand-enumerated matrices,
 polynomial root construction for exponential annihilators, a
@@ -32,7 +32,6 @@ from lpk.lp import (
     bank_to_json,
     build_calib_matrix,
     check_annihilation_identity,
-    extrapolate,
     fit_interpolation_filters,
     fit_prediction_filter,
     gram_operator,
@@ -118,7 +117,7 @@ class TestCalibMatrix:
         # rows run row-major over n in [-2, 1] per axis.
         row = np.ravel_multi_index((2, 2), (4, 4))
         col = cm.col_index(0, (1, 1))
-        assert cm.matrix[row, col] == sig.at((-1, -1))
+        assert cm.matrix[row, col] == sig.values[2, 2]  # n = (-1, -1) on [-3, 2]^2
 
     @pytest.mark.parametrize("L,P", [(0, 0), (0, 2), (2, 0), (1, 3), (3, 1)])
     @settings(derandomize=True, max_examples=20, deadline=None)
@@ -171,8 +170,8 @@ class TestFitPredictionFilter:
         cm = build_calib_matrix(sig, None, 0, 1)
         mf, resid = fit_prediction_filter(cm, ridge=0.0)
         assert resid <= 1e-12
-        assert mf.filters[0].tap((0,)) == -1.0
-        assert mf.filters[0].tap((1,)) == pytest.approx(-1j, abs=1e-12)
+        assert mf.taps[0, 0] == -1.0  # k = 0
+        assert mf.taps[0, 1] == pytest.approx(-1j, abs=1e-12)
 
     def test_harmonic_pair_cross_channel_tap(self):
         base = fourier_samples(boxcar(), centered_grid(19, 1.0))
@@ -184,9 +183,10 @@ class TestFitPredictionFilter:
         cm = build_calib_matrix(ms, None, 1, 0)
         mf, resid = fit_prediction_filter(cm, target=0, ridge=0.0)
         assert resid <= 1e-12
-        assert mf.filters[1].tap((-1,)) == pytest.approx(1.0, abs=1e-10)
-        assert abs(mf.filters[1].tap((0,))) <= 1e-10
-        assert abs(mf.filters[0].tap((-1,))) <= 1e-10
+        # Taps k = -1, 0 per channel.
+        assert mf.taps[1, 0] == pytest.approx(1.0, abs=1e-10)
+        assert abs(mf.taps[1, 1]) <= 1e-10
+        assert abs(mf.taps[0, 0]) <= 1e-10
 
     def test_all_zero_data_singular_without_ridge(self):
         sig = KSignal(centered_grid(8, 1.0), np.zeros(8))
@@ -212,100 +212,6 @@ class TestFitPredictionFilter:
         assert np.all(mf.taps[1] == 0)
         assert np.allclose(mf.taps[0], alone.taps[0], rtol=1e-9, atol=1e-12)
         assert resid == pytest.approx(alone_resid, rel=1e-9)
-
-
-class TestExtrapolate:
-    def test_exponential_recursion(self):
-        seed = KSignal(KGrid.window((0,), (0,), (1.0,)), np.array([1.0]))
-        filt = Filter(np.array([-1.0, -1j]), 0, 1, anchor_fixed=True)
-        out = extrapolate(seed, filt, 3, "+")
-        assert np.allclose(out.values, [-1j, -1, 1j])
-        assert (out.grid.n_min, out.grid.n_max) == ((1,), (3,))
-
-    def test_period_two_recursion(self):
-        seed = KSignal(KGrid.window((0,), (1,), (1.0,)), np.array([2.0, 0.0]))
-        filt = Filter(np.array([-1.0, 0.0, 1.0]), 0, 2, anchor_fixed=True)
-        out = extrapolate(seed, filt, 4, "+")
-        assert np.allclose(out.values, [2, 0, 2, 0])
-
-    def test_backward_direction(self):
-        seed = exp_signal(0, 1)
-        filt = Filter(np.array([-1.0, -1j]), 0, 1, anchor_fixed=True)
-        out = extrapolate(seed, filt, 2, "-")
-        n = np.arange(-2, 0)
-        assert np.allclose(out.values, np.exp(-1j * np.pi * n / 2), atol=1e-12)
-        assert out.grid.n_max == (-1,)
-
-    def test_seed_shorter_than_p_rejected(self):
-        seed = KSignal(KGrid.window((0,), (1,), (1.0,)), np.ones(2))
-        filt = Filter(np.array([-1.0, 0, 0, 1.0]), 0, 3, anchor_fixed=True)
-        with pytest.raises(ValueError):
-            extrapolate(seed, filt, 1)
-
-    def test_nonzero_l_rejected(self):
-        seed = KSignal(KGrid.window((0,), (3,), (1.0,)), np.ones(4))
-        filt = Filter(np.array([1.0, -1.0, 1.0]), 1, 1)
-        with pytest.raises(ValueError):
-            extrapolate(seed, filt, 1)
-
-    @staticmethod
-    def anchored_filter(rng, P):
-        """Random anchored taps whose recursion has its roots near the unit
-        circle, so neither direction amplifies round-off much."""
-        roots = rng.uniform(0.8, 1.25, P) * np.exp(2j * np.pi * rng.uniform(size=P))
-        return Filter(-np.poly(roots), 0, P, anchor_fixed=True)
-
-    @pytest.mark.parametrize("P", [1, 2, 3, 4, 5])
-    def test_backward_from_the_extension_gives_back_the_seed(self, P):
-        rng = np.random.default_rng(P)
-        for _ in range(10):
-            filt = self.anchored_filter(rng, P)
-            # A seed of P samples is a state of the recursion, so any seed is
-            # one that the recursion continues in both directions.
-            seed = KSignal(KGrid.window((-2,), (P - 3,), (1.0,)), rng.standard_normal(P) + 0j)
-            ext = extrapolate(seed, filt, P + 2, "+")
-            back = extrapolate(ext, filt, P, "-")
-            assert (back.grid.n_min, back.grid.n_max) == ((-2,), (P - 3,))
-            assert np.allclose(back.values, seed.values, rtol=1e-9, atol=1e-9)
-
-    @pytest.mark.parametrize("direction", ["+", "-"])
-    @pytest.mark.parametrize("P", [1, 2, 3, 4, 5])
-    def test_extension_satisfies_the_recursion(self, P, direction):
-        # Every window of seed and extension together is annihilated by the
-        # taps: sum_k h[k] x[n-k] = 0, with h[0] = -1.
-        rng = np.random.default_rng(10 + P)
-        filt = self.anchored_filter(rng, P)
-        seed = KSignal(KGrid.window((0,), (P - 1,), (1.0,)), rng.standard_normal(P) + 0j)
-        ext = extrapolate(seed, filt, 12, direction)
-        both = [seed.values, ext.values] if direction == "+" else [ext.values, seed.values]
-        full = np.concatenate(both)
-        resid = np.convolve(full, filt.taps, mode="valid")
-        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(full))
-
-    def test_order_zero_forward_gives_zeros(self):
-        seed = KSignal(KGrid.window((0,), (2,), (1.0,)), np.array([1.0, 2.0, 3.0]))
-        out = extrapolate(seed, Filter(np.array([-1.0]), 0, 0, anchor_fixed=True), 4, "+")
-        assert np.array_equal(out.values, np.zeros(4))
-        assert (out.grid.n_min, out.grid.n_max) == ((3,), (6,))
-
-    @pytest.mark.parametrize("taps", [[-1.0], [-1.0, 0.5, 0.0]], ids=["P0", "zero-highest-tap"])
-    def test_backward_needs_a_nonzero_highest_tap(self, taps):
-        seed = KSignal(KGrid.window((0,), (2,), (1.0,)), np.array([1.0, 2.0, 3.0]))
-        filt = Filter(np.array(taps), 0, len(taps) - 1, anchor_fixed=True)
-        with pytest.raises(ValueError, match="nonzero highest-order coefficient"):
-            extrapolate(seed, filt, 2, "-")
-
-    def test_boxcar_extrapolation_degrades(self):
-        """A non-exponential signal extrapolates imperfectly by design."""
-        ph = boxcar()
-        sig = fourier_samples(ph, centered_grid(17, 1.0))
-        cm = build_calib_matrix(sig, None, 0, 6)
-        mf, _ = fit_prediction_filter(cm, ridge=0.0)
-        ext = extrapolate(sig, mf.filters[0], 8, "+")
-        truth = samples_at(ph, (np.arange(9, 17),))
-        # Relative to the DC value 0.5; visibly wrong but not divergent.
-        err = abs(ext.values[-1] - truth[-1]) / 0.5
-        assert 1e-6 < err < 10.0
 
 
 class TestInterpolateMissing:
@@ -362,7 +268,7 @@ class TestInterpolateMissing:
         acq = (n % 2 == 0) | (np.abs(n) <= 3)
         mask = SamplingMask(g, acq, ((-3, 3),))
         masked = MultiKSignal.from_array(g, np.where(acq, ms.stack(), 0.0))
-        fmap = fit_interpolation_filters(masked, mask, L=1, P=1, ridge=0.0)
+        fmap, _ = fit_interpolation_filters(masked, mask, L=1, P=1, ridge=0.0)
         out = interpolate_missing(masked, mask, fmap, 1, 1)
         assert np.max(np.abs(out.stack() - ms.stack())) <= 1e-10
 
@@ -383,7 +289,7 @@ class TestInterpolateMissing:
         acq = (n % 2 == 0) | (np.abs(n) <= 4)
         mask = SamplingMask(g, acq, ((-4, 4),))
         masked = MultiKSignal.from_array(g, np.where(acq, ms.stack(), 0.0))
-        return masked, mask, fit_interpolation_filters(masked, mask, L=2, P=2)
+        return masked, mask, fit_interpolation_filters(masked, mask, L=2, P=2)[0]
 
     # "01010": taps k = -2, 0, 2 read unacquired offsets.
     @pytest.mark.parametrize(
@@ -416,13 +322,16 @@ class TestInterpolateMissing:
 
 
 def loop_signature(mask, n, L, P):
-    """Per-offset ``contains``/``pos`` signature: the oracle for the gather."""
+    """Per-offset signature, one bounds check and lookup per index: the
+    oracle for the gather."""
     n = (n,) if np.isscalar(n) else tuple(n)
     axes = [range(ni - P, ni + L + 1) for ni in n]
+    g = mask.grid
     bits = []
     for idx in np.stack(np.meshgrid(*[list(a) for a in axes], indexing="ij"), -1).reshape(-1, len(n)):
-        inside = mask.grid.contains(tuple(idx))
-        bits.append("1" if inside and bool(mask.acquired[mask.grid.pos(tuple(idx))]) else "0")
+        inside = all(lo <= i <= hi for i, lo, hi in zip(idx, g.n_min, g.n_max))
+        pos = tuple(i - lo for i, lo in zip(idx, g.n_min))
+        bits.append("1" if inside and bool(mask.acquired[pos]) else "0")
     return "".join(bits)
 
 
@@ -520,7 +429,7 @@ class TestSharedPatternSolve:
         shape = (q_count,) + grid.shape
         ms = MultiKSignal.from_array(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
-        fmap, quality = fit_interpolation_filters(ms, mask, L, P, ridge, return_quality=True)
+        fmap, quality = fit_interpolation_filters(ms, mask, L, P, ridge)
         want_taps, want_quality = per_channel_fit(ms, mask, L, P, ridge)
         assert list(fmap) == list(want_taps) and list(quality) == list(want_quality)
         for sig, got in fmap.items():
@@ -543,7 +452,7 @@ class TestSharedPatternSolve:
         est, report = ENGINES["interp"](measured, mask, {"passes": 1})
         monkeypatch.setattr(
             harness, "fit_interpolation_filters",
-            lambda data, mask, L, P, ridge, return_quality: per_channel_fit(data, mask, L, P, ridge),
+            lambda data, mask, L, P, ridge: per_channel_fit(data, mask, L, P, ridge),
         )
         want, want_report = ENGINES["interp"](measured, mask, {"passes": 1})
         assert report == want_report and report.iterations == 1
@@ -557,7 +466,7 @@ class TestSharedPatternSolve:
         first = next(iter(missing_patterns(mask, 2, 2)))
         with pytest.raises(SingularFitError, match=f"pattern {first}: .*pass a positive ridge"):
             fit_interpolation_filters(data, mask, 2, 2, ridge)
-        assert fit_interpolation_filters(data, mask, 2, 2, 1e-3)
+        assert fit_interpolation_filters(data, mask, 2, 2, 1e-3)[0]
 
     @pytest.mark.parametrize("ridge", [-1e-12, -1e-3])
     def test_a_negative_ridge_is_rejected_before_any_fit(self, ridge):
@@ -665,7 +574,7 @@ class TestMissingPatterns:
         rng = np.random.default_rng(seed)
         stacked = rng.normal(size=(2,) + grid.shape) + 1j * rng.normal(size=(2,) + grid.shape)
         data = MultiKSignal.from_array(grid, stacked)
-        fmap = fit_interpolation_filters(data, mask, L, P)
+        fmap, _ = fit_interpolation_filters(data, mask, L, P)
         # Leave one pattern uncovered; its samples must keep their input.
         fmap.pop(sorted(fmap)[-1])
         # Junk at the missing entries shows any read of an unacquired sample.
@@ -912,6 +821,20 @@ class TestNullspaceFilterBank:
         sig = self.two_point_signal()
         bank = nullspace_filter_bank(sig, None, 2, 2, limit=1)
         assert len(bank.filters) == 1
+        assert len(nullspace_filter_bank(sig, None, 2, 2, limit=np.int64(2)).filters) == 2
+
+    @pytest.mark.parametrize("limit,message", [
+        (-1, "limit must be at least 1, got -1"),
+        (0, "limit must be at least 1, got 0"),
+        (True, "limit must be an integer, got True"),
+        (2.5, "limit must be an integer, got 2.5"),
+    ])
+    def test_a_limit_that_is_not_a_positive_integer_is_rejected(self, limit, message):
+        # The limit slices the ascending filters: -1 would drop the last
+        # one and True keep one; 0 leaves an empty bank.
+        with pytest.raises(ValueError) as err:
+            nullspace_filter_bank(self.two_point_signal(), None, 2, 2, limit=limit)
+        assert str(err.value) == message
 
     def test_residuals_are_the_rms_response_over_the_calibration_block(self):
         # Noisy 4-channel data on a 24-sample block: 20 windows for 20 taps,
@@ -1099,7 +1022,7 @@ class TestBankJson:
         write_json(path, bank_to_json(bank))
         back = bank_from_json(read_json(path))
         assert back.filters[0].anchor_channel == 0
-        assert back.filters[0].filters[0].tap((0,)) == -1.0
+        assert back.taps[0, 0, 0] == -1.0  # k = 0 of L = 0
 
 
     @settings(derandomize=True, max_examples=30, deadline=None)
@@ -1142,12 +1065,9 @@ class TestExponentialAnnihilation:
 
         mus = np.exp(-2j * np.pi * locs)
         closed = -np.poly(mus)  # anchored taps: h[0] = -1, h[1..K] = alpha
-        filt = Filter(closed, 0, K, anchor_fixed=True)
-        from lpk.core import conv_apply
-
-        resp = conv_apply(sig, filt)
+        resp = np.convolve(sig.values, closed, mode="valid")
         scale = np.sqrt(np.mean(np.abs(sig.values) ** 2))
-        assert np.max(np.abs(resp.values)) <= 1e-10 * scale
+        assert np.max(np.abs(resp)) <= 1e-10 * scale
 
         cm = build_calib_matrix(sig, None, 0, K)
         mf, resid = fit_prediction_filter(cm, ridge=0.0)

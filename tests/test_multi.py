@@ -10,17 +10,18 @@ import pytest
 import scipy.signal
 from hypothesis import given, settings, strategies as st
 
+import lpk.multi
 import lpk.recon
 from conftest import conv_response
 from lpk.core import (
     Filter,
     GridMismatchError,
+    KGrid,
     KSignal,
     MultiFilter,
     MultiKSignal,
     SamplingMask,
     centered_grid,
-    conv_apply,
 )
 from lpk.harness import MaskSpec, gen_mask, make_sensitivities
 from lpk.io import read_json, write_json
@@ -153,9 +154,48 @@ def test_fully_sampled_separation_is_the_separators_applied(mask):
     out, report = sms_separate(summed, seps, mask)
     assert (report.method, report.iterations, report.converged) == ("sms-direct", 0, True)
     for m, f in enumerate(seps):
-        want = conv_apply(summed, f)
-        assert out.channels[m].grid == want.grid
+        want = conv_response(MultiKSignal((summed,)), MultiFilter((f,)))
+        assert out.channels[m].grid == want.grid == grid.valid_for(2, 2)
         assert np.array_equal(out.channels[m].values, want.values)
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["centred", "shifted"])
+@pytest.mark.parametrize("L,P", [(0, 0), (0, 2), (2, 1)])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_the_direct_split_is_each_separators_valid_range_convolution(dims, L, P, window):
+    # Slice m is numpy's valid-range convolution of the sum with f_m on
+    # [n_min + P, n_max - L]; the grid need not contain index 0.
+    rng = np.random.default_rng(100 * dims + 10 * L + P)
+    shape = (9, 7)[:dims]
+    lo = (3, -2)[:dims] if window else centered_grid(shape, 1.0).n_min
+    grid = KGrid.window(lo, tuple(a + n - 1 for a, n in zip(lo, shape)), (1.0,) * dims)
+    summed = KSignal(grid, cplx(rng, shape))
+    seps = [Filter(cplx(rng, (L + P + 1,) * dims), L, P) for _ in range(3)]
+    out, report = sms_separate(summed, seps)
+    assert report.method == "sms-direct"
+    assert (out.grid.n_min, out.grid.n_max) == (
+        tuple(a + P for a in lo), tuple(a + n - 1 - L for a, n in zip(lo, shape))
+    )
+    for m, f in enumerate(seps):
+        want = summed.values
+        if dims == 1:
+            want = np.convolve(want, f.taps, mode="valid")
+        else:
+            want = scipy.signal.convolve2d(want, f.taps, mode="valid")
+        assert np.allclose(out.values[m], want, rtol=1e-13, atol=1e-13)
+
+
+def test_the_direct_split_annihilates_what_its_separator_predicts():
+    # rho[n] = 1 + (-1)^n satisfies rho[n] = rho[n-2]; a point source at
+    # x = 1/4 gives rho[n] = -i rho[n-1].  Exactly zero on the valid range.
+    n = np.arange(-4, 5)
+    period_two = KSignal(KGrid((-4,), (4,), (1.0,)), 1.0 + (-1.0) ** n)
+    out, _ = sms_separate(period_two, [Filter(np.array([-1.0, 0.0, 1.0]), 0, 2)])
+    assert (out.grid.n_min, out.grid.n_max) == ((-2,), (4,))
+    assert np.max(np.abs(out.values)) == 0.0
+    point = KSignal(KGrid.window((0,), (3,), (1.0,)), np.array([1, -1j, -1, 1j]))
+    out, _ = sms_separate(point, [Filter(np.array([-1.0, -1j]), 0, 1)])
+    assert np.max(np.abs(out.values)) < 1e-15
 
 
 def test_undersampled_separation_recovers_the_bench_scene():
@@ -174,8 +214,8 @@ def test_undersampled_separation_recovers_the_bench_scene():
     summed = sms_superpose(truth).values
     assert rel(total[mask.acquired], summed[mask.acquired]) <= 0.05
     # A capped joint solve says so.
-    with forced("fft"):
-        _, capped = sms_separate(sms_superpose(truth), seps, mask, max_iters=5)
+    with forced("fft"), split_constants(max_iters=5):
+        _, capped = sms_separate(sms_superpose(truth), seps, mask)
     assert (capped.converged, capped.iterations) == (False, 5)
     (note,) = capped.notes
     assert note.startswith("CG stopped at the iteration cap (5); relative residual ")
@@ -185,8 +225,8 @@ def test_undersampled_separation_recovers_the_bench_scene():
 def test_joint_separation_trace_ends_at_its_objective(lam, max_iters):
     # A capped run returns that step's CG iterate.
     summed, mask, seps = bench_split()
-    with forced("fft"):
-        out, report = sms_separate(summed, seps, mask, lam=lam, max_iters=max_iters)
+    with forced("fft"), split_constants(lam=lam, max_iters=max_iters):
+        out, report = sms_separate(summed, seps, mask)
     trace = report.objective_trace
     assert len(trace) == report.iterations + 1
     assert abs(trace[-1] - split_objective(out, summed, mask, seps, lam)) <= 1e-9 * trace[0]
@@ -203,15 +243,15 @@ def bench_split():
 
 
 def split_objective(out, summed, mask, seps, lam):
-    """The objective recomputed at the slices with the public convolution:
+    """The objective recomputed at the slices with numpy's convolution:
     summed data consistency where acquired, plus lam times each separator
     relation conv(sum, f_m) - x_m over the valid range."""
     n = summed.grid.shape[0]
     total = KSignal(summed.grid, out.values.sum(axis=0))
     data_term = np.sum(np.abs(total.values - summed.values)[mask.acquired] ** 2)
     relations = sum(
-        np.sum(np.abs(conv_apply(total, f).values - out.values[m, f.P:n - f.L]) ** 2)
-        for m, f in enumerate(seps)
+        np.sum(np.abs(np.convolve(total.values, f.taps, "valid") - x[f.P:n - f.L]) ** 2)
+        for f, x in zip(seps, out.values)
     )
     return data_term + lam * relations
 
@@ -294,11 +334,27 @@ def test_mask_on_another_grid_is_rejected(spec):
         sms_separate(summed, seps, gen_mask(spec, centered_grid(48, 1.0)))
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
-def test_a_lam_that_is_not_finite_and_positive_is_rejected(lam):
-    summed, mask, seps = bench_split()
-    with pytest.raises(ValueError, match="^undersampled separation needs a finite lam > 0, not "):
-        sms_separate(summed, seps, mask, lam=lam)
+@pytest.mark.parametrize(
+    "spec", [MaskSpec("full", 1), MaskSpec("uniform", 2, 12)], ids=["full", "uniform"]
+)
+def test_a_sum_of_coil_stacks_is_rejected(spec):
+    # Both paths split one single-channel sum; a coil stack would fail
+    # inside scipy (full) or with an IndexError (undersampled).
+    grid = centered_grid(64, 1.0)
+    scene = SmsScene(bench_slices(), make_sensitivities(2, 2, seed=3))
+    summed = sms_superpose(sms_slice_samples(scene, grid))
+    seps = [Filter(np.array([0.5, 0.0, 0.1]), 1, 1), Filter(np.array([0.5, 1.0, 0.0]), 1, 1)]
+    with pytest.raises(ValueError, match="^sms_separate splits one single-channel KSignal, got "
+                                         "MultiKSignal$"):
+        sms_separate(summed, seps, gen_mask(spec, grid))
+
+
+def test_separators_that_do_not_fit_the_sum_are_rejected():
+    summed = KSignal(KGrid((-1,), (1,), (1.0,)), np.ones(3))
+    with pytest.raises(ValueError, match="^filter \\[-2, 2\\] leaves no valid output on"):
+        sms_separate(summed, [Filter(np.ones(5), 2, 2)])
+    with pytest.raises(ValueError, match="^filter dims do not match data dims$"):
+        sms_separate(summed, [Filter(np.ones((2, 2)), 0, 1)])
 
 
 def loop_normal(seps, acq, lam):
@@ -384,6 +440,18 @@ def forced(evaluation):
         yield
 
 
+@contextlib.contextmanager
+def split_constants(lam=None, tol=None, max_iters=None):
+    """The undersampled split's relation weight and solve budget, patched
+    for one block the way ``forced`` patches the direct-solve bound."""
+    values = {"_SMS_LAM": lam, "_SMS_TOL": tol, "_SMS_MAX_ITERS": max_iters}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in values.items():
+            if value is not None:
+                mp.setattr(lpk.multi, name, value)
+        yield
+
+
 def solved_normal(seps, acq, lam):
     """The normal operator ``sms_separate`` hands to CG, taken from a
     solve of zero data (which takes no step)."""
@@ -395,10 +463,10 @@ def solved_normal(seps, acq, lam):
         seen.append(apply_a)
         return cg(apply_a, *args)
 
-    with pytest.MonkeyPatch.context() as mp, forced("fft"):
+    with pytest.MonkeyPatch.context() as mp, forced("fft"), split_constants(lam=lam):
         mp.setattr(lpk.recon, "_cg", spy)
         zeros = KSignal(grid, np.zeros(acq.shape, complex))
-        sms_separate(zeros, seps, SamplingMask(grid, acq), lam=lam)
+        sms_separate(zeros, seps, SamplingMask(grid, acq))
     (apply_a,) = seen
     return apply_a
 
@@ -445,10 +513,8 @@ def test_joint_solve_matches_cg_on_the_separator_loop(case):
     b = np.broadcast_to(np.where(acq, summed.values, 0.0), shape).reshape(-1)
     want, iters, *_ = lpk.recon._cg(loop_normal(seps, acq, lam), b.copy(), 1e-30, 10)
     assert iters == 10
-    with forced("fft"):
-        out, report = sms_separate(
-            summed, seps, SamplingMask(grid, acq), lam=lam, tol=1e-30, max_iters=10
-        )
+    with forced("fft"), split_constants(lam=lam, tol=1e-30, max_iters=10):
+        out, report = sms_separate(summed, seps, SamplingMask(grid, acq))
     assert report.iterations == iters
     got = out.stack().reshape(-1)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -469,7 +535,7 @@ def test_coil_separation_is_the_per_coil_convolution_sum():
     lo = valid.n_min[0] - grid.n_min[0]
     for m, per_slice in enumerate(seps):
         for c, mf in enumerate(per_slice):
-            want = sum(conv_apply(summed.channels[q], f).values for q, f in enumerate(mf.filters))
+            want = sum(np.convolve(x, t, mode="valid") for x, t in zip(summed.values, mf.taps))
             assert out[m].channels[c].grid == valid
             assert np.allclose(out[m].channels[c].values, want, rtol=0, atol=1e-13)
         # Two coils separate this scene far better than one coil does (0.10).

@@ -51,15 +51,13 @@ class TestPrimitiveInvariants:
 class TestFourierSamples:
     def test_half_fov_boxcar_closed_form(self):
         sig = fourier_samples(boxcar(), centered_grid(9, 1.0))
-        assert sig.at((0,)) == pytest.approx(0.5, abs=1e-15)
-        assert sig.at((1,)) == pytest.approx(1 / np.pi, abs=1e-15)
-        assert sig.at((2,)) == pytest.approx(0.0, abs=1e-15)
-        assert sig.at((3,)) == pytest.approx(-1 / (3 * np.pi), abs=1e-15)
+        # n = 0..3 sit at positions 4..7 of the grid [-4, 4].
+        want = [0.5, 1 / np.pi, 0.0, -1 / (3 * np.pi)]
+        np.testing.assert_allclose(sig.values[4:8], want, rtol=0, atol=1e-15)
 
     def test_point_source_exponential(self):
         sig = fourier_samples(points([0.25], [1.0]), centered_grid(9, 1.0))
-        got = [sig.at((n,)) for n in range(4)]
-        assert np.allclose(got, [1, -1j, -1, 1j], atol=1e-15)
+        assert np.allclose(sig.values[4:8], [1, -1j, -1, 1j], atol=1e-15)
 
     def test_two_point_comb(self):
         sig = fourier_samples(points([0.0, -0.5], [1.0, 1.0]), centered_grid(9, 1.0))
@@ -89,14 +87,14 @@ class TestFourierSamples:
         # Doubling B doubles the raw integral of the same-shaped support.
         wide = Phantom((Primitive("boxcar", (0.0,), (0.5,), 1.0),), (2.0,))
         sig = fourier_samples(wide, centered_grid(9, 2.0))
-        assert sig.at((0,)) == pytest.approx(1.0)
+        assert sig.values[4] == pytest.approx(1.0)  # n = 0
 
     def test_ellipse_dc_is_area(self):
         ph = Phantom(
             (Primitive("ellipse", (0.0, 0.0), (0.3, 0.2), 1.0),), (1.0, 1.0)
         )
         sig = fourier_samples(ph, centered_grid((9, 9), (1.0, 1.0)))
-        assert sig.at((0, 0)) == pytest.approx(np.pi * 0.3 * 0.2, rel=1e-12)
+        assert sig.values[4, 4] == pytest.approx(np.pi * 0.3 * 0.2, rel=1e-12)  # n = (0, 0)
 
 
 class TestQuadratureOracle:
@@ -196,8 +194,8 @@ class TestModulatedSamples:
         mod = Modulator(np.array([1.0]), (1,))  # c(x) = e^{i 2 pi x / B}
         shifted = modulated_samples(ph, mod, g)
         base = fourier_samples(ph, wide)
-        for n in range(-8, 9):
-            assert shifted.at((n,)) == pytest.approx(base.at((n - 1,)), abs=1e-14)
+        # shifted[n] = base[n - 1] for n in [-8, 8]: base's positions 0..16.
+        np.testing.assert_allclose(shifted.values, base.values[:17], rtol=0, atol=1e-14)
 
     def test_two_tap_combination(self):
         ph = boxcar()
@@ -205,9 +203,9 @@ class TestModulatedSamples:
         mod = Modulator(np.array([1.0, 0.5]), (0,))
         out = modulated_samples(ph, mod, g)
         base = fourier_samples(ph, centered_grid(11, 1.0))
-        for n in range(-4, 5):
-            expect = base.at((n,)) + 0.5 * base.at((n - 1,))
-            assert out.at((n,)) == pytest.approx(expect, abs=1e-14)
+        # out[n] = base[n] + 0.5 base[n - 1] for n in [-4, 4], base on [-5, 5].
+        expect = base.values[1:10] + 0.5 * base.values[:9]
+        np.testing.assert_allclose(out.values, expect, rtol=0, atol=1e-14)
 
 
     def test_modulators_compare_by_identity(self):

@@ -689,16 +689,15 @@ class TestAnnihilationRecon:
         g = centered_grid(16, 1.0)
         y = cplx(np.random.default_rng(0), 16)
         acq = np.ones(16, dtype=bool)
-        acq[g.pos((0,))] = False
+        acq[8] = False  # n = 0 on [-8, 7]
         y[~acq] = 0.0
         d = 1e-12
         bank = FilterBank(np.array([[[1.0, d]]]), 0, 1, (0.0,))
         monkeypatch.setattr(lpk.recon, "_DIRECT_UNKNOWNS", FORCING[evaluation])
         out, rep = annihilation_recon(KSignal(g, y), SamplingMask(g, acq), bank, tol=1e-12)
-        at = lambda n: y[g.pos((n,))]  # noqa: E731
-        want = -d * (at(-1) + at(1)) / (1 + d * d)
+        want = -d * (y[7] + y[9]) / (1 + d * d)  # n = -1 and 1
         assert rep.converged
-        assert out.values[0, g.pos((0,))] == pytest.approx(want, rel=rtol, abs=0.0)
+        assert out.values[0, 8] == pytest.approx(want, rel=rtol, abs=0.0)
 
     @pytest.mark.parametrize("evaluation", ["window", "fft"])
     def test_uncoupled_missing_samples_keep_the_zero_fill(self, evaluation, monkeypatch):
@@ -1124,9 +1123,10 @@ def test_reflection_matches_the_per_index_loop(n_min, n_max):
     x = cplx(np.random.default_rng(3), (2,) + grid.shape)
     want = np.zeros_like(x)
     for idx in np.ndindex(grid.shape):
-        mirror = tuple(-(i + lo) for i, lo in zip(idx, grid.n_min))
-        if grid.contains(mirror):
-            want[(slice(None),) + idx] = x[(slice(None),) + grid.pos(mirror)]
+        # The position of index -n, if that index is on the grid.
+        mirror = tuple(-(i + lo) - lo for i, lo in zip(idx, grid.n_min))
+        if all(0 <= m < s for m, s in zip(mirror, grid.shape)):
+            want[(slice(None),) + idx] = x[(slice(None),) + mirror]
     assert lpk.recon._reflect_values(x, grid).tobytes() == want.tobytes()
 
 
