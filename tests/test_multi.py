@@ -185,17 +185,20 @@ def test_the_direct_split_is_each_separators_valid_range_convolution(dims, L, P,
         assert np.allclose(out.values[m], want, rtol=1e-13, atol=1e-13)
 
 
-def test_the_direct_split_annihilates_what_its_separator_predicts():
-    # rho[n] = 1 + (-1)^n satisfies rho[n] = rho[n-2]; a point source at
-    # x = 1/4 gives rho[n] = -i rho[n-1].  Exactly zero on the valid range.
-    n = np.arange(-4, 5)
-    period_two = KSignal(KGrid((-4,), (4,), (1.0,)), 1.0 + (-1.0) ** n)
-    out, _ = sms_separate(period_two, [Filter(np.array([-1.0, 0.0, 1.0]), 0, 2)])
-    assert (out.grid.n_min, out.grid.n_max) == ((-2,), (4,))
-    assert np.max(np.abs(out.values)) == 0.0
-    point = KSignal(KGrid.window((0,), (3,), (1.0,)), np.array([1, -1j, -1, 1j]))
-    out, _ = sms_separate(point, [Filter(np.array([-1.0, -1j]), 0, 1)])
-    assert np.max(np.abs(out.values)) < 1e-15
+@pytest.mark.parametrize("n_min,values,taps,out_range,bound", [
+    # rho[n] = 1 + (-1)^n satisfies rho[n] = rho[n-2].
+    (-4, 1.0 + (-1.0) ** np.arange(-4, 5), [-1.0, 0.0, 1.0], ((-2,), (4,)), None),
+    # A point source at x = 1/4 gives rho[n] = -i rho[n-1].
+    (0, np.array([1, -1j, -1, 1j]), [-1.0, -1j], ((1,), (3,)), 1e-15),
+], ids=["period-two", "point-source"])
+def test_the_direct_split_annihilates_what_its_separator_predicts(
+        n_min, values, taps, out_range, bound):
+    # The output is zero on the valid range: exactly, or below bound if one is given.
+    signal = KSignal(KGrid.window((n_min,), (n_min + len(values) - 1,), (1.0,)), values)
+    out, _ = sms_separate(signal, [Filter(np.array(taps), 0, len(taps) - 1)])
+    assert (out.grid.n_min, out.grid.n_max) == out_range
+    err = np.max(np.abs(out.values))
+    assert err == 0.0 if bound is None else err < bound
 
 
 def test_undersampled_separation_recovers_the_bench_scene():
