@@ -19,6 +19,7 @@ from .core import (
     KSignal,
     MultiFilter,
     SamplingMask,
+    _as_multi,
     _centered_interval,
     centered_grid,
     zero_fill,
@@ -27,7 +28,6 @@ from .harness import ENGINES, MaskSpec, add_noise, gen_mask, nrmse, run_experime
 from .io import LpkFormatError, _from_doc, read_json, read_lpk, write_json, write_lpk
 from .lp import (
     FilterBank,
-    _as_multi,
     bank_from_json,
     bank_to_json,
     build_calib_matrix,
@@ -59,10 +59,6 @@ class _UsageError(Exception):
         self.parser = parser
 
 
-class _DataError(Exception):
-    pass
-
-
 class _NumericalError(Exception):
     pass
 
@@ -78,29 +74,29 @@ def _fmt(x) -> str:
 
 def _load(read, path):
     """``read(path)`` (``read_lpk`` or ``read_json``), with an unreadable
-    file or a malformed ``.lpk`` file a data error that names ``path``."""
+    file or a malformed ``.lpk`` file a ``ValueError`` that names ``path``."""
     try:
         return read(path)
     except OSError as exc:
-        raise _DataError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except LpkFormatError as exc:
-        raise _DataError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _save(write, path, obj) -> None:
     """``write(path, obj)`` (``write_lpk`` or ``write_json``), with a file
-    that cannot be written a data error that names ``path``."""
+    that cannot be written a ``ValueError`` that names ``path``."""
     try:
         write(path, obj)
     except OSError as exc:
-        raise _DataError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_samples(path):
-    """The samples in the ``.lpk`` file ``path``; a mask there is a data error."""
+    """The samples in the ``.lpk`` file ``path``; a mask there is a ``ValueError``."""
     data = _load(read_lpk, path)
     if isinstance(data, SamplingMask):
-        raise _DataError(f"{path}: expected samples, not a mask")
+        raise ValueError(f"{path}: expected samples, not a mask")
     return data
 
 
@@ -145,7 +141,7 @@ def _cmd_phantom(args) -> int:
         grid = _signal_grid(args, obj.slices[0].fov)
         out = sms_superpose(sms_slice_samples(obj, grid))
     else:
-        raise _DataError(f"unsupported scene document in {args.input}")
+        raise ValueError(f"unsupported scene document in {args.input}")
     _save(write_lpk, args.out, out)
     print(f"wrote {args.out}")
     return 0
@@ -191,7 +187,7 @@ def _cmd_fit(args) -> int:
     elif args.mode == "eigen":
         obj = _load_scene_doc(args.input)
         if not isinstance(obj, Phantom):
-            raise _DataError("eigen mode fits against a phantom document")
+            raise ValueError("eigen mode fits against a phantom document")
         gram = gram_operator(obj, args.L, args.P)
         bank = smallest_eigensequences(gram, args.count)
         for r in bank.residuals:
@@ -199,7 +195,7 @@ def _cmd_fit(args) -> int:
     elif args.mode == "smash":
         obj = _load_scene_doc(args.input)
         if not isinstance(obj, MultiScene):
-            raise _DataError("smash mode fits against a multi-channel scene")
+            raise ValueError("smash mode fits against a multi-channel scene")
         mf, resid = smash_fit(
             obj.sensitivities, args.L, args.P,
             target=0 if args.target is None else args.target,
@@ -210,11 +206,11 @@ def _cmd_fit(args) -> int:
     elif args.mode == "sms-sep":
         obj = _load_scene_doc(args.input)
         if not isinstance(obj, SmsScene):
-            raise _DataError("sms-sep mode fits against a superposition scene")
+            raise ValueError("sms-sep mode fits against a superposition scene")
         grid = _signal_grid(args, obj.slices[0].fov)
         slices = sms_slice_samples(obj, grid)
         if not isinstance(slices[0], KSignal):
-            raise _DataError("sms-sep fitting expects a single-coil scene")
+            raise ValueError("sms-sep fitting expects a single-coil scene")
         targets = (
             range(len(slices)) if args.target is None else (args.target,)
         )
@@ -231,7 +227,7 @@ def _cmd_fit(args) -> int:
         # One single-channel filter per slice, so one format carries every fit flavor.
         bank = FilterBank(np.stack(taps)[:, None], args.L, args.P, resids)
     else:
-        raise _DataError(f"unknown fit mode {args.mode!r}")
+        raise ValueError(f"unknown fit mode {args.mode!r}")
     if args.out:
         _save(write_json, args.out, bank_to_json(bank))
         print(f"wrote {args.out}")
@@ -242,10 +238,10 @@ def _cmd_recon(args) -> int:
     data = _load_samples(args.input)
     mask = _load(read_lpk, args.mask)
     if not isinstance(mask, SamplingMask):
-        raise _DataError(f"{args.mask} does not hold a mask")
+        raise ValueError(f"{args.mask} does not hold a mask")
     truth = _as_multi(_load_samples(args.truth)) if args.truth else None
     if args.engine not in ENGINES:
-        raise _DataError(f"unknown engine {args.engine!r}")
+        raise ValueError(f"unknown engine {args.engine!r}")
     params = {"L": args.L, "P": args.P, "tol": args.tol, "rank": args.rank, "lam": args.lam}
     # interp caps its refit passes; the solvers cap their iterations.
     params["passes" if args.engine == "interp" else "max_iters"] = args.max_iters
@@ -278,20 +274,20 @@ def _cmd_sms(args) -> int:
         if args.filters is None:
             raise _UsageError("separate needs --filters", args.parser)
         if len(args.inputs) != 1:
-            raise _DataError("separate takes exactly one superposed input")
+            raise ValueError("separate takes exactly one superposed input")
         data = _load(read_lpk, args.inputs[0])
         if not isinstance(data, KSignal):
-            raise _DataError("separate expects a single-channel signal")
+            raise ValueError("separate expects a single-channel signal")
         bank = _from_doc(args.filters, bank_from_json, _load(read_json, args.filters))
         if bank.q_count != 1:
-            raise _DataError("separator filters must be single-channel")
+            raise ValueError("separator filters must be single-channel")
         out, report = sms_separate(data, [Filter(t, bank.L, bank.P) for t in bank.taps[:, 0]])
         print(f"slices {out.q_count}")
         print(f"converged {str(report.converged).lower()}")
         _save(write_lpk, args.out, out)
         print(f"wrote {args.out}")
         return 0
-    raise _DataError(f"unknown sms action {args.action!r}")
+    raise ValueError(f"unknown sms action {args.action!r}")
 
 
 def _theorem_scene_1(args):
@@ -343,7 +339,7 @@ def _cmd_verify(args) -> int:
     elif args.theorem == 3:
         check, extra = _theorem_scene_3(args)
     else:
-        raise _DataError(f"unknown theorem {args.theorem}")
+        raise ValueError(f"unknown theorem {args.theorem}")
     print(f"lhs {_fmt(check.lhs)}")
     print(f"rhs {_fmt(check.rhs)}")
     print(f"tail {_fmt(check.tail_bound)}")
@@ -377,14 +373,14 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     config = _load(read_json, args.config)
     if not isinstance(config, dict):
-        raise _DataError(f"{args.config}: an experiment config is a JSON object")
+        raise ValueError(f"{args.config}: an experiment config is a JSON object")
     if args.timing:
         config = dict(config, timing=True)
     # Cases fail one by one inside the run, so a ValueError is the config's.
     try:
         doc = run_experiment(config, out_dir=args.out)
     except ValueError as exc:
-        raise _DataError(f"{args.config}: {exc}") from exc
+        raise ValueError(f"{args.config}: {exc}") from exc
     for row, case in zip(doc["rows"], doc["cases"]):
         value = "nan" if np.isnan(row["nrmse"]) else _fmt(row["nrmse"])
         error = "" if case["error"] is None else f" error {case['error']}"
@@ -491,9 +487,6 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except _DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -11,6 +11,12 @@ A joint filter stores its channels' taps as one ``[Q, *W]`` array, and
 one routine checks every tap array: a filter's ``[*W]``, a joint filter's
 ``[Q, *W]`` and a bank's ``[F, Q, *W]``.
 
+Each input rule the modules share is stated here once: a ``[-L, P]``
+window (``_window``), an index (``_index``), a weight (``_weight``), the
+data and the one mask its channels share (``_as_multi``,
+``_shared_acquired``), a calibration box (``_box``), a valid range
+(:meth:`KGrid.valid_for`), a tap array (``_check_taps``) and an anchor.
+
 Everything here is a plain immutable value type; operations return new
 objects and never mutate their inputs, so instances are safe to share
 across threads.
@@ -52,6 +58,29 @@ def _integer(key: str, value):
     naming ``key``: a float is never truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _window(L, P) -> tuple[int, int]:
+    """``(L, P)`` of a ``[-L, P]`` tap window: two nonnegative integers."""
+    L, P = int(_integer("L", L)), int(_integer("P", P))
+    if L < 0 or P < 0:
+        raise ValueError("L and P must be nonnegative")
+    return L, P
+
+
+def _index(key: str, value, count: int) -> int:
+    """``value`` if it is an integer in ``[0, count)``, else a ``ValueError`` naming ``key``."""
+    value = int(_integer(key, value))
+    if not 0 <= value < count:
+        raise ValueError(f"{key} must lie in [0, {count}), got {value}")
+    return value
+
+
+def _weight(key: str, value):
+    """``value`` if it is finite and nonnegative, else a ``ValueError`` naming ``key``."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{key} must be finite and nonnegative, not {value}")
     return value
 
 
@@ -135,6 +164,11 @@ class KGrid:
         return KGrid.window(lo, hi, self.fov)
 
 
+def _box(intervals, grid: KGrid) -> tuple[slice, ...]:
+    """The array slices of inclusive ``(lo, hi)`` index intervals on ``grid``."""
+    return tuple(slice(lo - glo, hi - glo + 1) for (lo, hi), glo in zip(intervals, grid.n_min))
+
+
 def _centered_interval(width: int) -> tuple[int, int]:
     """Inclusive bounds of ``width`` indices centered on 0:
     ``[-(w // 2), w - w // 2 - 1]``."""
@@ -155,7 +189,7 @@ def centered_grid(shape, fov) -> KGrid:
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as
     given, without ``__post_init__``: for values already checked as a
-    whole, such as the channels of one validated stack."""
+    whole, such as the filters of one validated bank."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -206,8 +240,7 @@ class MultiKSignal:
 
     ``MultiKSignal(channels)`` checks that the :class:`KSignal` channels
     share a grid and stacks them once; :meth:`from_array` checks a
-    ``[Q, *N]`` stack as one array.  ``channels`` are views of
-    ``values[q]``.
+    ``[Q, *N]`` stack as one array.
     """
 
     grid: KGrid
@@ -236,16 +269,21 @@ class MultiKSignal:
     __reduce__ = _rebuilt("from_array", "grid", "values")
 
     @property
-    def channels(self) -> tuple[KSignal, ...]:
-        return tuple(_unchecked(KSignal, grid=self.grid, values=v) for v in self.values)
-
-    @property
     def q_count(self) -> int:
         return len(self.values)
 
     def stack(self) -> np.ndarray:
         """A writable copy of ``values``."""
         return self.values.copy()
+
+
+def _as_multi(data) -> MultiKSignal:
+    """``data`` as a channel stack: a :class:`KSignal` is one channel."""
+    if isinstance(data, KSignal):
+        return MultiKSignal((data,))
+    if isinstance(data, MultiKSignal):
+        return data
+    raise TypeError("expected KSignal or MultiKSignal")
 
 
 def _like(data, values):
@@ -261,9 +299,7 @@ def _check_taps(taps, L, P, lead: int) -> tuple[np.ndarray, int, int]:
     every tap array.  ``L, P >= 0``; ``lead`` nonempty leading axes (the
     ``[*W]``, ``[Q, *W]`` or ``[F, Q, *W]`` layout), then 1 or 2 tap axes of
     width ``L + P + 1``; finite; each filter nonzero on some channel."""
-    L, P = int(L), int(P)
-    if L < 0 or P < 0:
-        raise ValueError("L and P must be nonnegative")
+    L, P = _window(L, P)
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.ndim - lead not in (1, 2) or 0 in taps.shape[:lead]:
         raise ValueError(
@@ -282,7 +318,7 @@ def _check_anchor(taps: np.ndarray, L: int, anchor, name: str = "filter") -> int
     whose ``k = 0`` tap is exactly -1, or None."""
     if anchor is None:
         return None
-    a = int(anchor)
+    a = int(_integer(f"{name} anchor", anchor))
     if not (0 <= a < len(taps) and taps[(a,) + (L,) * (taps.ndim - 1)] == -1):
         raise ValueError(f"{name} anchor {a}: not a channel with k=0 tap exactly -1")
     return a
@@ -408,23 +444,30 @@ class SamplingMask:
         acq = acq.view()
         object.__setattr__(self, "acquired", acq)
         calib = _normalize_calib(self.calib, self.grid)
-        if calib is not None and not np.all(acq[self.calib_slices(calib)]):
+        if calib is not None and not np.all(acq[_box(calib, self.grid)]):
             raise ValueError("calibration region must be fully acquired")
         object.__setattr__(self, "calib", calib)
 
     __reduce__ = _rebuilt(None, "grid", "acquired", "calib")
 
-    def calib_slices(self, calib=None) -> tuple[slice, ...]:
-        calib = self.calib if calib is None else calib
-        if calib is None:
+    def calib_slices(self) -> tuple[slice, ...]:
+        """The array slices of the calibration box (``ValueError`` if none)."""
+        if self.calib is None:
             raise ValueError("mask has no calibration region")
-        return tuple(
-            slice(lo - glo, hi - glo + 1) for (lo, hi), glo in zip(calib, self.grid.n_min)
-        )
+        return _box(self.calib, self.grid)
 
     def missing_positions(self) -> np.ndarray:
         """(count, dims) array of array positions of unacquired indices."""
         return np.argwhere(~self.acquired)
+
+
+def _shared_acquired(mask: SamplingMask, data) -> np.ndarray:
+    """The acquired array of the one mask ``data``'s channels share, as ``values``' shape."""
+    if not isinstance(mask, SamplingMask):
+        raise TypeError(f"expected one SamplingMask for all channels, not {type(mask).__name__}")
+    if mask.grid != data.grid:
+        raise GridMismatchError("mask grid differs from data grid")
+    return np.broadcast_to(mask.acquired, data.values.shape)
 
 
 def zero_fill(data: Union[KSignal, MultiKSignal], mask: SamplingMask):
@@ -432,7 +475,5 @@ def zero_fill(data: Union[KSignal, MultiKSignal], mask: SamplingMask):
 
     Idempotent: applying twice equals applying once.
     """
-    if data.grid != mask.grid:
-        raise GridMismatchError("data and mask grids differ")
-    return _like(data, np.where(mask.acquired, data.values, 0.0))
+    return _like(data, np.where(_shared_acquired(mask, data), data.values, 0.0))
 

@@ -30,15 +30,17 @@ import numpy as np
 from .core import (
     KGrid,
     SamplingMask,
+    _as_multi,
+    _box,
     _centered_interval,
     _integer,
     _like,
+    _weight,
     centered_grid,
     zero_fill,
 )
 from .io import _from_doc, read_json, write_json
 from .lp import (
-    _as_multi,
     fit_interpolation_filters,
     interpolate_missing,
     missing_patterns,
@@ -160,16 +162,13 @@ def gen_mask(spec: MaskSpec, grid: KGrid) -> SamplingMask:
     acquired = np.zeros(grid.shape, dtype=bool)
     acquired[lines] = True
     if calib is not None:
-        sl = tuple(slice(lo - g, hi - g + 1) for (lo, hi), g in zip(calib, grid.n_min))
-        acquired[sl] = True
+        acquired[_box(calib, grid)] = True
     return SamplingMask(grid, acquired, calib)
 
 
 def add_noise(data, sigma: float, seed: int):
     """Add circular complex Gaussian noise, variance ``sigma**2`` per sample."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0:
+    if _weight("sigma", sigma) == 0:
         return data
     lead = data.values.shape[: -data.grid.dims]
     # Per channel a real block, then an imaginary block.
@@ -230,7 +229,7 @@ def _engine_interp(
         if not useful:
             done -= 1
             break
-        cur = interpolate_missing(cur, eff_mask, useful, L, P, strict=False)
+        cur = interpolate_missing(cur, eff_mask, useful, L, P)
         for sig, pos in missing_patterns(eff_mask, L, P).items():
             if sig in useful:
                 eff[tuple(pos.T)] = True

@@ -31,7 +31,6 @@ and the imputation applies it as is.
 from __future__ import annotations
 
 import functools
-import operator
 import weakref
 from dataclasses import dataclass
 from typing import Mapping
@@ -41,19 +40,23 @@ from scipy.linalg import lapack as _lapack
 
 from .core import (
     Filter,
-    GridMismatchError,
     KGrid,
-    KSignal,
     MultiFilter,
     MultiKSignal,
     SamplingMask,
+    _as_multi,
     _axes_int,
+    _box,
     _check_anchor,
     _check_taps,
+    _index,
     _integer,
     _normalize_calib,
     _rebuilt,
+    _shared_acquired,
     _unchecked,
+    _weight,
+    _window,
 )
 from .phantom import Phantom, samples_at
 from .quadrature import merge_edges, piecewise_quad
@@ -65,19 +68,7 @@ class SingularFitError(ValueError):
 
 
 class UncoveredPatternError(ValueError):
-    """A missing sample's local pattern has no filter in the supplied map."""
-
-    def __init__(self, signatures):
-        self.signatures = tuple(sorted(signatures))
-        super().__init__(f"no filter covers local pattern(s): {', '.join(self.signatures)}")
-
-
-def _as_multi(data) -> MultiKSignal:
-    if isinstance(data, KSignal):
-        return MultiKSignal((data,))
-    if isinstance(data, MultiKSignal):
-        return data
-    raise TypeError("expected KSignal or MultiKSignal")
+    """A pattern's filter has a nonzero tap on an unacquired offset."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +138,7 @@ def _window_rows(stack: np.ndarray, L: int, P: int) -> np.ndarray:
 def _checked_calib(grid: KGrid, calib, L: int, P: int):
     """Normalized calibration intervals (the whole grid for None) that fit
     at least two ``[-L, P]`` windows per axis."""
-    if L < 0 or P < 0:
-        raise ValueError("L and P must be nonnegative")
+    L, P = _window(L, P)
     if calib is None:
         calib = tuple(zip(grid.n_min, grid.n_max))
     calib = _normalize_calib(calib, grid)
@@ -176,29 +166,25 @@ def build_calib_matrix(data, calib=None, L: int = 0, P: int = 1) -> CalibMatrix:
     """
     ms = _as_multi(data)
     calib = _checked_calib(ms.grid, calib, L, P)
-    region = ms.values[(slice(None),) + tuple(
-        slice(lo - glo, hi - glo + 1) for (lo, hi), glo in zip(calib, ms.grid.n_min)
-    )]
+    region = ms.values[(slice(None),) + _box(calib, ms.grid)]
     return CalibMatrix(_window_rows(region, L, P), ms.grid, calib, L, P, ms.q_count)
 
 
 def _ridge(gram: np.ndarray, ridge: float | None) -> float:
     """The ridge every fit adds to its Gram matrix ``gram``: ``ridge`` as
-    given, or for None ``1e-9 *`` its largest diagonal entry; a negative
-    one is a ``ValueError``."""
+    given, or for None ``1e-9 *`` its largest diagonal entry (0 for no
+    column); one that is negative or not finite is a ``ValueError``."""
     if ridge is None:
-        return 1e-9 * float(np.max(gram.diagonal().real))
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    return ridge
+        return 1e-9 * float(np.max(gram.diagonal().real, initial=0.0))
+    return _weight("ridge", ridge)
 
 
 def _ridge_solve(A: np.ndarray, y: np.ndarray, ridge: float | None):
     """Least-squares solve with optional ridge; errors on singular + ridge 0."""
-    if A.shape[1] == 0:
-        return np.zeros(0, dtype=np.complex128), float(np.linalg.norm(y))
     gram = A.conj().T @ A
     ridge = _ridge(gram, ridge)
+    if A.shape[1] == 0:
+        return np.zeros(0, dtype=np.complex128), float(np.linalg.norm(y))
     if ridge == 0.0:
         coef, _res, rank, _sv = np.linalg.lstsq(A, y, rcond=None)
         if rank < A.shape[1]:
@@ -247,8 +233,7 @@ def fit_prediction_filter(
         ``(filter, residual)`` with residual the RMS prediction error
         over the calibration rows.
     """
-    if not 0 <= target < calib.q_count:
-        raise ValueError(f"target channel {target} out of range")
+    target = _index("target channel", target, calib.q_count)
     mf, resid = _anchored_fit(
         calib.matrix, (calib.q_count,) + calib.tap_shape, target, calib.L, calib.P, ridge
     )
@@ -310,10 +295,12 @@ def nullspace_filter_bank(
     Right singular vectors with singular value at most ``tau`` times the
     largest become bank filters (always at least the very smallest one),
     orthonormal by construction, residuals ascending.  ``limit``, if not
-    None, keeps the first ``limit >= 1`` of them.
+    None, keeps the first ``limit >= 1`` of them.  A negative or
+    non-finite ``tau`` is a ``ValueError``.
     """
     if limit is not None and _integer("limit", limit) < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    _weight("tau", tau)
     cm = build_calib_matrix(data, calib, L, P)
     _u, s, vh = np.linalg.svd(cm.matrix, full_matrices=True)
     n_cols = cm.matrix.shape[1]
@@ -334,8 +321,7 @@ def pattern_signature(mask: SamplingMask, n, L: int, P: int) -> str:
     One character per window offset in ascending index order (row-major
     across axes in 2D); offsets outside the grid read as ``0``.
     """
-    if L < 0 or P < 0:
-        raise ValueError("L and P must be nonnegative")
+    L, P = _window(L, P)
     n = _axes_int(n, "n")
     if len(n) != mask.grid.dims:
         raise ValueError(f"index {n} does not match a {mask.grid.dims}D grid")
@@ -369,13 +355,11 @@ def missing_patterns(mask: SamplingMask, L: int, P: int) -> dict[str, np.ndarray
     fresh dict over those arrays, so the fit, the imputation and the
     ``interp`` engine share one grouping of a mask.
     """
-    if L < 0 or P < 0:
-        raise ValueError("L and P must be nonnegative")
     # A float L or P fails here, not on an integer's stored groups.
-    key = (operator.index(L), operator.index(P))
+    key = _window(L, P)
     by_window = _GROUPS.setdefault(mask, {})
     if key not in by_window:
-        by_window[key] = _group_missing(mask, L, P)
+        by_window[key] = _group_missing(mask, *key)
     return dict(by_window[key])
 
 
@@ -433,9 +417,9 @@ def fit_interpolation_filters(
     pattern therefore costs one Cholesky factorization of that Gram block
     plus ``ridge`` (None: ``1e-9 *`` the largest Gram diagonal) on its
     diagonal, shared by every channel, with one right-hand side per
-    channel's ``k = 0`` column.  Requires ``mask.calib``; a negative
-    ``ridge`` is a ValueError.  A block that is not positive definite, as
-    with all-zero data and no positive ridge, raises SingularFitError.
+    channel's ``k = 0`` column.  Requires ``mask.calib``; a negative or
+    non-finite ``ridge`` is a ValueError.  A block not positive definite,
+    as with all-zero data and no positive ridge, raises SingularFitError.
 
     Returns ``(filters, quality)``.  ``filters`` maps each signature to
     that pattern's read-only ``[Q, Q, *W]`` tap array (``W = L + P + 1``
@@ -447,8 +431,7 @@ def fit_interpolation_filters(
     imputation).
     """
     ms = _as_multi(data)
-    if ms.grid != mask.grid:
-        raise GridMismatchError("data and mask grids differ")
+    _shared_acquired(mask, ms)
     if mask.calib is None:
         raise ValueError("pattern fitting requires a calibration region")
     cm = build_calib_matrix(ms, mask.calib, L, P)
@@ -498,7 +481,6 @@ def interpolate_missing(
     filters: Mapping[str, np.ndarray],
     L: int,
     P: int,
-    strict: bool = True,
 ) -> MultiKSignal:
     """Impute every missing sample from acquired neighbors in one pass.
 
@@ -508,29 +490,23 @@ def interpolate_missing(
     group's ``[Q, Q, *W]`` tap array, as :func:`fit_interpolation_filters`
     returns it, supplies ``x_m[n] = sum_{(q,k) != (m,0)} h[m, q, k]
     x_q[n-k]`` for the whole group at once.  The anchor taps ``h[m, m,
-    k=0]`` are not read.  Acquired samples pass through untouched.  With
-    ``strict=False`` missing samples whose signature has no filter keep
-    their input values instead of raising.
+    k=0]`` are not read.  Acquired samples pass through untouched, and so
+    do missing samples whose signature has no filter in ``filters``.
 
     Raises:
         ValueError: a tap array is not ``[Q, Q, *W]`` for the data's
             ``Q`` channels and ``W = L + P + 1`` per axis.
-        UncoveredPatternError: in strict mode, a missing index's
-            signature has no filter; in any mode, a matched filter has a
-            nonzero tap on an unacquired offset.
+        UncoveredPatternError: a filter has a nonzero tap on an
+            unacquired offset of its pattern.
     """
     ms = _as_multi(data)
-    if ms.grid != mask.grid:
-        raise GridMismatchError("data and mask grids differ")
+    L, P = _window(L, P)
     stacked = ms.values
     out = stacked.copy()
-    if mask.acquired.all():
+    if _shared_acquired(mask, ms).all():
         return MultiKSignal.from_array(ms.grid, out)
 
     groups = missing_patterns(mask, L, P)
-    uncovered = [sig for sig in groups if sig not in filters]
-    if uncovered and strict:
-        raise UncoveredPatternError(uncovered)
 
     dims = ms.grid.dims
     q_count = ms.q_count
@@ -554,7 +530,9 @@ def interpolate_missing(
             raise ValueError(f"filters for pattern {sig} have shape {taps.shape}, expected {shape}")
         taps[anchors] = 0.0
         if np.any((taps != 0) & ~_source_taps(sig).reshape(shape[2:])):
-            raise UncoveredPatternError([f"{sig} (tap on unacquired offset)"])
+            raise UncoveredPatternError(
+                f"no filter covers local pattern(s): {sig} (tap on unacquired offset)"
+            )
         taps = np.flip(taps, axis=tuple(range(2, dims + 2))).reshape(q_count, -1)
         win = windows[tuple(pos.T)].reshape(len(pos), -1)
         out[(slice(None),) + tuple(pos.T)] = taps @ win.T
@@ -568,7 +546,6 @@ class GramOperator:
     matrix: np.ndarray
     L: int
     P: int
-    fov: float
 
 
 def _squared_boxcar_phantom(phantom: Phantom) -> Phantom:
@@ -604,8 +581,7 @@ def gram_operator(phantom: Phantom, L: int, P: int) -> GramOperator:
     """
     if phantom.dims != 1:
         raise ValueError("gram_operator is 1D only")
-    if L < 0 or P < 0:
-        raise ValueError("L and P must be nonnegative")
+    L, P = _window(L, P)
     sq = _squared_boxcar_phantom(phantom)
     width = L + P + 1
     b = phantom.fov[0]
@@ -613,7 +589,7 @@ def gram_operator(phantom: Phantom, L: int, P: int) -> GramOperator:
     g = b * samples_at(sq, (-m,))
     idx = np.subtract.outer(np.arange(width), np.arange(width))  # k - n
     G = g[(width - 1) - idx]  # g[n - k]
-    return GramOperator(G, L, P, b)
+    return GramOperator(G, L, P)
 
 
 def smallest_eigensequences(gram: GramOperator, count: int) -> FilterBank:
@@ -658,12 +634,12 @@ def _decay_constant(phantom: Phantom) -> float:
     return c
 
 
-def _tail(c_tot: float, kmax: int, grid: KGrid, L: int, P: int) -> float:
-    """Bound on the response energy that a 1D grid's valid range
-    ``[n_min + P, n_max - L]`` leaves out, for a response with
+def _tail(c_tot: float, kmax: int, valid: KGrid) -> float:
+    """Bound on the response energy that a filter's 1D valid range
+    ``valid`` (:meth:`KGrid.valid_for`) leaves out, for a response with
     ``|r[n]| <= c_tot / (|n| - kmax)``; inf unless the range reaches past
     ``kmax`` on both sides."""
-    lo_v, hi_v = grid.n_min[0] + P, grid.n_max[0] - L
+    lo_v, hi_v = valid.n_min[0], valid.n_max[0]
     if hi_v - kmax < 1 or -lo_v - kmax < 1:
         return float(np.inf)
     return c_tot**2 * (1.0 / (hi_v - kmax) + 1.0 / (-lo_v - kmax))
@@ -689,9 +665,8 @@ def _lhs_energy(sample_fns, taps, L: int, P: int, grid: KGrid) -> float:
     so the sum differs from that of the complex convolution by round-off
     alone: 5.7e-16 relative on the benchmark's theorem-1 check.
     """
-    lo, hi = grid.n_min[0] + P, grid.n_max[0] - L
-    if lo > hi:
-        raise ValueError("grid too small for the filter")
+    valid = grid.valid_for(L, P)
+    lo, hi = valid.n_min[0], valid.n_max[0]
     total = 0.0
     start = lo
     while start <= hi:
@@ -734,7 +709,7 @@ def _energy_identity(
         return np.abs(sum((basis @ t) * u(x, mid) for t, u in zip(taps, profiles))) ** 2
 
     rhs = b * float(piecewise_quad(integrand, edges))
-    return IdentityCheck(lhs, rhs, _tail(c_tot, kmax, grid, L, P))
+    return IdentityCheck(lhs, rhs, _tail(c_tot, kmax, grid.valid_for(L, P)))
 
 
 def check_annihilation_identity(
@@ -781,7 +756,7 @@ def bank_to_json(bank: FilterBank) -> dict:
 
 def bank_from_json(doc: dict) -> FilterBank:
     """The bank of a :func:`bank_to_json` document; ``ValueError`` if it is malformed."""
-    L, P, dims = int(doc["L"]), int(doc["P"]), int(doc["dims"])
+    (L, P), dims = _window(doc["L"], doc["P"]), _integer("dims", doc["dims"])
     entries = doc["filters"]
     pairs = np.array([e["taps"] for e in entries], dtype=np.float64)
     width = L + P + 1

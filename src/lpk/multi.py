@@ -27,11 +27,12 @@ import numpy as np
 from scipy import signal as _sps
 
 from .core import (
-    Filter, GridMismatchError, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask, _like,
+    Filter, KGrid, KSignal, MultiFilter, MultiKSignal, SamplingMask, _as_multi, _index, _like,
+    _shared_acquired, _weight, _window,
 )
 from .lp import (
-    IdentityCheck, _anchored_fit, _as_multi, _decay_constant as _decay, _energy_identity,
-    _ridge_solve, build_calib_matrix,
+    IdentityCheck, _anchored_fit, _decay_constant as _decay, _energy_identity, _ridge_solve,
+    build_calib_matrix,
 )
 from .phantom import (
     Modulator,
@@ -148,8 +149,8 @@ def smash_fit(
     b = float(fov)
     if b <= 0:
         raise ValueError("fov must be positive")
-    if not 0 <= target < len(sens):
-        raise ValueError("target channel out of range")
+    L, P = _window(L, P)
+    target = _index("target channel", target, len(sens))
     points = 1024
     x = (np.arange(points) / points - 0.5) * b
     k = np.arange(-L, P + 1)
@@ -215,12 +216,9 @@ def sms_fit_separator_coils(
     if len(slices) < 2:
         raise ValueError("need at least two slices")
     q = slices[0].q_count
-    if not 0 <= target_slice < len(slices):
-        raise ValueError("target slice out of range")
-    if not 0 <= target_coil < q:
-        raise ValueError("target coil out of range")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    target_slice = _index("target slice", target_slice, len(slices))
+    target_coil = _index("target coil", target_coil, q)
+    _weight("mu", mu)
     summed = sms_superpose(slices)
     cm_sum = build_calib_matrix(summed, calib, L, P)
     rows = cm_sum.rows
@@ -294,9 +292,8 @@ def sms_separate(
             raise ValueError("separators must share tap support")
     if any(f.dims != summed.grid.dims for f in seps):
         raise ValueError("filter dims do not match data dims")
-    if mask is not None and mask.grid != summed.grid:
-        raise GridMismatchError("mask grid differs from data grid")
-    if mask is None or bool(np.all(mask.acquired)):
+    acq = None if mask is None else _shared_acquired(mask, summed)
+    if acq is None or bool(np.all(acq)):
         grid = summed.grid.valid_for(L, P)
         outs = [_sps.convolve(summed.values, f.taps, mode="valid", method="direct") for f in seps]
         return MultiKSignal.from_array(grid, outs), ReconReport(
@@ -309,7 +306,7 @@ def sms_separate(
     for m in range(len(seps)):
         taps[(m, m) + (L,) * summed.grid.dims] -= 1.0
     x, report = _bank_solve(
-        taps, shape, summed.values[None], mask.acquired[None],
+        taps, shape, summed.values[None], acq[None],
         _SMS_LAM, _SMS_TOL, _SMS_MAX_ITERS, "sms-joint",
     )
     return MultiKSignal.from_array(summed.grid, x), report
@@ -369,8 +366,7 @@ def check_superposition_identity(
     over the field of view with ``H(x) = sum_k h[k] exp(+i 2 pi k x / B)``.
     """
     slices = tuple(slices)
-    if not 0 <= target < len(slices):
-        raise ValueError("target slice out of range")
+    target = _index("target slice", target, len(slices))
     if any(p.dims != 1 for p in slices) or grid.dims != 1:
         raise ValueError("identity check is 1D only")
     if any(p.fov != slices[0].fov for p in slices[1:]):

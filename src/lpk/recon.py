@@ -57,15 +57,16 @@ import scipy.fft
 import scipy.linalg
 
 from .core import (
-    GridMismatchError,
     KGrid,
     MultiKSignal,
     SamplingMask,
+    _as_multi,
     _integer,
+    _shared_acquired,
+    _weight,
 )
 from .lp import (
     FilterBank,
-    _as_multi,
     _checked_calib,
     _window_geometry,
     build_calib_matrix,  # noqa: F401  bench/layers.py wraps lpk.recon:build_calib_matrix
@@ -173,10 +174,6 @@ class StructuredMatrix:
     q_count: int
     variant: str
 
-    @property
-    def taps_per_channel(self) -> int:
-        return (self.L + self.P + 1) ** self.grid.dims
-
     def unlift(self) -> MultiKSignal:
         """Average every matrix cell back onto the sample it was read from.
 
@@ -250,15 +247,6 @@ def lift(data, L: int, P: int, variant: str = "C") -> StructuredMatrix:
     return StructuredMatrix(matrix, ms.grid, L, P, ms.q_count, variant)
 
 
-def _shared_acquired(mask: SamplingMask, ms: MultiKSignal) -> np.ndarray:
-    """The ``[Q, *N]`` acquired view of the one mask all channels share."""
-    if not isinstance(mask, SamplingMask):
-        raise TypeError(f"expected one SamplingMask for all channels, not {type(mask).__name__}")
-    if mask.grid != ms.grid:
-        raise GridMismatchError("mask grid differs from data grid")
-    return np.broadcast_to(mask.acquired, ms.values.shape)
-
-
 # The Gram of a C-ordered ``C`` as one Hermitian rank-k update: BLAS
 # reads ``C.T`` (Fortran-ordered, so no copy) and forms ``C.T conj(C) =
 # conj(CᴴC)``, lower triangle only, in half the products of a GEMM.
@@ -302,9 +290,9 @@ def lowrank_complete(
     ``(C V_r) V_rᴴ`` with ``V_r`` the Gram's leading eigenvectors, which
     equals ``U_r S_r V_rᴴ`` of the thin SVD.  One mask, a
     :class:`SamplingMask`, is shared by all channels.  A ``rank`` other
-    than None or an integer is a ``ValueError``.  With ``max_iters < 1``
-    no sweep runs and the zero-filled data come back; the rank, the
-    variant and the window are checked either way.
+    than None or an integer is a ``ValueError``, as is a negative or
+    non-finite ``tau``.  With ``max_iters < 1`` no sweep runs and the
+    zero-filled data come back, every argument checked as for a sweep.
 
     The sweeps run on arrays, through a window index and cell count built
     once per call; only the first goes through :func:`lift` and
@@ -325,6 +313,7 @@ def lowrank_complete(
     _check_lift(grid, L, P, variant)
     if rank is not None:
         _integer("rank", rank)
+    _weight("tau", tau)
     ref = ms.values
     x = np.where(acq, ref, 0.0)
     ref_acq = ref[acq]
@@ -767,10 +756,7 @@ def annihilation_recon(
     ms = _as_multi(data)
     acq = _shared_acquired(mask, ms)
     ref = ms.values
-
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lam must be finite and nonnegative, not {lam}")
-
+    _weight("lam", lam)
     x, report = _bank_solve(
         bank.taps, ref.shape, ref, acq, lam, tol, max_iters,
         "annihilation-hard" if lam == 0.0 else "annihilation-soft",

@@ -496,8 +496,8 @@ def test_sms_superpose_fit_and_separate(capsys, sms_dir):
     sep = read_lpk(d / "sep.lpk")
     bank = bank_from_json(read_json(d / "sep0.filters.json"))
     want = conv_response(MultiKSignal((summed,)), bank.filters[0])
-    assert sep.channels[0].grid == want.grid
-    assert np.array_equal(sep.channels[0].values, want.values)
+    assert sep.grid == want.grid
+    assert np.array_equal(sep.values[0], want.values)
 
 
 @pytest.mark.parametrize("argv", [
@@ -551,10 +551,10 @@ def test_sms_separate_with_the_two_slice_bank_matches_the_valid_convolution(caps
     )
     summed = read_lpk(d / "scene-sum.lpk")
     sep = read_lpk(d / "seps.lpk")
-    for ch, mf in zip(sep.channels, bank_from_json(read_json(bank_path)).filters, strict=True):
+    for values, mf in zip(sep.values, bank_from_json(read_json(bank_path)).filters, strict=True):
         want = conv_response(MultiKSignal((summed,)), mf)
-        assert ch.grid == want.grid
-        assert np.array_equal(ch.values, want.values)
+        assert sep.grid == want.grid
+        assert np.array_equal(values, want.values)
 
 
 def _nan_tap(doc):
@@ -610,6 +610,72 @@ def test_sms_separate_rejects_a_corrupted_bank(capsys, sms_dir, tmp_path, corrup
     )
     assert code == 2 and message in err
     assert not (tmp_path / "x.lpk").exists()
+
+
+def _half_integer_L(doc):
+    doc["L"] += 0.5
+
+
+def _bool_L(doc):
+    doc["P"] += doc["L"] - 1
+    doc["L"] = True
+
+
+def _float_dims(doc):
+    doc["dims"] += 0.9
+
+
+def _float_anchor(doc):
+    entry = doc["filters"][0]
+    entry["taps"][0][doc["L"]] = [-1.0, 0.0]
+    entry["anchor"] = 0.7
+
+
+# (corruption that int() would have read as a valid bank, what the error says)
+TRUNCATED_BANKS = [
+    (_half_integer_L, "L must be an integer, got 2.5"),
+    (_bool_L, "L must be an integer, got True"),
+    (_float_dims, "dims must be an integer, got 1.9"),
+    (_float_anchor, "filter 0 anchor must be an integer, got 0.7"),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message", TRUNCATED_BANKS, ids=[c.__name__[1:] for c, _ in TRUNCATED_BANKS]
+)
+def test_sms_separate_rejects_a_bank_field_that_is_not_an_integer(
+    capsys, sms_dir, tmp_path, corrupt, message
+):
+    # Each ran as the bank int() made of it and exited 0.
+    bank_path, _ = fit_every_slice(capsys, sms_dir)
+    doc = json.loads(bank_path.read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad.filters.json"
+    bad.write_text(json.dumps(doc))
+    code, lines, err = run(
+        capsys, "sms", "separate", str(sms_dir / "scene-sum.lpk"),
+        "--filters", str(bad), "--out", str(tmp_path / "x.lpk"),
+    )
+    assert (code, lines, err) == (2, [], f"error: {bad}: {message}\n")
+    assert not (tmp_path / "x.lpk").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("mode,key", [("predict", "ridge"), ("nullspace", "tau"), ("sms-sep", "mu")])
+def test_a_fit_weight_that_is_not_finite_and_nonnegative_is_a_data_error(
+    capsys, sampled, sms_dir, tmp_path, mode, key, value
+):
+    # A NaN tau kept 1 filter where 0.05 keeps 7, a NaN mu dropped the
+    # leakage rows, and a NaN ridge was reported as non-finite taps.
+    source = sms_dir / "sms.json" if mode == "sms-sep" else sampled / "full.lpk"
+    out = tmp_path / "w.filters.json"
+    code, lines, err = run(
+        capsys, "fit", str(source), "--mode", mode, "--L", "1", "--P", "1",
+        f"--{key}", value, "--out", str(out),
+    )
+    assert (code, lines) == (2, [])
+    assert err == f"error: {key} must be finite and nonnegative, not {float(value)}\n"
+    assert not out.exists()
 
 
 def test_sms_errors(capsys, sms_dir, tmp_path):

@@ -102,7 +102,7 @@ class TestMultiKSignal:
         assert ms.q_count == 2
         assert ms.stack().shape == (2, 3)
         rebuilt = MultiKSignal.from_array(g, ms.stack())
-        assert signals_allclose(rebuilt.channels[1], ms.channels[1])
+        assert rebuilt.grid == ms.grid and np.array_equal(rebuilt.values[1], ms.values[1])
 
     def test_needs_at_least_one_channel(self):
         with pytest.raises(ValueError):
@@ -119,10 +119,6 @@ class TestMultiKSignal:
             assert ms.values.shape == (2, 4, 3) and ms.values.dtype == np.complex128
             assert not ms.values.flags.writeable
             assert np.array_equal(ms.values, arr)
-            for q, ch in enumerate(ms.channels):
-                assert ch.grid == g
-                assert np.shares_memory(ch.values, ms.values)
-                assert np.array_equal(ch.values, arr[q])
             # stack() stays a fresh writable copy.
             copy = ms.stack()
             assert copy.flags.writeable and not np.shares_memory(copy, ms.values)

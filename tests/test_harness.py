@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpk.core import MultiKSignal, SamplingMask, centered_grid, zero_fill
+from lpk.core import KSignal, MultiKSignal, SamplingMask, centered_grid, zero_fill
 from lpk.harness import (
     ENGINES,
     MaskSpec,
@@ -48,13 +48,13 @@ def test_add_noise_is_the_per_channel_draw(multi):
     # Per channel a real draw, then an imaginary one, from one generator:
     # the stream every benchmark input was drawn from.
     truth = scene_samples(demo_scene_2d(), centered_grid((12, 10), 1.0))
-    data = truth if multi else truth.channels[1]
+    data = truth if multi else KSignal(truth.grid, truth.values[1])
     sigma, seed = 0.3, 17
     rng = np.random.default_rng(seed)
     s = sigma / np.sqrt(2.0)
     want = [
-        ch.values + s * (rng.standard_normal(ch.values.shape) + 1j * rng.standard_normal(ch.values.shape))
-        for ch in (truth.channels if multi else (data,))
+        v + s * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
+        for v in (truth.values if multi else (data.values,))
     ]
     got = add_noise(data, sigma, seed)
     assert type(got) is type(data) and got.grid == data.grid
@@ -223,7 +223,7 @@ class TestInterpEngine:
             assert not taps.flags.writeable
             for m in range(measured.q_count):
                 assert taps[m, m, L, L] == -1.0
-        est = interpolate_missing(measured, mask, fmap, L, P, strict=False)
+        est = interpolate_missing(measured, mask, fmap, L, P)
         assert not np.array_equal(est.stack(), measured.stack())
         ENGINES["interp"](measured, mask, {"L": L, "P": P})
 
@@ -274,7 +274,7 @@ def public_interp(measured, mask, params):
         if not useful:
             done -= 1
             break
-        cur = interpolate_missing(cur, eff_mask, useful, L, P, strict=False)
+        cur = interpolate_missing(cur, eff_mask, useful, L, P)
         for sig, pos in missing_patterns(eff_mask, L, P).items():
             if sig in useful:
                 eff[tuple(pos.T)] = True

@@ -252,15 +252,6 @@ class TestInterpolateMissing:
         out = interpolate_missing(ms, mask, {}, 1, 1)
         assert np.array_equal(out.stack(), ms.stack())
 
-    def test_uncovered_signature_raises(self):
-        g = centered_grid(9, 1.0)
-        ms = self.harmonic_pair(g)
-        acq = np.ones(9, dtype=bool)
-        acq[3:6] = False  # window around index 0 fully missing
-        masked = MultiKSignal.from_array(g, np.where(acq, ms.stack(), 0.0))
-        with pytest.raises(UncoveredPatternError):
-            interpolate_missing(masked, SamplingMask(g, acq), self.shift_filters(), 1, 1)
-
     def test_fitted_filters_recover_calibrated_pattern(self):
         g = centered_grid(33, 1.0)
         ms = self.harmonic_pair(g)
@@ -308,7 +299,7 @@ class TestInterpolateMissing:
     def test_taps_for_another_channel_count_are_rejected(self):
         masked, mask, fmap = self.wide_fit()
         with pytest.raises(ValueError, match=r"have shape \(2, 2, 5\), expected \(1, 1, 5\)"):
-            interpolate_missing(masked.channels[0], mask, fmap, 2, 2, strict=False)
+            interpolate_missing(KSignal(masked.grid, masked.values[0]), mask, fmap, 2, 2)
 
     def test_anchor_tap_on_missing_sample_is_allowed(self):
         masked, mask, fmap = self.wide_fit()
@@ -475,9 +466,9 @@ class TestSharedPatternSolve:
         rng = np.random.default_rng(5)
         stacked = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
         data = MultiKSignal.from_array(grid, np.where(mask.acquired, stacked, 0.0))
-        with pytest.raises(ValueError, match="^ridge must be nonnegative$"):
+        with pytest.raises(ValueError, match=f"^ridge must be finite and nonnegative, not {ridge}$"):
             fit_interpolation_filters(data, mask, 1, 1, ridge)
-        with pytest.raises(ValueError, match="^ridge must be nonnegative$"):
+        with pytest.raises(ValueError, match=f"^ridge must be finite and nonnegative, not {ridge}$"):
             ENGINES["interp"](data, mask, {"L": 1, "P": 1, "ridge": ridge})
 
 
@@ -549,7 +540,7 @@ class TestMissingPatterns:
             assert all(np.array_equal(again[s], fresh[s]) for s in fresh)
         assert dropped in missing_patterns(mask, 1, 2)
         # Equal to the stored key (1, 2), but not an integer window.
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^L must be an integer, got 1.0$"):
             missing_patterns(mask, 1.0, 2)
         # The table keeps no mask alive: each entry goes with its mask, and
         # an engine call leaves none of its pass masks' entries behind.
@@ -580,7 +571,7 @@ class TestMissingPatterns:
         # Junk at the missing entries shows any read of an unacquired sample.
         stacked[:, ~mask.acquired] = 1e3 * (1 + 2j)
         data = MultiKSignal.from_array(grid, stacked)
-        got = interpolate_missing(data, mask, fmap, L, P, strict=False).stack()
+        got = interpolate_missing(data, mask, fmap, L, P).stack()
         want = per_tap_gather(stacked, mask, fmap, L, P)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -155,8 +155,8 @@ def test_fully_sampled_separation_is_the_separators_applied(mask):
     assert (report.method, report.iterations, report.converged) == ("sms-direct", 0, True)
     for m, f in enumerate(seps):
         want = conv_response(MultiKSignal((summed,)), MultiFilter((f,)))
-        assert out.channels[m].grid == want.grid == grid.valid_for(2, 2)
-        assert np.array_equal(out.channels[m].values, want.values)
+        assert out.grid == want.grid == grid.valid_for(2, 2)
+        assert np.array_equal(out.values[m], want.values)
 
 
 @pytest.mark.parametrize("window", [False, True], ids=["centred", "shifted"])
@@ -539,8 +539,8 @@ def test_coil_separation_is_the_per_coil_convolution_sum():
     for m, per_slice in enumerate(seps):
         for c, mf in enumerate(per_slice):
             want = sum(np.convolve(x, t, mode="valid") for x, t in zip(summed.values, mf.taps))
-            assert out[m].channels[c].grid == valid
-            assert np.allclose(out[m].channels[c].values, want, rtol=0, atol=1e-13)
+            assert out[m].grid == valid
+            assert np.allclose(out[m].values[c], want, rtol=0, atol=1e-13)
         # Two coils separate this scene far better than one coil does (0.10).
         ref = truth[m].stack()[:, lo:lo + valid.shape[0]]
         assert rel(out[m].stack(), ref) <= 0.03
@@ -577,7 +577,7 @@ def test_separator_fits_in_2d():
         for c in range(2):
             mf, report = sms_fit_separator_coils(truth, m, c, L, P)
             assert mf.taps.shape == (2, 5, 5)
-            repro = conv_response(summed, mf).values - truth[m].channels[c].values[inner]
+            repro = conv_response(summed, mf).values - truth[m].values[c][inner]
             leak = conv_response(truth[1 - m], mf).values
             assert report.rows == repro.size == 28 * 28
             assert report.residual == pytest.approx(np.sqrt(np.mean(np.abs(repro) ** 2)), rel=1e-9)
@@ -588,19 +588,19 @@ def test_separator_fits_in_2d():
     seps = [sms_fit_separator(single, m, L, P, ((-6, 5), (-6, 5)))[0] for m in range(2)]
     out, _ = sms_separate(sms_superpose(single), seps)
     for m in range(2):
-        assert rel(out.channels[m].values, single[m].values[inner]) <= 0.03
+        assert rel(out.values[m], single[m].values[inner]) <= 0.03
 
 
 def test_superpose_rejects_slices_of_another_kind_grid_or_coil_count():
     grid = centered_grid(32, 1.0)
     scene = SmsScene(bench_slices(), make_sensitivities(3, 2, seed=3))
     three = sms_slice_samples(scene, grid)
-    two = MultiKSignal(three[0].channels[:2])
+    two = MultiKSignal.from_array(grid, three[0].values[:2])
     other_fov = MultiKSignal.from_array(centered_grid(32, 2.0), three[1].values)
     for slices in (
         (two, three[1]),  # a 3-coil slice after a 2-coil one
         (three[0], other_fov),  # coil stacks on fov 1 and fov 2
-        (three[0].channels[0], MultiKSignal(three[1].channels[:1])),  # KSignal, then a stack
+        (KSignal(grid, three[0].values[0]), MultiKSignal.from_array(grid, three[1].values[:1])),  # KSignal, then a stack
     ):
         with pytest.raises(ValueError):
             sms_superpose(slices)

@@ -180,8 +180,9 @@ def per_tap_unlift(sm):
     grid, shape, q_count = sm.grid, sm.grid.shape, sm.q_count
     blocks = q_count if sm.variant == "C" else 2 * q_count
     width = sm.L + sm.P + 1
-    cells = sm.matrix.reshape(-1, blocks, sm.taps_per_channel).T.reshape(
-        (sm.taps_per_channel, blocks) + tuple(n - width + 1 for n in shape)
+    per = width ** sm.grid.dims
+    cells = sm.matrix.reshape(-1, blocks, per).T.reshape(
+        (per, blocks) + tuple(n - width + 1 for n in shape)
     )
     acc = np.zeros((blocks,) + shape, dtype=np.complex128)
     count = np.zeros(shape)
@@ -275,13 +276,14 @@ def loop_unlift(sm):
     count = np.zeros(sm.grid.shape)
     valid = sm.grid.valid_for(sm.L, sm.P)
     ks = np.stack(np.meshgrid(*[np.arange(-sm.L, sm.P + 1)] * sm.grid.dims, indexing="ij"), -1)
+    per = (sm.L + sm.P + 1) ** sm.grid.dims
     for j, k in enumerate(ks.reshape(-1, sm.grid.dims)):
         sl = tuple(
             slice(vlo - ki - glo, vhi - ki - glo + 1)
             for vlo, vhi, ki, glo in zip(valid.n_min, valid.n_max, k, sm.grid.n_min)
         )
         for q in range(blocks):
-            acc[q][sl] += sm.matrix[:, q * sm.taps_per_channel + j].reshape(valid.shape)
+            acc[q][sl] += sm.matrix[:, q * per + j].reshape(valid.shape)
         count[sl] += 1.0
     if sm.variant == "C":
         return acc / count
@@ -365,20 +367,20 @@ class TestLowrankComplete:
     def test_exact_completion(self, masked_two_point):
         sig, mask, masked = masked_two_point
         out, rep = lowrank_complete(masked, mask, L=3, P=3, rank=2, tol=1e-12, max_iters=500)
-        assert rel_err(out.channels[0].values, sig.values) <= 1e-9
+        assert rel_err(out.values[0], sig.values) <= 1e-9
         assert rep.converged
         assert rep.iterations <= 200
 
     def test_narrow_window_variant_converges_slower_but_low(self, masked_two_point):
         sig, mask, masked = masked_two_point
         out, rep = lowrank_complete(masked, mask, L=0, P=3, rank=2, tol=1e-12, max_iters=500)
-        assert rel_err(out.channels[0].values, sig.values) <= 1e-9
+        assert rel_err(out.values[0], sig.values) <= 1e-9
         assert rep.converged
 
     def test_acquired_entries_exact_at_output(self, masked_two_point):
         sig, mask, masked = masked_two_point
         out, _ = lowrank_complete(masked, mask, L=2, P=2, rank=2, max_iters=30)
-        got = out.channels[0].values[mask.acquired]
+        got = out.values[0][mask.acquired]
         assert np.array_equal(got, sig.values[mask.acquired])
 
     def test_capped_run_says_so(self, masked_two_point):
@@ -402,13 +404,13 @@ class TestLowrankComplete:
         full = SamplingMask(sig.grid, np.ones(32, dtype=bool))
         out, rep = lowrank_complete(sig, full, L=2, P=2, rank=5, max_iters=50)
         assert rep.iterations == 1
-        assert np.array_equal(out.channels[0].values, sig.values)
+        assert np.array_equal(out.values[0], sig.values)
 
     def test_full_rank_truncation_keeps_zero_fill(self, masked_two_point):
         _, mask, masked = masked_two_point
         out, rep = lowrank_complete(masked, mask, L=0, P=2, rank=3, max_iters=50)
         assert rep.converged
-        assert np.max(np.abs(out.channels[0].values - masked.values)) <= 1e-14
+        assert np.max(np.abs(out.values[0] - masked.values)) <= 1e-14
 
     def test_auto_rank_detects_model_order(self, masked_two_point):
         sig, _, _ = masked_two_point
@@ -599,7 +601,7 @@ class TestAnnihilationRecon:
         sig, mask, masked = masked_two_point
         bank = nullspace_filter_bank(sig, None, 0, 2)
         out, rep = annihilation_recon(masked, mask, bank, tol=1e-12, max_iters=200)
-        assert rel_err(out.channels[0].values, sig.values) <= 1e-8
+        assert rel_err(out.values[0], sig.values) <= 1e-8
         assert rep.converged
 
     def test_objective_trace_monotone(self, masked_two_point):
@@ -628,7 +630,7 @@ class TestAnnihilationRecon:
         sig, mask, masked = masked_two_point
         bank = nullspace_filter_bank(sig, None, 0, 2)
         out, _ = annihilation_recon(masked, mask, bank, tol=1e-3, max_iters=3)
-        got = out.channels[0].values[mask.acquired]
+        got = out.values[0][mask.acquired]
         assert np.array_equal(got, sig.values[mask.acquired])
 
     def test_nothing_missing_is_identity(self, masked_two_point):
@@ -637,28 +639,28 @@ class TestAnnihilationRecon:
         full = SamplingMask(sig.grid, np.ones(32, dtype=bool))
         out, rep = annihilation_recon(sig, full, bank, max_iters=50)
         assert rep.iterations == 0
-        assert np.array_equal(out.channels[0].values, sig.values)
+        assert np.array_equal(out.values[0], sig.values)
 
     def test_anchor_only_bank_gives_zero_fill(self, masked_two_point):
         _, mask, masked = masked_two_point
         bank = FilterBank(np.array([[[-1.0]]]), 0, 0, (0.0,), (0,))
         out, rep = annihilation_recon(masked, mask, bank, tol=1e-12, max_iters=50)
         assert rep.iterations == 0
-        assert np.array_equal(out.channels[0].values, masked.values)
+        assert np.array_equal(out.values[0], masked.values)
 
     def test_soft_penalty_approaches_hard_constraint(self, masked_two_point):
         sig, mask, masked = masked_two_point
         bank = nullspace_filter_bank(sig, None, 0, 2)
         hard, _ = annihilation_recon(masked, mask, bank, tol=1e-12, max_iters=200)
         soft, _ = annihilation_recon(masked, mask, bank, lam=1e6, tol=1e-14, max_iters=500)
-        assert rel_err(soft.channels[0].values, hard.channels[0].values) <= 1e-4
+        assert rel_err(soft.values[0], hard.values[0]) <= 1e-4
 
     def test_agrees_with_lowrank_on_liftable_data(self, masked_two_point):
         sig, mask, masked = masked_two_point
         bank = nullspace_filter_bank(sig, None, 3, 3)
         anni, _ = annihilation_recon(masked, mask, bank, tol=1e-12, max_iters=500)
         lowr, _ = lowrank_complete(masked, mask, L=3, P=3, rank=2, tol=1e-12, max_iters=500)
-        assert rel_err(lowr.channels[0].values, anni.channels[0].values) <= 1e-6
+        assert rel_err(lowr.values[0], anni.values[0]) <= 1e-6
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_capped_solve_says_why(self, masked_two_point, lam, monkeypatch):
@@ -1224,7 +1226,7 @@ class TestPfRecon:
         sig, mask, masked = self.pf_case()
         out, rep = pf_recon(masked, mask, tol=1e-12, max_iters=200)
         assert out.q_count == 1
-        assert rel_err(out.channels[0].values, sig.values) <= 1e-12
+        assert rel_err(out.values[0], sig.values) <= 1e-12
         assert rep.converged
 
     def test_capped_solve_note_is_forwarded(self, monkeypatch):
@@ -1254,7 +1256,7 @@ class TestPfRecon:
     def test_symmetric_lowrank_route_improves_on_zero_fill(self):
         sig, mask, masked = self.pf_case()
         out, rep = lowrank_complete(masked, mask, variant="S", tol=1e-10, max_iters=300)
-        err = rel_err(out.channels[0].values, sig.values)
+        err = rel_err(out.values[0], sig.values)
         assert err <= 0.5 * rel_err(masked.values, sig.values)
         assert err <= 5e-2
 
