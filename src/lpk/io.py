@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import KGrid, KSignal, MultiKSignal, SamplingMask
+from .core import KGrid, KSignal, MultiKSignal, SamplingMask, _integer
 
 FORMAT_VERSION = 1
 
@@ -127,8 +127,11 @@ def read_lpk(path) -> _Payload:
 
     if kind in ("signal", "multisignal"):
         q = hdr.get("q_count")
-        if not isinstance(q, int) or q < 1:
-            raise LpkFormatError(f"bad q_count {q!r}")
+        try:
+            if _integer("q_count", q) < 1:
+                raise ValueError("q_count must be positive")
+        except ValueError as exc:
+            raise LpkFormatError(f"bad q_count {q!r}") from exc
         expect = q * grid.size * 16
         _check_length(len(body), expect)
         flat = np.frombuffer(body, dtype="<c16").reshape((q,) + grid.shape)

@@ -601,7 +601,7 @@ def smallest_eigensequences(gram: GramOperator, count: int) -> FilterBank:
     energies over every index, which an identity check's lhs approaches.
     """
     width = gram.L + gram.P + 1
-    if not 1 <= count <= width:
+    if not 1 <= _integer("count", count) <= width:
         raise ValueError(f"count must lie in [1, {width}]")
     vals, vecs = np.linalg.eigh(gram.matrix)
     v = vecs[:, :count].T

@@ -8,7 +8,9 @@ Two complementary routes:
   rows onto the leading eigenvectors of the small Gram matrix ``CᴴC``
   (one column per channel tap), so no SVD of the tall lifted matrix is
   taken.  The Gram is one Hermitian rank-k update (BLAS ``zherk``) that
-  fills only its lower triangle, the triangle ``eigh`` reads.  The sweep
+  fills only its lower triangle.  LAPACK reduces that triangle to a real
+  tridiagonal and solves it for every eigenvalue, which sets the rank,
+  and then back-transforms only the ``rank`` leading eigenvectors.  The sweep
   runs on ``[Q, *N]`` arrays: the window index and the per-sample cell
   count are built once per call, and each sweep is one gather through
   the index and one ``np.add.at`` scatter-add back over the count.
@@ -247,23 +249,68 @@ def lift(data, L: int, P: int, variant: str = "C") -> StructuredMatrix:
     return StructuredMatrix(matrix, ms.grid, L, P, ms.q_count, variant)
 
 
+def _lapack_info(routine: str, info: int) -> None:
+    """A nonzero LAPACK ``info`` is a ``LinAlgError``, as in ``eigh``."""
+    if info:
+        raise np.linalg.LinAlgError(f"{routine} failed with info {info}")
+
+
 # The Gram of a C-ordered ``C`` as one Hermitian rank-k update: BLAS
 # reads ``C.T`` (Fortran-ordered, so no copy) and forms ``C.T conj(C) =
-# conj(CᴴC)``, lower triangle only, in half the products of a GEMM.
-# Measured per Gram, one BLAS thread, OpenBLAS 0.3.31 on a 2-vCPU x86-64
-# host (ms, ``c.conj().T @ c`` / ``zherk``):
+# conj(CᴴC)``, lower triangle only, in half the products of a GEMM.  Its
+# eigenpairs come from the LAPACK stages of ``eigh`` (``zheevd``), called
+# one at a time so that only the ``r`` eigenvectors the sweep projects on
+# are back-transformed:
 #
-#   [3600, 200]   17.7 / 10.7   (demo2d)
-#   [1936, 200]    8.8 /  5.3   (random2d)
-#   [60, 20]     0.006 / 0.004  (sweep1d)
-def _gram_eigh(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of ``CᴴC``, descending, and their eigenvectors as
-    columns."""
+# - ``zhetrd`` reduces the Gram to a real tridiagonal ``T = Qᴴ G Q``.  It
+#   gets the workspace its query asks for, which selects the blocked
+#   reduction ``zheevd`` runs; with less, the eigenvalues of a Gaussian
+#   200-column Gram move by up to 8e-16 of the largest.
+# - ``dstevd`` gives every eigenpair of ``T``.
+# - ``zunmqr`` applies ``Q`` to the ``r`` leading ones.  With its least
+#   workspace it applies the reflectors one at a time, as fast as the
+#   blocked form: on Gaussian ``[1936, 200]`` and ``[3600, 200]``
+#   matrices its columns differ from ``eigh``'s by at most 1.8e-16 (5.1e-16
+#   blocked).
+#
+# On the bench's lifted matrices every eigenvalue and eigenvector equals
+# ``eigh``'s bitwise.  Measured per Gram on the first sweep of each bench
+# workload, one BLAS thread, scipy's OpenBLAS 0.3.30 and numpy's 0.3.31
+# on a 2-vCPU x86-64 host (ms; ``zherk`` alone, then ``zherk`` with
+# ``eigh`` and with the three stages):
+#
+#   [3600, 200], r = 35   13.2   23.7   19.4   (demo2d)
+#   [1936, 200], r = 32    7.8   19.3   14.9   (random2d)
+#   [60, 20],    r = 7   0.007  0.081  0.056   (sweep1d)
+def _gram_eigh(c: np.ndarray):
+    """``(lam, leading)``: every eigenvalue of ``CᴴC``, descending, and
+    ``leading(r)``, the ``[n, r]`` array of its ``r`` leading eigenvectors
+    as orthonormal columns."""
     gram = scipy.linalg.blas.zherk(1.0, c.T, trans=0, lower=1)
-    # eigh reads the lower triangle; the eigenvectors of conj(CᴴC) are
-    # the conjugates of those of CᴴC.
-    lam, v = np.linalg.eigh(gram, UPLO="L")
-    return lam[::-1], v[:, ::-1].conj()
+    n = gram.shape[0]
+    lwork, info = scipy.linalg.lapack.zhetrd_lwork(n, lower=1)
+    _lapack_info("zhetrd_lwork", info)
+    a, d, e, tau, info = scipy.linalg.lapack.zhetrd(
+        gram, lower=1, lwork=int(lwork.real), overwrite_a=1
+    )
+    _lapack_info("zhetrd", info)
+    # dstevd takes an off-diagonal of at least one entry; a 1×1 T has none.
+    lam, z, info = scipy.linalg.lapack.dstevd(d, e if n > 1 else np.zeros(1))
+    _lapack_info("dstevd", info)
+
+    def leading(r: int) -> np.ndarray:
+        y = z[:, ::-1][:, :r].astype(np.complex128)
+        if n > 1:
+            # Q = diag(1, H(1)···H(n-1)) with the reflectors stored below
+            # the subdiagonal, which is how zunmtr applies a lower-stored Q.
+            y[1:], _, info = scipy.linalg.lapack.zunmqr(
+                "L", "N", a[1:, :-1], tau, y[1:], r, overwrite_c=1
+            )
+            _lapack_info("zunmqr", info)
+        # The eigenvectors of conj(CᴴC) are the conjugates of those of CᴴC.
+        return y.conj()
+
+    return lam[::-1], leading
 
 
 def lowrank_complete(
@@ -286,9 +333,11 @@ def lowrank_complete(
     relative update falls below ``tol``.  The singular values are the
     square roots of the eigenvalues of the Hermitian Gram ``CᴴC``, which
     is formed as one Hermitian rank-k update that fills only the lower
-    triangle, the triangle ``eigh`` reads.  The truncation is
-    ``(C V_r) V_rᴴ`` with ``V_r`` the Gram's leading eigenvectors, which
-    equals ``U_r S_r V_rᴴ`` of the thin SVD.  One mask, a
+    triangle.  Every eigenvalue is computed, from the Gram's real
+    tridiagonal reduction, but only the ``rank`` leading eigenvectors are
+    carried back through that reduction.  The truncation is
+    ``(C V_r) V_rᴴ`` with ``V_r`` those eigenvectors, which equals
+    ``U_r S_r V_rᴴ`` of the thin SVD.  One mask, a
     :class:`SamplingMask`, is shared by all channels.  A ``rank`` other
     than None or an integer is a ``ValueError``, as is a negative or
     non-finite ``tau``.  With ``max_iters < 1`` no sweep runs and the
@@ -332,7 +381,7 @@ def lowrank_complete(
             c = lift(MultiKSignal.from_array(grid, x), L, P, variant).matrix
         else:
             c = _gather(x, grid, index, variant)
-        lam, v = _gram_eigh(c)
+        lam, leading = _gram_eigh(c)
         s = np.sqrt(np.maximum(lam, 0.0))[: min(c.shape)]
         if chosen is None:
             chosen = max(1, int(np.sum(s > tau * s[0])))
@@ -340,7 +389,7 @@ def lowrank_complete(
         if not 1 <= chosen <= len(s):
             raise ValueError(f"rank must lie in [1, {len(s)}]")
         s_final = s
-        vr = v[:, :chosen]
+        vr = leading(chosen)
         # Rebinding frees C before the scatter.
         c = (c @ vr) @ vr.conj().T
         if edge:

@@ -16,7 +16,7 @@ import lpk.cli
 from conftest import conv_response
 from lpk.cli import main
 from lpk.core import MultiKSignal
-from lpk.io import read_json, read_lpk, write_json
+from lpk.io import read_json, read_lpk, write_json, write_lpk
 from lpk.lp import IdentityCheck, bank_from_json
 
 
@@ -340,6 +340,26 @@ def test_a_malformed_header_field_is_a_data_error_naming_the_file(
     assert code == 2
     assert lines == []
     assert err.startswith(f"error: {bad}: {message}")
+
+
+def test_a_q_count_that_is_not_an_integer_is_a_data_error_naming_the_file(
+    capsys, sampled, tmp_path
+):
+    # One channel, so the payload length matches the one that True counts
+    # as, and the read used to reach the reshape and its bare TypeError.
+    full = read_lpk(sampled / "full.lpk")
+    one = tmp_path / "one.lpk"
+    write_lpk(one, MultiKSignal.from_array(full.grid, full.values[:1]))
+    header, payload = one.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc["q_count"] = True
+    bad = tmp_path / "bad.lpk"
+    bad.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    out = tmp_path / "out.lpk"
+    code, lines, err = run(capsys, "sample", str(bad), "--out", str(out))
+    assert code == 2 and lines == []
+    assert err.startswith(f"error: {bad}: bad q_count True")
+    assert not out.exists()
 
 
 # Every place a command reads samples: a mask there exits 2 naming the file.

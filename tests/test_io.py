@@ -151,6 +151,20 @@ def test_a_malformed_grid_or_calib_field_is_a_format_error(tmp_path, field, valu
         read_lpk(path)
 
 
+@pytest.mark.parametrize("value", [True, 2.0, 0, None])
+def test_a_q_count_other_than_a_positive_integer_is_a_format_error(tmp_path, value):
+    # JSON true passed an isinstance(q, int) check and ended in a bare
+    # TypeError from the payload reshape.
+    path = tmp_path / "q.lpk"
+    write_lpk(path, KSignal(grid1d(-2, 2), np.ones(5, dtype=complex)))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc["q_count"] = value
+    path.write_bytes(json.dumps(doc, sort_keys=True).encode() + b"\n" + payload)
+    with pytest.raises(LpkFormatError, match=f"^bad q_count {value!r}$"):
+        read_lpk(path)
+
+
 def test_header_without_newline_rejected(tmp_path):
     path = tmp_path / "n.lpk"
     path.write_bytes(b'{"version":1,"kind":"signal"}')

@@ -637,6 +637,12 @@ class TestSmallestEigensequences:
         with pytest.raises(ValueError):
             smallest_eigensequences(gram_operator(boxcar(), 1, 1), 4)
 
+    @pytest.mark.parametrize("count", [True, 2.0])
+    def test_count_other_than_an_integer_rejected(self, count):
+        # True returned one eigensequence; 2.0 failed inside numpy slicing.
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {count!r}$"):
+            smallest_eigensequences(gram_operator(boxcar(), 2, 2), count)
+
     def test_subspace_invariant_under_global_phase(self):
         a = smallest_eigensequences(gram_operator(boxcar(amp=1.0), 3, 3), 2)
         b = smallest_eigensequences(

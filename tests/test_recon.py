@@ -469,6 +469,27 @@ class TestLowrankComplete:
         assert rep == ref
 
 
+def assert_matches_eigh(c):
+    """``_gram_eigh(c)`` against ``np.linalg.eigh`` of the GEMM Gram."""
+    lam, leading = lpk.recon._gram_eigh(c)
+    want_lam, want_v = np.linalg.eigh(c.conj().T @ c)
+    want_lam, want_v = want_lam[::-1], want_v[:, ::-1]
+    n = c.shape[1]
+    assert lam.shape == (n,)
+    assert np.max(np.abs(lam - want_lam)) <= 1e-13 * want_lam[0]
+    # Two Grams that differ by round-off fix a rank-r projector only up to
+    # about eps·λ_max over the gap below it, so projectors are compared
+    # where that gap is wide (and at r = n, the identity); in a wide
+    # matrix's round-off nullspace they may differ by O(1).
+    wide_gap = [r for r in range(1, n) if want_lam[r - 1] - want_lam[r] > 1e-4 * want_lam[0]]
+    for r in wide_gap + [n]:
+        v = leading(r)
+        assert v.shape == (n, r)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(r))) <= 1e-12
+        want = want_v[:, :r] @ want_v[:, :r].conj().T
+        assert np.max(np.abs(v @ v.conj().T - want)) <= 1e-12
+
+
 class TestGramEigh:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(case=sweep_cases())
@@ -476,40 +497,57 @@ class TestGramEigh:
         # sweep_cases lifts 1D and 2D data, variants C and S, to matrices
         # with more and with fewer rows than columns.
         data, _, kwargs = case
-        c = lift(data, kwargs["L"], kwargs["P"], kwargs["variant"]).matrix
-        lam, v = lpk.recon._gram_eigh(c)
-        want_lam, want_v = np.linalg.eigh(c.conj().T @ c)
-        want_lam, want_v = want_lam[::-1], want_v[:, ::-1]
-        assert np.max(np.abs(lam - want_lam)) <= 1e-13 * want_lam[0]
-        # Two Grams that differ by round-off fix a rank-r projector only up
-        # to about eps·λ_max over the gap below it, so projectors are
-        # compared where that gap is wide; in a wide matrix's round-off
-        # nullspace they may differ by O(1).
-        for r in range(1, len(lam)):
-            if want_lam[r - 1] - want_lam[r] > 1e-4 * want_lam[0]:
-                got = v[:, :r] @ v[:, :r].conj().T
-                want = want_v[:, :r] @ want_v[:, :r].conj().T
-                assert np.max(np.abs(got - want)) <= 1e-12
+        assert_matches_eigh(lift(data, kwargs["L"], kwargs["P"], kwargs["variant"]).matrix)
+
+    @pytest.mark.parametrize("L, P, variant, size", [
+        (0, 0, "C", 16),  # a 1x1 Gram
+        (2, 3, "C", 7),  # wide: 2 rows, 6 columns
+        (1, 2, "S", 16),
+    ])
+    def test_matches_eigh_at_the_edges(self, L, P, variant, size):
+        g = centered_grid(size, 1.0)
+        x = KSignal(g, cplx(np.random.default_rng(size), size))
+        assert_matches_eigh(lift(x, L, P, variant).matrix)
+
+    @pytest.mark.parametrize("routine", ["zhetrd_lwork", "zhetrd", "dstevd", "zunmqr"])
+    def test_a_nonzero_info_is_a_linalg_error(self, monkeypatch, routine):
+        real = getattr(scipy.linalg.lapack, routine)
+
+        def failing(*args, **kwargs):
+            return real(*args, **kwargs)[:-1] + (1,)
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        c = lift(KSignal(centered_grid(16, 1.0), cplx(np.random.default_rng(0), 16)), 1, 2).matrix
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{routine} failed with info 1$"):
+            lpk.recon._gram_eigh(c)[1](2)
+
+    def test_the_sweep_takes_no_full_eigendecomposition(self, monkeypatch, masked_two_point):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        _, mask, masked = masked_two_point
+        lowrank_complete(masked, mask, L=2, P=2, max_iters=3)
 
 
 def object_lowrank_complete(data, mask, L, P, rank, variant, max_iters, tau=0.05, tol=1e-9):
     """The Gram sweep with every lift and unlift through the public
     ``lift`` and ``StructuredMatrix.unlift``, rebuilding the signal
     objects each sweep: ``lowrank_complete`` must match it bitwise
-    whatever shortcuts its sweep takes.  Its eigenpairs come from the
-    sweep's own ``_gram_eigh``, which ``TestGramEigh`` pins to
-    ``np.linalg.eigh``."""
+    whatever shortcuts its sweep takes.  Its eigenvalues and its ``rank``
+    leading eigenvectors come from the sweep's own ``_gram_eigh``, which
+    ``TestGramEigh`` pins to ``np.linalg.eigh``."""
     acq = mask.acquired
     ref = data.stack()
     x = np.where(acq, ref, 0.0)
     trace, converged, chosen, it = [], False, rank, 0
     for it in range(1, max_iters + 1):
         c = lift(MultiKSignal.from_array(data.grid, x), L, P, variant).matrix
-        lam, v = lpk.recon._gram_eigh(c)
+        lam, leading = lpk.recon._gram_eigh(c)
         s = np.sqrt(np.clip(lam, 0.0, None))[: min(c.shape)]
         if chosen is None:
             chosen = min(max(1, int(np.sum(s > tau * s[0]))), len(s))
-        vr = v[:, :chosen]
+        vr = leading(chosen)
         trunc = (c @ vr) @ vr.conj().T
         x_new = StructuredMatrix(trunc, data.grid, L, P, data.q_count, variant).unlift().stack()
         x_new[:, acq] = ref[:, acq]
